@@ -3,10 +3,10 @@
 A PolarTriangleConfig eagerly derives, from a triangle ABC in general
 position with respect to the absolute conic, every named object used by the
 center theorems: polar sides and vertices, conjugate points and lines, the
-midpoint pairs of all six sides, altitudes/orthocenter/feet, and the
-isosceles flags.  The center operations (classical centers, pseudo centers,
-Euler line, nine-point conic) are computed once on demand and cached so all
-downstream residual checks reference identical coordinates.
+midpoint pairs of all six sides and altitudes/orthocenter/feet.  The
+isosceles flags and the center operations (classical centers, pseudo
+centers, Euler line, nine-point conic) are computed once on demand and
+cached so all downstream residual checks reference identical coordinates.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class PolarTriangleConfig:
         "Dp", "Ep", "Fp", "Dap", "Ebp", "Fcp",
         "ha", "hb", "hc", "H", "h", "HA", "HB", "HC",
         "A1", "B1", "C1",
-        "iso_flags", "iso_marginal", "conjugate_side_pairs",
+        "conjugate_side_pairs",
         "_cache",
     )
 
@@ -123,7 +123,6 @@ class PolarTriangleConfig:
         self.mids_ap = mt.midpoints(model, self.Bp, self.Cp, tol=t)
         self.mids_bp = mt.midpoints(model, self.Cp, self.Ap, tol=t)
         self.mids_cp = mt.midpoints(model, self.Ap, self.Bp, tol=t)
-        self.iso_flags, self.iso_marginal = self._isosceles_flags()
         self.D, self.E, self.F, self.Da, self.Eb, self.Fc = _choose_midpoints(
             (self.mids_a, self.mids_b, self.mids_c),
             (self.A0, self.B0, self.C0), t)
@@ -153,7 +152,6 @@ class PolarTriangleConfig:
         t = self.tol
         phi = self.model.absolute
         flags = []
-        marginal = []
         for vertex, s1, s2, v1, v2 in (
             (self.A, self.b, self.c, self.C, self.B),
             (self.B, self.c, self.a, self.A, self.C),
@@ -167,10 +165,15 @@ class PolarTriangleConfig:
                 r2 = cross_ratio(q[0], q[1], vertex, v2, carrier=s2, check=False)
                 best = min(best, abs(r1 - r2), abs(1.0 / r1 - r2))
             flags.append(best <= t)
-            marginal.append(t < best <= 10.0 * t)
-        return tuple(flags), tuple(marginal)
+        return tuple(flags)
 
-    # -- cached center computations ----------------------------------------
+    # -- cached derivations -------------------------------------------------
+
+    @property
+    def iso_flags(self):
+        if "iso_flags" not in self._cache:
+            self._cache["iso_flags"] = self._isosceles_flags()
+        return self._cache["iso_flags"]
 
     def classical(self):
         if "classical" not in self._cache:
@@ -218,15 +221,6 @@ def _choose_midpoints(pairs, avoid, t):
                     return (da[i], db[j], dc[k],
                             da[1 - i], db[1 - j], dc[1 - k])
     raise GeneralPositionViolation("no valid midpoint assignment found")
-
-
-def is_isosceles_at(cfg: PolarTriangleConfig, vertex: str) -> bool:
-    return cfg.iso_flags["abc".index(vertex.lower())]
-
-
-def choose_midpoints(cfg: PolarTriangleConfig):
-    """The chosen labeled midpoints (D, E, F) and partners (Da, Eb, Fc)."""
-    return (cfg.D, cfg.E, cfg.F), (cfg.Da, cfg.Eb, cfg.Fc)
 
 
 # ---------------------------------------------------------------------------

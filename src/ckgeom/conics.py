@@ -184,11 +184,6 @@ def lines_conjugate(phi: Conic, a: HLine, b: HLine, tol=None) -> bool:
     return abs(dot(v, b)) <= 1e3 * t * max(scale, 1e-300)
 
 
-def points_conjugate(phi: Conic, p: HPoint, q: HPoint, tol=None) -> bool:
-    t = get_tol() if tol is None else tol
-    return abs(dot(phi.apply(p), q)) <= 1e3 * t
-
-
 EXTERIOR = "exterior"
 TANGENT = "tangent"
 SECANT = "secant"

@@ -154,9 +154,9 @@ def nudge(p: HPoint, eps: float) -> HPoint:
     return hpoint(p[0] + eps * p[2], p[1] + 0.5 * eps * p[2], p[2])
 
 
-def _sample_points(rng, geometry, spec_kind, n, radius=0.9):
-    """n model points: interior for hyperbolic, anywhere-in-disk for
-    elliptic (the whole plane is the model there)."""
+def _sample_points(rng, n, radius=0.9):
+    """n points in the disk of the given radius: interior for hyperbolic,
+    and model points for elliptic too (the whole plane is the model)."""
     return [_interior_point(rng, radius) for _ in range(n)]
 
 
@@ -191,7 +191,7 @@ def _conditioned(pts) -> bool:
 
 def _try_triangle(rng, model, geometry, kind, tol):
     if kind in ("generic", "interior"):
-        pts = _sample_points(rng, geometry, kind, 3)
+        pts = _sample_points(rng, 3)
         if not _conditioned(pts):
             return None
         cfg = ce.build_config(model, *pts, tol=tol)
@@ -276,7 +276,8 @@ def _try_right_angled(rng, model, geometry, subkind, tol):
             continue
         if not _well_separated([A, B, C]) or not _triangle_margin(A, B, C):
             continue
-        # cheap position pre-checks before paying for a full config build
+        # cheap position pre-checks before paying for a full config build;
+        # each is a necessary condition of right_angled_kind
         if geometry == HYPERBOLIC:
             ci = model.is_interior(C)
             bi = model.is_interior(B)
@@ -284,7 +285,8 @@ def _try_right_angled(rng, model, geometry, subkind, tol):
                 continue
             if subkind == "lambert" and (bi == ci):
                 continue
-            if subkind == "pentagon" and ci:
+            if subkind == "pentagon" and (
+                    ci or model.line_status(join_points(B, C)) != cn.SECANT):
                 continue
         try:
             cfg = ce.build_config(model, A, B, C, tol=tol)
@@ -468,7 +470,7 @@ def _chk_pappus_involution(rng, geometry, tol, perturb=0.0):
     return res
 
 
-def _cfg_kind_cycle(rng, geometry, trial_hint=0):
+def _cfg_kind_cycle(geometry, trial_hint=0):
     kinds = ["generic"]
     if geometry == HYPERBOLIC:
         kinds = ["generic", "ext1", "ext2", "ext3"]
@@ -728,14 +730,14 @@ def _chk_table51(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_law_sines_sq(rng, geometry, tol, perturb=0.0):
-    kind = _cfg_kind_cycle(rng, geometry, int(rng.integers(0, 4)))
+    kind = _cfg_kind_cycle(geometry, int(rng.integers(0, 4)))
     cfg = random_triangle_config(rng, geometry, kind, tol=tol)
     _, spread = tg.squared_law_of_sines(cfg)
     return spread
 
 
 def _chk_law_cosines_sq(rng, geometry, tol, perturb=0.0):
-    kind = _cfg_kind_cycle(rng, geometry, int(rng.integers(0, 4)))
+    kind = _cfg_kind_cycle(geometry, int(rng.integers(0, 4)))
     cfg = random_triangle_config(rng, geometry, kind, tol=tol)
     res, matches = tg.squared_law_of_cosines(cfg)
     if matches != 1:
@@ -754,14 +756,23 @@ def _chk_carnot_projective(rng, geometry, tol, perturb=0.0):
     if not (_well_separated(tri, 0.05) and
             abs(collinearity_residual(*tri)) > 0.01):
         return None
-    tri[0] = nudge(tri[0], perturb)
-    transversal = join_points(_exterior_point(rng), _exterior_point(rng, (3.2, 4.4)))
+    p = _exterior_point(rng)
+    q = _exterior_point(rng, (3.2, 4.4))
+    transversal = join_points(p, q)
     try:
-        res, _ = tg.carnot_projective_residual(*tri, conic, transversal)
+        res, six = tg.carnot_projective_residual(*tri, conic, transversal)
+        if perturb:
+            # move X0 off the transversal: X0, Y0, Z0 are no longer collinear
+            X, Y, Z = tri
+            moved = join_points(nudge(p, perturb), q)
+            res = abs(tg.carnot_product(
+                X, Y, Z,
+                meet_lines(join_points(Y, Z), moved),
+                meet_lines(join_points(Z, X), transversal),
+                meet_lines(join_points(X, Y), transversal),
+                *six) - 1.0)
     except GeometryError:
         return None
-    # converse: replacing Z0 by the harmonic conjugate of the transversal
-    # trace keeps the product but breaks collinearity
     return res
 
 

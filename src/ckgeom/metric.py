@@ -18,6 +18,7 @@ import numpy as np
 from . import conics as cn
 from .errors import (
     CenterOnConic,
+    CoincidentPoints,
     DegenerateConic,
     EndpointOnConic,
     PointOutsideModel,
@@ -29,8 +30,6 @@ from .projective import (
     _normalize,
     dot,
     cross_ratio,
-    harmonic_conjugate,
-    involution_from_pairs,
     is_real_triple,
     join_points,
     meet_lines,
@@ -190,25 +189,38 @@ def sort_point_pair(p: HPoint, q: HPoint):
 
 def midpoints(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
     """The two midpoints of the segment ab: the common harmonic pair of
-    {a, b} and of the absolute trace {U, V} of the line ab.
+    {a, b} and of the absolute trace of the line ab.
 
-    For a tangent line the midpoints are the contact point and its harmonic
-    conjugate with respect to a, b.  Output pair is canonically ordered and
-    may be imaginary.
+    In closed form they are sqrt(Q(b))*a +- sqrt(Q(a))*b, with Q the
+    absolute's quadratic form and the principal complex root.  On a tangent
+    line Q(a)Q(b) is the squared bilinear value, so one of the pair is the
+    contact point and the other its harmonic conjugate with respect to a, b.
+    Output pair is canonically ordered and may be imaginary.
     """
     t = get_tol() if tol is None else tol
-    if model.on_absolute(a, t) or model.on_absolute(b, t):
+    phi = model.absolute
+    qa = phi.value(a)
+    qb = phi.value(b)
+    if abs(qa) <= 1e3 * t or abs(qb) <= 1e3 * t:
         raise EndpointOnConic("midpoints need endpoints off the absolute")
-    line = join_points(a, b)
-    trace = absolute_trace(model, line, tol=t)
-    u, v = trace.points
-    if triple_eq(u, v, 1e-6):
-        # tangent line: contact point and its harmonic conjugate
-        q = u
-        return sort_point_pair(q, harmonic_conjugate(a, b, q, tol=t))
-    inv = involution_from_pairs(line, (u, v), (a, b), tol=t)
-    f1, f2 = inv.fixed_points()
-    return sort_point_pair(f1, f2)
+    if triple_eq(a, b):
+        raise CoincidentPoints(f"midpoints of coincident points {a} and {b}")
+    ra = cmath.sqrt(qa)
+    rb = cmath.sqrt(qb)
+    if (ra.conjugate() * rb).real < 0:
+        ra = -ra  # swaps the pair; keeps ra + rb free of cancellation
+    # In the basis a, d = b - a the pair is (ra + rb)*a + ra*d and
+    # k*a - ra*d with k = rb - ra = (Q(b) - Q(a))/(ra + rb); Q(b) - Q(a) is
+    # the bilinear value of d and a + b, so close endpoints lose no digits.
+    d = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+    s = ra + rb
+    k = dot(phi.apply(d), (a[0] + b[0], a[1] + b[1], a[2] + b[2])) / s
+    return sort_point_pair(
+        HPoint(*_normalize(s * a[0] + ra * d[0], s * a[1] + ra * d[1],
+                           s * a[2] + ra * d[2])),
+        HPoint(*_normalize(k * a[0] - ra * d[0], k * a[1] - ra * d[1],
+                           k * a[2] - ra * d[2])),
+    )
 
 
 def complementary_midpoints(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
@@ -238,15 +250,6 @@ def point_symmetry(model: ModelGeometry, center: HPoint, p: HPoint,
 # ---------------------------------------------------------------------------
 # squared trigonometric ratios
 # ---------------------------------------------------------------------------
-
-class Segment:
-    __slots__ = ("a", "b", "line")
-
-    def __init__(self, a: HPoint, b: HPoint):
-        self.a = a
-        self.b = b
-        self.line = join_points(a, b)
-
 
 def squared_trig(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
     """The projective trigonometric ratios (C, S, T) of the segment ab.

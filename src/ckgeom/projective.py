@@ -145,23 +145,8 @@ def collinearity_residual(p, q, r) -> float:
 concurrency_residual = collinearity_residual
 
 
-def are_collinear(p, q, r, tol=None) -> bool:
-    t = get_tol() if tol is None else tol
-    return collinearity_residual(p, q, r) <= t
-
-
-def are_concurrent(a, b, c, tol=None) -> bool:
-    t = get_tol() if tol is None else tol
-    return concurrency_residual(a, b, c) <= t
-
-
 def incidence_residual(line, point) -> float:
     return abs(dot(line, point))
-
-
-def on_line(point, line, tol=None) -> bool:
-    t = get_tol() if tol is None else tol
-    return incidence_residual(line, point) <= t
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Ambient tolerance policy.
 
 All coordinates are complex doubles; every geometric predicate is mediated by
-a single relative tolerance.  Two scalars x, y are *geometrically equal* when
-|x - y| <= tol * max(1, |x|, |y|).  Homogeneous triples are normalized so the
+a single relative tolerance.  Homogeneous triples are normalized so the
 largest-modulus component has modulus one, which makes absolute residuals of
 normalized data directly comparable against the tolerance.
 """
@@ -25,13 +24,3 @@ def set_tol(value: float) -> float:
         raise ValueError("tolerance must be positive")
     old, _tol = _tol, float(value)
     return old
-
-
-def scalar_eq(x: complex, y: complex, tol: float | None = None) -> bool:
-    t = _tol if tol is None else tol
-    return abs(x - y) <= t * max(1.0, abs(x), abs(y))
-
-
-def is_finite(x: complex) -> bool:
-    return abs(x.real) < float("inf") and abs(x.imag) < float("inf") \
-        and x.real == x.real and x.imag == x.imag

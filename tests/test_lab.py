@@ -62,6 +62,43 @@ def test_perturbation_guard_detects():
     assert frac2 >= 0.99
 
 
+def test_carnot_projective_guard_detects():
+    # the perturbation moves the transversal's defining point, so X0 leaves
+    # the line through Y0, Z0 and the Carnot product moves off 1
+    frac = lab.perturbation_guard("carnot_projective", seed=5, trials=200)
+    assert frac >= 0.99
+
+
+def test_lazy_isosceles_flags():
+    for kind in ("generic", "isosceles"):
+        for i in range(10):
+            cfg = lab.random_triangle_config(lab.trial_rng(11, i), "hyperbolic", kind)
+            assert "iso_flags" not in cfg._cache
+            flags = cfg.iso_flags
+            assert flags == cfg._isosceles_flags()
+            assert cfg._cache["iso_flags"] is flags
+            if kind == "isosceles":
+                assert any(flags)
+
+
+def test_pentagon_builds_once_per_scene(monkeypatch):
+    from ckgeom import centers as ce
+    from ckgeom import trig as tg
+    builds = []
+    build = ce.build_config
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ce, "build_config", counting)
+    for i in range(20):
+        cfg = lab.random_triangle_config(lab.trial_rng(3, i), "hyperbolic",
+                                         "right:pentagon")
+        assert tg.right_angled_kind(cfg) == tg.PENTAGON
+    assert len(builds) == 20
+
+
 def test_oracle_cross_ratio_matches_determinant(rng):
     # hand value and random agreement between the chart oracle and the
     # determinant implementation

@@ -114,6 +114,72 @@ def test_midpoints_tangent_line(hyp):
         mt.midpoints(hyp, affine_point(0, 1), affine_point(0.5, 0))
 
 
+def _segment(kind, hyp, ell, rng):
+    """A segment of the given kind with its model."""
+    if kind == "interior":
+        return hyp, interior_point(rng), interior_point(rng)
+    if kind == "mixed":  # interior/exterior: the midpoints are imaginary
+        return hyp, interior_point(rng), exterior_point(rng)
+    if kind == "elliptic":
+        return ell, exterior_point(rng, 0.1, 3.0), exterior_point(rng, 0.1, 3.0)
+    # on the tangent at a point T of the absolute
+    th = rng.uniform(0, 2 * math.pi)
+    c, s = math.cos(th), math.sin(th)
+    u, v = rng.uniform(0.1, 2.0), -rng.uniform(0.1, 2.0)
+    return hyp, affine_point(c - u * s, s + u * c), affine_point(c - v * s, s + v * c)
+
+
+@pytest.mark.parametrize("kind", ["interior", "mixed", "elliptic", "tangent"])
+def test_midpoints_closed_form_harmonic(hyp, ell, rng, kind):
+    # both points are harmonic to {A, B} and to the absolute trace of AB;
+    # on a tangent line the trace is the contact point, one of the pair
+    for _ in range(25):
+        model, a, b = _segment(kind, hyp, ell, rng)
+        m1, m2 = mt.midpoints(model, a, b)
+        assert (m1, m2) == mt.sort_point_pair(m2, m1)
+        assert abs(cross_ratio_points(a, b, m1, m2) + 1.0) < 1e-9
+        line = join_points(a, b)
+        meet = cn.line_conic_meet(model.absolute, line)
+        u, v = meet.points
+        if kind == "tangent":
+            assert meet.status == cn.TANGENT
+            assert points_equal(m1, u, 1e-7) or points_equal(m2, u, 1e-7)
+        else:
+            assert abs(cross_ratio_points(u, v, m1, m2) + 1.0) < 1e-9
+        if kind == "mixed":
+            assert not pj.is_real_triple(m1) and not pj.is_real_triple(m2)
+        if kind == "elliptic":
+            assert pj.is_real_triple(m1) and pj.is_real_triple(m2)
+
+
+@pytest.mark.parametrize("kind", ["interior", "mixed", "elliptic", "tangent"])
+def test_midpoints_rescaling_invariant(hyp, ell, rng, kind):
+    for _ in range(25):
+        model, a, b = _segment(kind, hyp, ell, rng)
+        la = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
+        lb = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
+        m1, m2 = mt.midpoints(model, a, b)
+        k1, k2 = mt.midpoints(model, pj.HPoint(*(la * x for x in a)),
+                              pj.HPoint(*(lb * x for x in b)))
+        assert points_equal(m1, k1) and points_equal(m2, k2)
+
+
+def test_midpoints_degenerate_endpoints(hyp, ell):
+    a = affine_point(0.3, -0.2)
+    for model in (hyp, ell):
+        with pytest.raises(errors.CoincidentPoints):
+            mt.midpoints(model, a, a)
+        with pytest.raises(errors.CoincidentPoints):
+            mt.midpoints(model, a, pj.HPoint(*(2j * x for x in a)))
+    with pytest.raises(errors.EndpointOnConic):
+        mt.midpoints(hyp, a, affine_point(0.6, 0.8))
+    with pytest.raises(errors.EndpointOnConic):
+        mt.midpoints(hyp, affine_point(-1, 0), a)
+    # on the imaginary absolute: a complex point with x^2 + y^2 + z^2 = 0
+    with pytest.raises(errors.EndpointOnConic):
+        mt.midpoints(ell, hpoint(1, 1j, 0), a)
+
+
 def test_midpoint_polars_are_angle_bisectors(hyp, rng):
     # polars of the midpoints of AB bisect the angle between polar(A), polar(B)
     a, b = interior_point(rng, 0.6), interior_point(rng, 0.6)
