@@ -26,6 +26,7 @@ from .projective import (
     incidence_residual,
     join_points,
     meet_lines,
+    point_gap,
     points_equal,
 )
 from .tolerance import get_tol
@@ -200,26 +201,34 @@ def build_config(model, A, B, C, tol=None) -> PolarTriangleConfig:
     return PolarTriangleConfig(model, A, B, C, tol=tol)
 
 
+def midpoint_assignments(pairs, t, avoid=None):
+    """The noncollinear choices of one midpoint per side, in (i, j, k) bit
+    order: yields ((i, j, k), (da[i], db[j], dc[k])).  A midpoint equal to
+    its side's `avoid` point (when given) is never chosen."""
+    da, db, dc = pairs
+    for i in range(2):
+        if avoid and points_equal(da[i], avoid[0], t):
+            continue
+        for j in range(2):
+            if avoid and points_equal(db[j], avoid[1], t):
+                continue
+            for k in range(2):
+                if avoid and points_equal(dc[k], avoid[2], t):
+                    continue
+                trip = (da[i], db[j], dc[k])
+                if collinearity_residual(*trip) > 1e3 * t:
+                    yield (i, j, k), trip
+
+
 def _choose_midpoints(pairs, avoid, t):
-    """First lexicographic assignment of one midpoint per side that avoids
-    the prescribed points and is noncollinear; paper's selection procedure.
+    """First assignment of one midpoint per side that avoids the prescribed
+    points and is noncollinear; paper's selection procedure.
 
     Returns (D, E, F, Da, Eb, Fc) with Da/Eb/Fc the unchosen partners.
     """
-    (da, db, dc) = pairs
-    (A0, B0, C0) = avoid
-    for i in range(2):
-        if points_equal(da[i], A0, t):
-            continue
-        for j in range(2):
-            if points_equal(db[j], B0, t):
-                continue
-            for k in range(2):
-                if points_equal(dc[k], C0, t):
-                    continue
-                if collinearity_residual(da[i], db[j], dc[k]) > 1e3 * t:
-                    return (da[i], db[j], dc[k],
-                            da[1 - i], db[1 - j], dc[1 - k])
+    da, db, dc = pairs
+    for (i, j, k), trip in midpoint_assignments(pairs, t, avoid):
+        return (*trip, da[1 - i], db[1 - j], dc[1 - k])
     raise GeneralPositionViolation("no valid midpoint assignment found")
 
 
@@ -249,19 +258,6 @@ class CentersReport:
         self.residuals = {}
 
 
-def _consistent_assignments(pairs, t):
-    """The four noncollinear one-midpoint-per-side assignments, in
-    deterministic bit-pattern order."""
-    out = []
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                trip = (pairs[0][i], pairs[1][j], pairs[2][k])
-                if collinearity_residual(*trip) > 1e3 * t:
-                    out.append(((i, j, k), trip))
-    return out
-
-
 def _classical_centers(cfg: PolarTriangleConfig):
     """Barycenters, circumcenters and incenters for every consistent
     midpoint assignment, with their concurrency residuals."""
@@ -269,8 +265,8 @@ def _classical_centers(cfg: PolarTriangleConfig):
     report = CentersReport()
     report.orthocenter = cfg.H
     report.residuals["orthocenter"] = incidence_residual(cfg.hc, cfg.H)
-    prim = _consistent_assignments((cfg.mids_a, cfg.mids_b, cfg.mids_c), t)
-    for bits, (d, e, f) in prim:
+    for bits, (d, e, f) in midpoint_assignments(
+            (cfg.mids_a, cfg.mids_b, cfg.mids_c), t):
         med_a = join_points(cfg.A, d)
         med_b = join_points(cfg.B, e)
         med_c = join_points(cfg.C, f)
@@ -281,8 +277,8 @@ def _classical_centers(cfg: PolarTriangleConfig):
         bis_c = join_points(cfg.Cp, f)
         o = meet_lines(bis_a, bis_b)
         report.circumcenters.append((bits, o, incidence_residual(bis_c, o)))
-    dual = _consistent_assignments((cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), t)
-    for bits, (d, e, f) in dual:
+    for bits, (d, e, f) in midpoint_assignments(
+            (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), t):
         ang_a = join_points(cfg.A, d)
         ang_b = join_points(cfg.B, e)
         ang_c = join_points(cfg.C, f)
@@ -425,7 +421,7 @@ def _euler_wildberger(cfg: PolarTriangleConfig) -> EulerLine:
     o = join_points(p1, p2)
     res["orthic_axis_collinear"] = incidence_residual(o, p3)
     pole_o = cn.pole(cfg.model.absolute, o)
-    res["orthic_pole_is_Np"] = _point_gap(pole_o, ps.Np)
+    res["orthic_pole_is_Np"] = point_gap(pole_o, ps.Np)
     res["e_perp_orthic"] = incidence_residual(e, pole_o)
     out.orthic_axis = o
     out.orthic_pole = pole_o
@@ -435,11 +431,6 @@ def _euler_wildberger(cfg: PolarTriangleConfig) -> EulerLine:
 
 def euler_wildberger(cfg: PolarTriangleConfig) -> EulerLine:
     return cfg.euler()
-
-
-def _point_gap(p, q) -> float:
-    from .projective import cross, _norm
-    return _norm(cross(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +549,7 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
         tri = (m1, m2, e_pole)
         for i in range(3):
             side = join_points(tri[(i + 1) % 3], tri[(i + 2) % 3])
-            r = max(r, _point_gap(cn.pole(conic, side), tri[i]))
+            r = max(r, point_gap(cn.pole(conic, side), tri[i]))
         return r
     try:
         report["self_polar_absolute"] = self_polar_residual(phi)
@@ -587,7 +578,7 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
     if is_ellipse:
         center = cn.pole(gamma, HLine(0j, 0j, 1 + 0j))
         report["center_is_HP_midpoint"] = min(
-            _point_gap(center, m1), _point_gap(center, m2))
+            point_gap(center, m1), point_gap(center, m2))
         try:
             axis2 = mt.perpendicular_through(cfg.model, eu.line, center)
             pole2 = cn.pole(phi, axis2)

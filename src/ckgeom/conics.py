@@ -29,6 +29,7 @@ from .projective import (
     incidence_residual,
     join_points,
     meet_lines,
+    point_gap,
     quadrangular_involution,
     solve_quadratic,
     triple_eq,
@@ -386,11 +387,7 @@ def cross_ratio_on_conic(theta: Conic, a, b, c, d, tol=None,
     candidates = sample_conic_points(theta, 12, tol=t)
     scored = []
     for x in candidates:
-        dmin = min(
-            math.sqrt(abs(cross(x, p)[0]) ** 2 + abs(cross(x, p)[1]) ** 2
-                      + abs(cross(x, p)[2]) ** 2)
-            for p in quad
-        )
+        dmin = min(point_gap(x, p) for p in quad)
         scored.append((dmin, x))
     scored.sort(key=lambda s: -s[0])
     if not scored or scored[0][0] <= 1e3 * t:

@@ -99,6 +99,11 @@ points_equal = triple_eq
 lines_equal = triple_eq
 
 
+def point_gap(p, q) -> float:
+    """|p x q|: zero exactly when p and q are projectively equal."""
+    return _norm(cross(p, q))
+
+
 def is_real_triple(a, tol=None) -> bool:
     """True when some representative has all components real.
 

@@ -16,7 +16,7 @@ import math
 from . import conics as cn
 from . import metric as mt
 from . import rays as ry
-from .centers import PolarTriangleConfig
+from .centers import PolarTriangleConfig, midpoint_assignments
 from .errors import (
     DegenerateInput,
     GeneralPositionViolation,
@@ -37,6 +37,7 @@ from .projective import (
     incidence_residual,
     join_points,
     meet_lines,
+    point_gap,
     points_equal,
 )
 from .tolerance import get_tol
@@ -634,17 +635,12 @@ def magic_triangle(cfg: PolarTriangleConfig) -> MagicTriangle:
     return cfg._cache[key]
 
 
-def _pair_gap(p1, p2):
-    from .projective import cross, _norm
-    return _norm(cross(p1, p2))
-
-
 def _set_gap(pair1, pair2) -> float:
     a, b = pair1
     c, d = pair2
     return min(
-        max(_pair_gap(a, c), _pair_gap(b, d)),
-        max(_pair_gap(a, d), _pair_gap(b, c)),
+        max(point_gap(a, c), point_gap(b, d)),
+        max(point_gap(a, d), point_gap(b, c)),
     )
 
 
@@ -706,23 +702,6 @@ class OrientedTriangleConfig:
         self.magic = magic
 
 
-def _valid_midpoint_choices(pairs, avoid, t):
-    out = []
-    for i in range(2):
-        if points_equal(pairs[0][i], avoid[0], t):
-            continue
-        for j in range(2):
-            if points_equal(pairs[1][j], avoid[1], t):
-                continue
-            for k in range(2):
-                if points_equal(pairs[2][k], avoid[2], t):
-                    continue
-                trip = (pairs[0][i], pairs[1][j], pairs[2][k])
-                if collinearity_residual(*trip) > 1e3 * t:
-                    out.append(trip)
-    return out
-
-
 def _pick_on_line(pair, line, t):
     r0 = incidence_residual(line, pair[0])
     r1 = incidence_residual(line, pair[1])
@@ -758,11 +737,12 @@ def coherent_orientation(cfg: PolarTriangleConfig) -> OrientedTriangleConfig:
     t = cfg.tol
     m = magic_triangle(cfg)
     avoid = (cfg.A0, cfg.B0, cfg.C0)
-    primal = _valid_midpoint_choices((cfg.mids_a, cfg.mids_b, cfg.mids_c), avoid, t)
-    dual = _valid_midpoint_choices((cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), avoid, t)
+    primal = midpoint_assignments((cfg.mids_a, cfg.mids_b, cfg.mids_c), t, avoid)
+    dual = [trip for _, trip in midpoint_assignments(
+        (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), t, avoid)]
     comp = complementary_pairs(cfg)
     compd = complementary_pairs_dual(cfg)
-    for (D, E, F) in primal:
+    for _, (D, E, F) in primal:
         for (Dp, Ep, Fp) in dual:
             mD = _pick_on_line(m.pairs[0], join_points(D, Dp), t)
             mE = _pick_on_line(m.pairs[1], join_points(E, Ep), t)

@@ -83,6 +83,44 @@ def test_chosen_midpoints_valid(hyp, ell, rng):
             assert ok1 or ok2
 
 
+@pytest.mark.parametrize("geometry,kind", [
+    ("hyperbolic", "generic"), ("elliptic", "generic"),
+    ("hyperbolic", "ext1"), ("hyperbolic", "ext2"), ("hyperbolic", "ext3"),
+])
+def test_midpoint_assignments(geometry, kind):
+    from ckgeom import lab
+    for n in range(8):
+        cfg = lab.random_triangle_config(lab.trial_rng(23, n), geometry, kind)
+        t = cfg.tol
+        avoid = (cfg.A0, cfg.B0, cfg.C0)
+        for pairs, chosen in (
+            ((cfg.mids_a, cfg.mids_b, cfg.mids_c),
+             (cfg.D, cfg.E, cfg.F, cfg.Da, cfg.Eb, cfg.Fc)),
+            ((cfg.mids_ap, cfg.mids_bp, cfg.mids_cp),
+             (cfg.Dp, cfg.Ep, cfg.Fp, cfg.Dap, cfg.Ebp, cfg.Fcp)),
+        ):
+            got = list(ce.midpoint_assignments(pairs, t, avoid))
+            bits = [b for b, _ in got]
+            assert bits == sorted(set(bits))
+            for (i, j, k), trip in got:
+                assert trip == (pairs[0][i], pairs[1][j], pairs[2][k])
+                assert pj.collinearity_residual(*trip) > 1e3 * t
+                assert not any(points_equal(x, a, t) for x, a in zip(trip, avoid))
+            (i, j, k), first = got[0]
+            assert first == chosen[:3]
+            assert chosen[3:] == (pairs[0][1 - i], pairs[1][1 - j],
+                                  pairs[2][1 - k])
+            # avoiding one midpoint of side a keeps exactly the choices of
+            # its partner, in the same order (a vertex is never a midpoint)
+            free = list(ce.midpoint_assignments(pairs, t))
+            only_a1 = list(ce.midpoint_assignments(
+                pairs, t, (pairs[0][0], cfg.A, cfg.A)))
+            assert only_a1 == [g for g in free if g[0][0] == 1]
+        free = [b for b, _ in ce.midpoint_assignments(
+            (cfg.mids_a, cfg.mids_b, cfg.mids_c), t)]
+        assert [b for b, _, _ in cfg.classical().barycenters] == free
+
+
 def test_classical_centers(hyp, ell, rng):
     for model in (hyp, ell):
         cfg = random_cfg(model, rng)

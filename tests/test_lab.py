@@ -69,6 +69,63 @@ def test_carnot_projective_guard_detects():
     assert frac >= 0.99
 
 
+def _fake_check(seen):
+    """A check that rejects a fifth of its draws with None and a fifth with
+    a GeometryError, and otherwise returns its uniform draw as residual."""
+    def check(rng, geometry, tol, perturb=0.0):
+        u = rng.uniform()
+        if u < 0.2:
+            return None
+        if u < 0.4:
+            raise errors.GeneralPositionViolation("rejected draw")
+        seen.append(u)
+        return u
+    return check
+
+
+def test_trial_driver_rejection_semantics(monkeypatch):
+    seed, trials, tol = 4, 40, 0.7
+    accepted, over = [], []
+    counter = 0
+    while len(accepted) < trials:
+        u = lab.trial_rng(seed, counter).uniform()
+        if u >= 0.4:
+            accepted.append(u)
+            if u > tol:
+                over.append(counter)
+        counter += 1
+    assert len(accepted) < counter  # the stream does reject some draws
+    by_verify, by_guard = [], []
+    monkeypatch.setitem(lab.THEOREMS, "fake",
+                        (_fake_check(by_verify), ("hyperbolic",), False))
+    cert = lab.verify("fake", seed=seed, trials=trials, tol=tol)
+    assert cert.failures == over
+    assert by_verify == accepted and cert.max_residual == max(accepted)
+    monkeypatch.setitem(lab.THEOREMS, "fake",
+                        (_fake_check(by_guard), ("hyperbolic",), False))
+    frac = lab.perturbation_guard("fake", seed=seed, trials=trials,
+                                  threshold=tol)
+    assert by_guard == accepted
+    assert frac == len(over) / trials
+
+
+def test_trial_driver_exhausts(monkeypatch):
+    trials = 3
+    calls = []
+
+    def never(rng, geometry, tol, perturb=0.0):
+        calls.append(1)
+        return None
+
+    monkeypatch.setitem(lab.THEOREMS, "never", (never, ("hyperbolic",), False))
+    for run in (lab.verify, lab.perturbation_guard):
+        calls.clear()
+        with pytest.raises(errors.SamplingExhausted):
+            run("never", seed=0, trials=trials)
+        # one cap for both entry points: RETRY_CAP + 5 * trials rejections
+        assert len(calls) == lab.RETRY_CAP + 5 * trials + 1
+
+
 def test_lazy_isosceles_flags():
     for kind in ("generic", "isosceles"):
         for i in range(10):

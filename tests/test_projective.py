@@ -49,6 +49,20 @@ def test_meet_lines_examples():
         meet_lines(hline(0, 1, 0), hline(0, 2, 0))
 
 
+def test_point_gap(rng):
+    for _ in range(20):
+        p = hpoint(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                   rng.uniform(-1, 1), 1.0)
+        c = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        scaled = tuple(c * x for x in p)
+        assert pj.point_gap(p, scaled) < 1e-14 * abs(c)
+        assert pj.triple_eq(p, hpoint(*scaled))
+        q = hpoint(p[0] + 0.1, p[1], p[2])
+        assert pj.point_gap(p, q) > 1e-3
+        assert not pj.triple_eq(p, q)
+    assert pj.point_gap(affine_point(0, 0), affine_point(1, 0)) == 1.0
+
+
 def test_cross_ratio_hand_value():
     # affine x-coordinates 0, 1, 2, 3: hand evaluation of the chart formula
     r = cross_ratio_points(x_pt(0), x_pt(1), x_pt(2), x_pt(3))
