@@ -156,12 +156,52 @@ def _sample_points(rng, n, radius=0.9):
     return [_interior_point(rng, radius) for _ in range(n)]
 
 
+# Scene cache of the trial driver.  Checks of different theorems that draw
+# the same scene from the same generator state share one config, and with it
+# the center reports cached on it.  Only `_trials` turns it on, around each
+# check; it holds the scenes of one seed, at most SCENE_CACHE_CAP of them.
+SCENE_CACHE_CAP = 2500
+_scenes = {}  # (state at entry, geometry, kind, tol) -> (config, state after)
+_scene_seed = None
+_in_driver = False
+
+
+def _state_key(rng):
+    st = rng.bit_generator.state
+    philox = st["state"]
+    return (philox["counter"].tobytes(), philox["key"].tobytes(),
+            st["buffer"].tobytes(), st["buffer_pos"], st["has_uint32"],
+            st["uinteger"])
+
+
 def random_triangle_config(rng, geometry, kind="generic", tol=None):
     """A general-position PolarTriangleConfig of the requested kind.
 
     Kinds: generic, interior, ext1, ext2, ext3, quadrilateral, hexagon,
     isosceles, right:<elliptic|hyp-right|lambert|pentagon>.
+
+    Inside the trial driver a draw is looked up by the full generator state
+    at entry, the geometry, the kind and the resolved tol.  A hit returns
+    the config drawn before and leaves `rng` in the state that draw left it
+    in, so the caller sees the same config and the same later numbers as on
+    a miss.  A draw that raises is not stored.  Outside the driver every
+    call draws and builds.
     """
+    if not _in_driver:
+        return _draw_config(rng, geometry, kind, tol)
+    key = (_state_key(rng), geometry, kind, get_tol() if tol is None else tol)
+    hit = _scenes.get(key)
+    if hit is not None:
+        cfg, state = hit
+        rng.bit_generator.state = state
+        return cfg
+    cfg = _draw_config(rng, geometry, kind, tol)
+    if len(_scenes) < SCENE_CACHE_CAP:
+        _scenes[key] = (cfg, rng.bit_generator.state)
+    return cfg
+
+
+def _draw_config(rng, geometry, kind, tol):
     model = model_for(geometry)
     for _ in range(RETRY_CAP):
         try:
@@ -757,12 +797,19 @@ def _chk_carnot_projective(rng, geometry, tol, perturb=0.0):
     try:
         res, six = tg.carnot_projective_residual(*tri, conic, transversal)
         if perturb:
-            # move X0 off the transversal: X0, Y0, Z0 are no longer collinear
+            # move X0 off the transversal: X0, Y0, Z0 are no longer
+            # collinear.  The nudged point is whichever of P, Q lies nearer
+            # to X0, so the line pivots about the farther one and X0 moves.
             X, Y, Z = tri
-            moved = join_points(nudge(p, perturb), q)
+            side_x = join_points(Y, Z)
+            x0 = meet_lines(side_x, transversal)
+            if point_gap(x0, p) <= point_gap(x0, q):
+                moved = join_points(nudge(p, perturb), q)
+            else:
+                moved = join_points(p, nudge(q, perturb))
             res = abs(tg.carnot_product(
                 X, Y, Z,
-                meet_lines(join_points(Y, Z), moved),
+                meet_lines(side_x, moved),
                 meet_lines(join_points(Z, X), transversal),
                 meet_lines(join_points(X, Y), transversal),
                 *six) - 1.0)
@@ -969,8 +1016,16 @@ def theorem_ids():
 def _trials(theorem_id, seed, trials, geometry, tol, perturb):
     """(counter, residual) of each of `trials` accepted scenes.  A check that
     returns None or raises GeometryError rejects its scene; more than
-    RETRY_CAP + 5 * trials rejections raise SamplingExhausted."""
+    RETRY_CAP + 5 * trials rejections raise SamplingExhausted.
+
+    The scene cache of `random_triangle_config` is on only while a check
+    runs, so runs of several theorems on one seed share their configs.  A
+    run on another seed first empties it."""
+    global _scene_seed, _in_driver
     fn = THEOREMS[theorem_id][0]
+    if seed != _scene_seed:
+        _scenes.clear()
+        _scene_seed = seed
     done = 0
     counter = 0
     while done < trials:
@@ -978,10 +1033,13 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
             raise SamplingExhausted(f"{theorem_id}: too many rejected scenes")
         rng = trial_rng(seed, counter)
         counter += 1
+        _in_driver = True
         try:
             res = fn(rng, geometry, tol, perturb)
         except GeometryError:
             continue
+        finally:
+            _in_driver = False
         if res is not None:
             done += 1
             yield counter - 1, res

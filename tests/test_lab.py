@@ -138,9 +138,8 @@ def test_lazy_isosceles_flags():
                 assert any(flags)
 
 
-def test_pentagon_builds_once_per_scene(monkeypatch):
+def _count_builds(monkeypatch):
     from ckgeom import centers as ce
-    from ckgeom import trig as tg
     builds = []
     build = ce.build_config
 
@@ -149,11 +148,165 @@ def test_pentagon_builds_once_per_scene(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(ce, "build_config", counting)
+    return builds
+
+
+def test_pentagon_builds_once_per_scene(monkeypatch):
+    from ckgeom import trig as tg
+    builds = _count_builds(monkeypatch)
     for i in range(20):
         cfg = lab.random_triangle_config(lab.trial_rng(3, i), "hyperbolic",
                                          "right:pentagon")
         assert tg.right_angled_kind(cfg) == tg.PENTAGON
     assert len(builds) == 20
+
+
+def test_carnot_projective_guard_pivots_about_farther_point():
+    # trial 139 of seed 0: side YZ meets the transversal near Q, so pivoting
+    # the moved line about Q barely moved X0 (residual 5.9e-8)
+    res = lab._chk_carnot_projective(lab.trial_rng(0, 139), "hyperbolic",
+                                     lab.get_tol(), 1e-3)
+    assert res > 1e-7
+
+
+def _cert_fields(cert):
+    d = cert.to_dict()
+    del d["wall_time"]
+    return d
+
+
+def test_scene_cache_cold_equals_warm():
+    seed, trials = 21, 4
+    entries = [(tid, g) for tid, (_, geoms, _) in lab.THEOREMS.items()
+               for g in geoms]
+    lab._scenes.clear()
+    # after the ids before it, then after all of them
+    first = [lab.verify(tid, seed=seed, trials=trials, geometry=g)
+             for tid, g in entries]
+    again = [lab.verify(tid, seed=seed, trials=trials, geometry=g)
+             for tid, g in entries]
+    for (tid, g), c1, c2 in zip(entries, first, again):
+        lab._scenes.clear()
+        cold = _cert_fields(lab.verify(tid, seed=seed, trials=trials,
+                                       geometry=g))
+        assert _cert_fields(c1) == cold and _cert_fields(c2) == cold, (tid, g)
+
+
+def test_scene_cache_restores_post_draw_state(monkeypatch):
+    # these checks keep drawing from the generator after the config, so a
+    # hit must leave the generator where the draw left it
+    seed, trials = 8, 30
+    cases = (("carnot_hyperbolic_iff", "hyperbolic"),
+             ("carnot_elliptic", "elliptic"),
+             ("conjectures", "hyperbolic"), ("conjectures", "elliptic"))
+    builds = _count_builds(monkeypatch)
+    for tid, g in cases:
+        lab._scenes.clear()
+        builds.clear()
+        cold = lab.verify(tid, seed=seed, trials=trials, geometry=g)
+        cold_builds = len(builds)
+        lab._scenes.clear()
+        lab.verify("altitudes", seed=seed, trials=trials, geometry=g)
+        builds.clear()
+        warm = lab.verify(tid, seed=seed, trials=trials, geometry=g)
+        assert len(builds) < cold_builds  # the run did hit the cache
+        assert _cert_fields(warm) == _cert_fields(cold), (tid, g)
+
+
+def test_scene_cache_keys_on_full_generator_state(monkeypatch):
+    # one and two 32-bit draws leave the same Philox counter and buffer
+    # position, and differ only in the buffered half-word; the configs
+    # (64-bit draws) agree, but a later 32-bit draw must see its own stream
+    def pre_draw(rng, n):
+        rng.integers(0, 4, size=n)
+        return rng
+
+    def check_drawing(n, seen):
+        def check(rng, geometry, tol, perturb=0.0):
+            cfg = lab.random_triangle_config(pre_draw(rng, n), geometry,
+                                             "generic", tol=tol)
+            seen.append((cfg.A, int(rng.integers(0, 1 << 30))))
+            return 0.0
+        return check
+
+    seed, trials = 6, 10
+    one, two = [], []
+    lab._scenes.clear()
+    for name, n, seen in (("one", 1, one), ("two", 2, two)):
+        monkeypatch.setitem(lab.THEOREMS, name,
+                            (check_drawing(n, seen), ("hyperbolic",), False))
+        lab.verify(name, seed=seed, trials=trials)
+    for i in range(trials):
+        r1 = pre_draw(lab.trial_rng(seed, i), 1)
+        r2 = pre_draw(lab.trial_rng(seed, i), 2)
+        s1, s2 = r1.bit_generator.state, r2.bit_generator.state
+        assert (s1["state"]["counter"] == s2["state"]["counter"]).all()
+        assert s1["has_uint32"] != s2["has_uint32"]
+        for rng, seen in ((r1, one), (r2, two)):
+            cfg = lab.random_triangle_config(rng, "hyperbolic", "generic")
+            assert seen[i] == (cfg.A, int(rng.integers(0, 1 << 30)))
+
+
+def test_scene_cache_only_inside_driver(monkeypatch):
+    seed = 13
+    lab._scenes.clear()
+    lab.verify("altitudes", seed=seed, trials=3)
+    builds = _count_builds(monkeypatch)
+    rng = lab.trial_rng(seed, 1)
+    key = (lab._state_key(rng), "hyperbolic", "generic", lab.get_tol())
+    cached, state_after = lab._scenes[key]
+    cfg = lab.random_triangle_config(rng, "hyperbolic", "generic")
+    assert builds and cfg is not cached
+    assert (cfg.A, cfg.B, cfg.C) == (cached.A, cached.B, cached.C)
+    ref = lab.trial_rng(0, 0)
+    ref.bit_generator.state = state_after
+    assert lab._state_key(rng) == lab._state_key(ref)
+    n = len(lab._scenes)
+    lab.random_triangle_config(lab.trial_rng(seed, 50), "hyperbolic", "generic")
+    assert len(lab._scenes) == n  # a direct call stores nothing
+
+
+def test_scene_cache_bounds(monkeypatch):
+    import numpy as np
+    uncapped = lab.verify("medians", seed=17, trials=20)
+    lab._scenes.clear()
+    monkeypatch.setattr(lab, "SCENE_CACHE_CAP", 5)
+    capped = lab.verify("medians", seed=17, trials=20)
+    assert len(lab._scenes) == 5
+    assert capped.max_residual == uncapped.max_residual
+    monkeypatch.undo()
+    lab.verify("altitudes", seed=18, trials=5)
+    new_key = np.array([18, 0], dtype=np.uint64).tobytes()
+    assert lab._scenes
+    assert all(key[0][1] == new_key for key in lab._scenes)
+
+
+# each group draws the same scene kind after the same draws before it: the
+# 14 incidence ids draw a generic config first, and t1-t6 and table_5_1 draw
+# the same hint, then the same right-angled kind
+SHARING_GROUPS = (
+    ("altitudes", "medians", "side_bisectors", "angle_bisectors",
+     "pseudo_spieker", "pseudomedians", "pseudobisectors", "euler_wildberger",
+     "orthic_axis_pole", "nine_point_conic", "pascal_line_hexagon",
+     "six_points_conic", "complementary_midpoints_conic", "magic_midpoints"),
+    ("t1", "t2", "t3", "t4", "t5", "t6", "table_5_1"),
+)
+
+
+@pytest.mark.parametrize("ids", SHARING_GROUPS, ids=("incidence", "right"))
+def test_ids_share_one_build_per_scene(monkeypatch, ids):
+    # once the first id of a group has run, the others build nothing
+    seed, trials = 29, 20
+    lab._scenes.clear()
+    builds = _count_builds(monkeypatch)
+    for geometry in ("hyperbolic", "elliptic"):
+        per_id = []
+        for tid in ids:
+            builds.clear()
+            lab.verify(tid, seed=seed, trials=trials, geometry=geometry)
+            per_id.append(len(builds))
+        assert per_id[0] >= trials
+        assert per_id[1:] == [0] * (len(ids) - 1), geometry
 
 
 def test_oracle_cross_ratio_matches_determinant(rng):
