@@ -44,12 +44,16 @@ DEGENERATE = "degenerate"
 class Conic:
     """A conic as a normalized symmetric 3x3 complex matrix.
 
-    The six independent entries are stored once; the classification is
-    computed eagerly.  `real` means representable with all-real entries of
-    indefinite signature, `imaginary` all-real entries of definite signature.
+    The six independent entries are stored once; the classification and
+    the largest imaginary part of an entry are computed eagerly.  `real`
+    means representable with all-real entries of indefinite signature,
+    `imaginary` all-real entries of definite signature.  A conic is never
+    mutated, so values derived from its entries alone (the adjugate, the
+    auxiliary points of `cross_ratio_on_conic`) are stored on first use.
     """
 
-    __slots__ = ("m00", "m11", "m22", "m01", "m02", "m12", "klass", "_adj")
+    __slots__ = ("m00", "m11", "m22", "m01", "m02", "m12", "klass", "_imag",
+                 "_adj", "_aux")
 
     def __init__(self, m00, m11, m22, m01, m02, m12):
         scale = max(abs(m00), abs(m11), abs(m22), abs(m01), abs(m02), abs(m12))
@@ -66,7 +70,11 @@ class Conic:
         self.m01 = complex(m01) / div
         self.m02 = complex(m02) / div
         self.m12 = complex(m12) / div
+        self._imag = max(abs(self.m00.imag), abs(self.m11.imag),
+                         abs(self.m22.imag), abs(self.m01.imag),
+                         abs(self.m02.imag), abs(self.m12.imag))
         self._adj = None
+        self._aux = {}
         self.klass = self._classify()
 
     @classmethod
@@ -116,10 +124,8 @@ class Conic:
     def real_rows(self, tol=None):
         """All-real representative rows, or None if not real-representable."""
         t = get_tol() if tol is None else tol
-        rows = self.matrix_rows()
-        entries = [c for r in rows for c in r]
-        if max(abs(c.imag) for c in entries) <= 1e3 * t:
-            return tuple(tuple(c.real for c in r) for r in rows)
+        if self._imag <= 1e3 * t:
+            return tuple(tuple(c.real for c in r) for r in self.matrix_rows())
         return None
 
     def _classify(self) -> str:
@@ -248,10 +254,12 @@ def line_conic_meet(phi: Conic, line: HLine, tol=None) -> LineConicMeet:
         r1, r2 = solve_quadratic(a, b, c)
         for r in (r1, r2):
             pts.append(hpoint(p[0] + r * q[0], p[1] + r * q[1], p[2] + r * q[2]))
+    # real-representable as in `Conic.real_rows` at the ambient tolerance
+    real_conic = phi._imag <= 1e3 * get_tol()
     all_real = (
         max(abs(line[0].imag), abs(line[1].imag), abs(line[2].imag)) <= t
         and max(abs(disc.imag), 0.0) <= 1e3 * t * max(1.0, abs(disc))
-        and phi.real_rows() is not None
+        and real_conic
     )
     if all_real:
         d = disc.real
@@ -262,7 +270,7 @@ def line_conic_meet(phi: Conic, line: HLine, tol=None) -> LineConicMeet:
         else:
             status = EXTERIOR
     else:
-        status = SECANT if phi.real_rows() is None else EXTERIOR
+        status = EXTERIOR if real_conic else SECANT
     if status == TANGENT:
         # the double root carries sqrt-of-eps noise; the contact point of a
         # tangent line is exactly its pole
@@ -284,12 +292,10 @@ def conjugate_point(phi: Conic, q: HPoint, line: HLine, tol=None) -> HPoint:
     if incidence_residual(line, q) > 1e3 * t:
         raise PointNotOnLine("conjugate_point needs Q on the line")
     pol = phi.apply(q)
-    c = cross(line, pol)
-    n = math.sqrt(abs(c[0]) ** 2 + abs(c[1]) ** 2 + abs(c[2]) ** 2)
-    if n <= 1e3 * t:
+    if point_gap(line, pol) <= 1e3 * t:
         # polar of Q is the line itself: Q is the contact point of a tangent
         raise TangentLine("line is tangent to the conic at Q")
-    return HPoint(*_normalize(*c))
+    return HPoint(*_normalize(*cross(line, pol)))
 
 
 def conjugate_line(phi: Conic, q: HLine, p: HPoint, tol=None) -> HLine:
@@ -351,20 +357,23 @@ def conic_point(phi: Conic, tol=None) -> HPoint:
 
 def sample_conic_points(phi: Conic, n: int, base: HPoint | None = None,
                         tol=None):
-    """n points of the conic obtained from the pencil through a base point."""
+    """Up to n points of the conic: the second traces of n fixed lines
+    through a base point (by default `conic_point`).  Every coincidence test
+    and line-conic meet uses `tol`, the ambient tolerance when None."""
+    t = get_tol() if tol is None else tol
     if base is None:
-        base = conic_point(phi, tol=tol)
+        base = conic_point(phi, tol=t)
     pts = []
     for k in range(n):
         ang = 2.0 * math.pi * (k + 0.37) / n
         other = hpoint(math.cos(ang), math.sin(ang), 0.31 + 0.13 * math.sin(3 * ang))
-        if triple_eq(other, base):
+        if triple_eq(other, base, t):
             continue
-        line = join_points(base, other)
-        meet = line_conic_meet(phi, line, tol=tol)
+        line = join_points(base, other, t)
+        meet = line_conic_meet(phi, line, tol=t)
         p1, p2 = meet.points
-        cand = p2 if triple_eq(p1, base) else p1
-        if not triple_eq(cand, base):
+        cand = p2 if triple_eq(p1, base, t) else p1
+        if not triple_eq(cand, base, t):
             pts.append(cand)
     return pts
 
@@ -373,9 +382,12 @@ def cross_ratio_on_conic(theta: Conic, a, b, c, d, tol=None,
                          with_check=True) -> complex:
     """Cross ratio of four conic points over the conic.
 
-    Projects from an auxiliary fifth conic point; by the projectivity of the
-    Steiner map the value is independent of that choice, which doubles as an
-    internal consistency assertion.
+    Projects from an auxiliary fifth conic point: of 12 candidates
+    (`sample_conic_points` at `tol`), the one farthest from all four inputs.
+    By Steiner's theorem the value is independent of that choice, so the
+    candidates depend only on the conic and `tol`: they are computed once and
+    kept on the conic.  With `with_check` the second-best candidate must give
+    the same value.
     """
     from .projective import cross_ratio_lines
 
@@ -384,7 +396,9 @@ def cross_ratio_on_conic(theta: Conic, a, b, c, d, tol=None,
     for p in quad:
         if conic_residual(theta, p) > 1e-6:
             raise PointNotOnConic(f"point {p} not on the conic")
-    candidates = sample_conic_points(theta, 12, tol=t)
+    candidates = theta._aux.get(t)
+    if candidates is None:
+        candidates = theta._aux[t] = tuple(sample_conic_points(theta, 12, tol=t))
     scored = []
     for x in candidates:
         dmin = min(point_gap(x, p) for p in quad)

@@ -84,15 +84,29 @@ def dot(a, b) -> complex:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _norm(a) -> float:
-    return math.sqrt(abs(a[0]) ** 2 + abs(a[1]) ** 2 + abs(a[2]) ** 2)
+def _cross_apart(a, b, t):
+    """a x b, or None when a and b coincide: |a x b| <= t |a| |b|.
+
+    The test compares squares, |a x b|^2 <= t^2 |a|^2 |b|^2, so it takes no
+    square root; it can differ from the unsquared form only at the rounding
+    of the threshold.  Both sides scale alike, so it holds for any
+    representatives of a and b.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    x, y, z = abs(c0), abs(c1), abs(c2)
+    p, q, r = abs(a0), abs(a1), abs(a2)
+    u, v, w = abs(b0), abs(b1), abs(b2)
+    if x * x + y * y + z * z <= t * t * (p * p + q * q + r * r) * (u * u + v * v + w * w):
+        return None
+    return c0, c1, c2
 
 
 def triple_eq(a, b, tol=None) -> bool:
-    """Projective equality of two homogeneous triples (both normalized)."""
+    """Projective equality of two homogeneous triples."""
     t = get_tol() if tol is None else tol
-    c = cross(a, b)
-    return _norm(c) <= t * _norm(a) * _norm(b)
+    return _cross_apart(a, b, t) is None
 
 
 points_equal = triple_eq
@@ -101,7 +115,8 @@ lines_equal = triple_eq
 
 def point_gap(p, q) -> float:
     """|p x q|: zero exactly when p and q are projectively equal."""
-    return _norm(cross(p, q))
+    c0, c1, c2 = cross(p, q)
+    return math.sqrt(abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2)
 
 
 def is_real_triple(a, tol=None) -> bool:
@@ -120,17 +135,15 @@ def real_triple(a):
 
 
 def join_points(p: HPoint, q: HPoint, tol=None) -> HLine:
-    c = cross(p, q)
-    t = get_tol() if tol is None else tol
-    if _norm(c) <= t * _norm(p) * _norm(q):
+    c = _cross_apart(p, q, get_tol() if tol is None else tol)
+    if c is None:
         raise CoincidentPoints(f"join of coincident points {p} and {q}")
     return HLine(*_normalize(*c))
 
 
 def meet_lines(a: HLine, b: HLine, tol=None) -> HPoint:
-    c = cross(a, b)
-    t = get_tol() if tol is None else tol
-    if _norm(c) <= t * _norm(a) * _norm(b):
+    c = _cross_apart(a, b, get_tol() if tol is None else tol)
+    if c is None:
         raise CoincidentLines(f"meet of coincident lines {a} and {b}")
     return HPoint(*_normalize(*c))
 

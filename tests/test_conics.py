@@ -15,6 +15,7 @@ from ckgeom.projective import (
     meet_lines,
     points_equal,
 )
+from ckgeom.tolerance import get_tol
 from conftest import interior_point
 
 
@@ -150,6 +151,82 @@ def test_cross_ratio_on_conic(circle):
     assert abs(r_swap - 1.0 / r) < 1e-9
     with pytest.raises(errors.PointNotOnConic):
         cn.cross_ratio_on_conic(circle, affine_point(0, 0), *pts[1:])
+
+
+def test_cross_ratio_on_conic_reuses_auxiliary_points(monkeypatch):
+    pts = [circle_pt(t) for t in (0.3, 1.1, 2.0, 4.4)]
+    warm = cn.unit_circle()
+    cn.cross_ratio_on_conic(warm, *pts, tol=1e-9)
+    calls = []
+    meet = cn.line_conic_meet
+
+    def counting_meet(*args, **kwargs):
+        calls.append(args)
+        return meet(*args, **kwargs)
+
+    monkeypatch.setattr(cn, "line_conic_meet", counting_meet)
+    again = cn.cross_ratio_on_conic(warm, *pts, tol=1e-9)
+    assert calls == []
+    cold = cn.cross_ratio_on_conic(cn.unit_circle(), *pts, tol=1e-9)
+    assert len(calls) >= 13  # conic_point's probe and the 12 pencil lines
+    assert again == cold
+
+
+def test_auxiliary_points_per_conic_and_tol():
+    pts = [circle_pt(t) for t in (0.3, 1.1, 2.0, 4.4)]
+    circle = cn.unit_circle()
+    r = cn.cross_ratio_on_conic(circle, *pts, tol=1e-9)
+    a = circle._aux[1e-9]
+    assert isinstance(a, tuple) and len(a) == 12
+    assert a == tuple(cn.sample_conic_points(circle, 12, tol=1e-9))
+    cn.cross_ratio_on_conic(circle, *pts, tol=1e-9)
+    assert circle._aux[1e-9] is a
+    # another tolerance gets its own points, next to the first
+    cn.cross_ratio_on_conic(circle, *pts, tol=1e-8)
+    b = circle._aux[1e-8]
+    assert isinstance(b, tuple) and b is not a
+    assert set(circle._aux) == {1e-9, 1e-8}
+    # a fitted copy of the same circle is another conic with its own points
+    fit = cn.conic_fit([circle_pt(t) for t in (0.1, 0.9, 2.2, 3.3, 5.1)])
+    assert fit._aux == {}
+    r_fit = cn.cross_ratio_on_conic(fit, *pts, tol=1e-9)
+    f = fit._aux[1e-9]
+    assert isinstance(f, tuple) and f is not a
+    assert max(cn.conic_residual(fit, p) for p in f) < 1e-12
+    assert set(circle._aux) == {1e-9, 1e-8} and set(fit._aux) == {1e-9}
+    assert abs(r_fit - r) < 1e-10 * abs(r)
+
+
+def _list_real(phi, t):
+    # the imaginary-part test as a list over all nine matrix entries
+    return max(abs(c.imag) for r in phi.matrix_rows() for c in r) <= 1e3 * t
+
+
+def test_real_rows_matches_entrywise_imaginary_test():
+    thr = 1e3 * get_tol()
+    conics = [cn.unit_circle(), cn.unit_imaginary_conic(),
+              cn.Conic(1.0, 1.0, -1.0, 0.0, 0.0, 0.5j),
+              cn.Conic(1.0, 2.0, -1.0, 0.25j, 0.1, 0.0)]
+    for eps in (thr, math.nextafter(thr, 0.0), math.nextafter(thr, 1.0),
+                0.999 * thr, 1.001 * thr):
+        conics.append(cn.Conic(1.0, 1.0, -1.0, 0.0, 0.0, eps * 1j))
+        conics.append(cn.Conic(1.0, 1.0, -1.0, 0.0, eps * -1j, 0.0))
+    exterior = hline(0, 1, -2)  # y = 2 misses the real points of the circle
+    seen = set()
+    for phi in conics:
+        for t in (get_tol(), 1e-6, 1e-12):
+            assert (phi.real_rows(t) is not None) == _list_real(phi, t)
+        real = _list_real(phi, get_tol())
+        seen.add(real)
+        assert (phi.real_rows() is not None) == real
+        if phi.klass == cn.IMAGINARY:
+            continue
+        # line_conic_meet reads real-representability at the ambient tol,
+        # whatever tol it is given; non-real conics count as generic
+        for t in (None, 1e-6, 1e-12):
+            status = cn.line_conic_meet(phi, exterior, tol=t).status
+            assert status == (cn.EXTERIOR if real else cn.SECANT)
+    assert seen == {True, False}
 
 
 def test_steiner_auxiliary_independence(circle, rng):

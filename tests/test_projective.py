@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -61,6 +62,59 @@ def test_point_gap(rng):
         assert pj.point_gap(p, q) > 1e-3
         assert not pj.triple_eq(p, q)
     assert pj.point_gap(affine_point(0, 0), affine_point(1, 0)) == 1.0
+
+
+def _sqrt_coincident(a, b, t):
+    # the unsquared test: |a x b| <= t |a| |b| with three square roots
+    def norm(v):
+        return math.sqrt(sum(abs(x) ** 2 for x in v))
+    lhs, rhs = norm(pj.cross(a, b)), t * norm(a) * norm(b)
+    return lhs <= rhs, abs(lhs - rhs) > 1e-12 * rhs
+
+
+def _coincidence_decisions(a, b, t):
+    eq = pj.triple_eq(a, b, t)
+    try:
+        join_points(pj.HPoint(*a), pj.HPoint(*b), t)
+        joined = False
+    except errors.CoincidentPoints:
+        joined = True
+    try:
+        meet_lines(pj.HLine(*a), pj.HLine(*b), t)
+        met = False
+    except errors.CoincidentLines:
+        met = True
+    return eq, joined, met
+
+
+@pytest.mark.parametrize("complex_coords", [False, True])
+def test_squared_coincidence_test_matches_sqrt_form(rng, complex_coords):
+    def coord():
+        x = rng.uniform(-1, 1)
+        return complex(x, rng.uniform(-1, 1)) if complex_coords else x
+
+    def unit():
+        return cmath.rect(rng.uniform(0.25, 4.0), rng.uniform(-math.pi, math.pi))
+
+    counts = {True: 0, False: 0}
+    for _ in range(3000):
+        t = 10.0 ** rng.uniform(-12, -6)
+        a = hpoint(coord(), coord(), coord())
+        # b is a rescaled copy of a pushed off it by about t
+        eps = t * 10.0 ** rng.uniform(-1.5, 1.5)
+        lam = unit() if complex_coords else rng.choice((-1, 1)) * abs(unit())
+        b = tuple(lam * x + eps * coord() for x in a)
+        expected, clear = _sqrt_coincident(a, b, t)
+        if not clear:
+            continue
+        counts[expected] += 1
+        assert _coincidence_decisions(a, b, t) == (expected,) * 3
+        # complex rescaling of either input keeps the decision
+        la, lb = unit(), unit()
+        assert _coincidence_decisions(tuple(la * x for x in a), b, t) == (expected,) * 3
+        assert _coincidence_decisions(a, tuple(lb * x for x in b), t) == (expected,) * 3
+    assert counts[True] > 500 and counts[False] > 500
+    assert counts[True] + counts[False] >= 2500
 
 
 def test_cross_ratio_hand_value():

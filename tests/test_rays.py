@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from ckgeom import conics as cn
 from ckgeom import errors
 from ckgeom import metric as mt
 from ckgeom import rays as ry
-from ckgeom.projective import affine_point, hline, hpoint, points_equal
+from ckgeom.projective import HPoint, affine_point, hline, hpoint, points_equal
 from conftest import exterior_point, interior_point
 
 
@@ -128,3 +129,33 @@ def test_auxiliary_circle_variant(hyp):
     r2 = ry.ray_towards(None, p, t2, conic=circle)
     ang = ry.angle_between_rays(None, r1, r2, conic=circle)
     assert abs(ang - math.pi / 4) < 1e-10
+
+
+def test_ray_angle_cross_ratios_rescaling_invariant(hyp, rng):
+    # the conic cross ratios behind angle_between_rays and ray_cosine_opposite
+    # do not depend on the scale of their four homogeneous inputs
+    absolute = hyp.absolute
+    checked = 0
+    for _ in range(20):
+        o = interior_point(rng, 0.6)
+        try:
+            r1 = ry.ray_towards(hyp, o, interior_point(rng, 0.8))
+            r2 = ry.ray_towards(hyp, o, interior_point(rng, 0.8))
+            u, v = cn.line_conic_meet(absolute, cn.polar(absolute, o)).points
+            a2 = ry._other_trace(hyp, r1, absolute, 1e-9)
+            b2 = ry._other_trace(hyp, r2, absolute, 1e-9)
+            quads = ((u, v, r1.endpoint, r2.endpoint),
+                     (r1.endpoint, r2.endpoint, b2, a2))
+            values = [cn.cross_ratio_on_conic(absolute, *q, with_check=False)
+                      for q in quads]
+        except errors.GeometryError:
+            continue
+        for quad, val in zip(quads, values):
+            scaled = []
+            for p in quad:
+                lam = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
+                scaled.append(HPoint(*(lam * x for x in p)))
+            got = cn.cross_ratio_on_conic(absolute, *scaled, with_check=False)
+            assert abs(got - val) < 1e-9 * max(1.0, abs(val))
+        checked += 1
+    assert checked >= 15
