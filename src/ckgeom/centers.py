@@ -160,10 +160,10 @@ class PolarTriangleConfig:
         ):
             p1, p2 = cn.line_conic_meet(phi, s1, tol=t).points
             q1, q2 = cn.line_conic_meet(phi, s2, tol=t).points
-            r1 = cross_ratio(p1, p2, vertex, v1, carrier=s1, check=False)
+            r1 = cross_ratio(p1, p2, vertex, v1, carrier=s1)
             best = math.inf
             for q in ((q1, q2), (q2, q1)):
-                r2 = cross_ratio(q[0], q[1], vertex, v2, carrier=s2, check=False)
+                r2 = cross_ratio(q[0], q[1], vertex, v2, carrier=s2)
                 best = min(best, abs(r1 - r2), abs(1.0 / r1 - r2))
             flags.append(best <= t)
         return tuple(flags)
@@ -497,7 +497,7 @@ def nine_point_conic(cfg: PolarTriangleConfig) -> NinePointConic:
 # invariants exposed for the harness
 # ---------------------------------------------------------------------------
 
-def midpoint_quadrilateral_residual(mids_a, mids_b, mids_c, t=None) -> float:
+def midpoint_quadrilateral_residual(mids_a, mids_b, mids_c) -> float:
     """Max collinearity residual of the four triples of side midpoints that
     form the sides of the midpoint quadrilateral.
 

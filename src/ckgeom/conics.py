@@ -20,8 +20,10 @@ from .projective import (
     HLine,
     HPoint,
     Quadrangle,
+    _cross_apart,
     _normalize,
     cross,
+    cross_ratio,
     dot,
     harmonic_conjugate,
     hline,
@@ -48,12 +50,11 @@ class Conic:
     the largest imaginary part of an entry are computed eagerly.  `real`
     means representable with all-real entries of indefinite signature,
     `imaginary` all-real entries of definite signature.  A conic is never
-    mutated, so values derived from its entries alone (the adjugate, the
-    auxiliary points of `cross_ratio_on_conic`) are stored on first use.
+    mutated, so its adjugate is stored on first use.
     """
 
     __slots__ = ("m00", "m11", "m22", "m01", "m02", "m12", "klass", "_imag",
-                 "_adj", "_aux")
+                 "_adj")
 
     def __init__(self, m00, m11, m22, m01, m02, m12):
         scale = max(abs(m00), abs(m11), abs(m22), abs(m01), abs(m02), abs(m12))
@@ -74,7 +75,6 @@ class Conic:
                          abs(self.m22.imag), abs(self.m01.imag),
                          abs(self.m02.imag), abs(self.m12.imag))
         self._adj = None
-        self._aux = {}
         self.klass = self._classify()
 
     @classmethod
@@ -254,8 +254,8 @@ def line_conic_meet(phi: Conic, line: HLine, tol=None) -> LineConicMeet:
         r1, r2 = solve_quadratic(a, b, c)
         for r in (r1, r2):
             pts.append(hpoint(p[0] + r * q[0], p[1] + r * q[1], p[2] + r * q[2]))
-    # real-representable as in `Conic.real_rows` at the ambient tolerance
-    real_conic = phi._imag <= 1e3 * get_tol()
+    # real-representable as in `Conic.real_rows(t)`
+    real_conic = phi._imag <= 1e3 * t
     all_real = (
         max(abs(line[0].imag), abs(line[1].imag), abs(line[2].imag)) <= t
         and max(abs(disc.imag), 0.0) <= 1e3 * t * max(1.0, abs(disc))
@@ -355,14 +355,12 @@ def conic_point(phi: Conic, tol=None) -> HPoint:
     raise DegenerateInput("could not locate a conic point")
 
 
-def sample_conic_points(phi: Conic, n: int, base: HPoint | None = None,
-                        tol=None):
+def sample_conic_points(phi: Conic, n: int, tol=None):
     """Up to n points of the conic: the second traces of n fixed lines
-    through a base point (by default `conic_point`).  Every coincidence test
-    and line-conic meet uses `tol`, the ambient tolerance when None."""
+    through the base point `conic_point`.  Every coincidence test and
+    line-conic meet uses `tol`, the ambient tolerance when None."""
     t = get_tol() if tol is None else tol
-    if base is None:
-        base = conic_point(phi, tol=t)
+    base = conic_point(phi, tol=t)
     pts = []
     for k in range(n):
         ang = 2.0 * math.pi * (k + 0.37) / n
@@ -378,45 +376,44 @@ def sample_conic_points(phi: Conic, n: int, base: HPoint | None = None,
     return pts
 
 
+def _pencil_cross_ratio(theta: Conic, quad, k: int, t) -> complex:
+    """Cross ratio of the pencil joining quad[k] to the four conic points:
+    the tangent at quad[k] in slot k and for any input coinciding with it."""
+    v = quad[k]
+    tangent = polar(theta, v)
+    lines = []
+    for j, p in enumerate(quad):
+        w = None if j == k else _cross_apart(v, p, t)
+        lines.append(tangent if w is None else HLine(*_normalize(*w)))
+    return cross_ratio(*lines, carrier=v, tol=t)
+
+
 def cross_ratio_on_conic(theta: Conic, a, b, c, d, tol=None,
                          with_check=True) -> complex:
     """Cross ratio of four conic points over the conic.
 
-    Projects from an auxiliary fifth conic point: of 12 candidates
-    (`sample_conic_points` at `tol`), the one farthest from all four inputs.
-    By Steiner's theorem the value is independent of that choice, so the
-    candidates depend only on the conic and `tol`: they are computed once and
-    kept on the conic.  With `with_check` the second-best candidate must give
-    the same value.
+    By Steiner's theorem it is the cross ratio of the pencil that joins any
+    point of the conic to the four, where a point joined to itself gives
+    its tangent.  The pencil is taken at the input farthest from the other
+    three (the largest least `point_gap`); an input that coincides with it
+    at `tol` is joined by the tangent too.  With `with_check` the pencil at
+    the second farthest input must give the same value.
     """
-    from .projective import cross_ratio_lines
-
     t = get_tol() if tol is None else tol
     quad = (a, b, c, d)
     for p in quad:
         if conic_residual(theta, p) > 1e-6:
             raise PointNotOnConic(f"point {p} not on the conic")
-    candidates = theta._aux.get(t)
-    if candidates is None:
-        candidates = theta._aux[t] = tuple(sample_conic_points(theta, 12, tol=t))
-    scored = []
-    for x in candidates:
-        dmin = min(point_gap(x, p) for p in quad)
-        scored.append((dmin, x))
-    scored.sort(key=lambda s: -s[0])
-    if not scored or scored[0][0] <= 1e3 * t:
-        raise DegenerateInput("no auxiliary point separated from inputs")
-    x1 = scored[0][1]
-    val = cross_ratio_lines(
-        join_points(x1, a), join_points(x1, b),
-        join_points(x1, c), join_points(x1, d), tol=t,
-    )
-    if with_check and len(scored) > 1:
-        x2 = scored[1][1]
-        val2 = cross_ratio_lines(
-            join_points(x2, a), join_points(x2, b),
-            join_points(x2, c), join_points(x2, d), tol=t,
-        )
+    least = [math.inf] * 4
+    for i in range(4):
+        for j in range(i + 1, 4):
+            g = point_gap(quad[i], quad[j])
+            least[i] = min(least[i], g)
+            least[j] = min(least[j], g)
+    order = sorted(range(4), key=least.__getitem__, reverse=True)
+    val = _pencil_cross_ratio(theta, quad, order[0], t)
+    if with_check:
+        val2 = _pencil_cross_ratio(theta, quad, order[1], t)
         if abs(val - val2) > 1e4 * t * max(1.0, abs(val)):
             raise DegenerateInput(
                 f"Steiner self-check failed: {val} vs {val2}")

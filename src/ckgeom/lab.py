@@ -139,8 +139,8 @@ def _well_separated(points, floor=MIN_SEPARATION) -> bool:
     return True
 
 
-def _triangle_margin(a, b, c, floor=MIN_SEPARATION) -> bool:
-    return abs(collinearity_residual(a, b, c)) > floor
+def _triangle_margin(a, b, c) -> bool:
+    return abs(collinearity_residual(a, b, c)) > MIN_SEPARATION
 
 
 def nudge(p: HPoint, eps: float) -> HPoint:
@@ -150,10 +150,10 @@ def nudge(p: HPoint, eps: float) -> HPoint:
     return hpoint(p[0] + eps * p[2], p[1] + 0.5 * eps * p[2], p[2])
 
 
-def _sample_points(rng, n, radius=0.9):
-    """n points in the disk of the given radius: interior for hyperbolic,
-    and model points for elliptic too (the whole plane is the model)."""
-    return [_interior_point(rng, radius) for _ in range(n)]
+def _sample_points(rng, n):
+    """n points in the disk of radius 0.9: interior for hyperbolic, and
+    model points for elliptic too (the whole plane is the model)."""
+    return [_interior_point(rng, 0.9) for _ in range(n)]
 
 
 # Scene cache of the trial driver.  Checks of different theorems that draw

@@ -135,7 +135,7 @@ def distance(model: ModelGeometry, a: HPoint, b: HPoint, tol=None) -> float:
         return 0.0
     line = join_points(a, b)
     u, v = absolute_trace(model, line, tol=t).points
-    r = cross_ratio(u, v, a, b, carrier=line, tol=t, check=False)
+    r = cross_ratio(u, v, a, b, carrier=line, tol=t)
     if model.kind == HYPERBOLIC:
         return 0.5 * abs(math.log(abs(r)))
     return 0.5 * abs(cmath.phase(r))
@@ -157,7 +157,7 @@ def angle_lines(model: ModelGeometry, a: HLine, b: HLine, tol=None) -> float:
     u_pt, v_pt = absolute_trace(model, pol, tol=t).points
     u = join_points(p, u_pt)
     v = join_points(p, v_pt)
-    r = cross_ratio(u, v, a, b, carrier=p, tol=t, check=False)
+    r = cross_ratio(u, v, a, b, carrier=p, tol=t)
     return 0.5 * abs(cmath.phase(r))
 
 
@@ -265,7 +265,7 @@ def squared_trig(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
     bp = cn.conjugate_point(model.absolute, b, line, tol=t)
     if triple_eq(bp, a, t) or triple_eq(ap, b, t):
         return 0.0j, 1.0 + 0j, complex(math.inf)
-    c = cross_ratio(a, b, bp, ap, carrier=line, tol=t, check=False)
+    c = cross_ratio(a, b, bp, ap, carrier=line, tol=t)
     s = 1.0 - c
     tt = s / c if c != 0 else complex(math.inf)
     return c, s, tt
@@ -393,16 +393,16 @@ class OrientedSegment:
     def cc(self, reverse=False) -> complex:
         if reverse:
             return cross_ratio(self.b, self.a, self.ap, self.mid,
-                               carrier=self.line, check=False)
+                               carrier=self.line)
         return cross_ratio(self.a, self.b, self.bp, self.mid,
-                           carrier=self.line, check=False)
+                           carrier=self.line)
 
     def ss(self, reverse=False) -> complex:
         if reverse:
             return cross_ratio(self.b, self.ap, self.a, self.comp,
-                               carrier=self.line, check=False)
+                               carrier=self.line)
         return cross_ratio(self.a, self.bp, self.b, self.comp,
-                           carrier=self.line, check=False)
+                           carrier=self.line)
 
 
 def orient_segment(model: ModelGeometry, a: HPoint, b: HPoint,
@@ -423,12 +423,7 @@ def orient_segment(model: ModelGeometry, a: HPoint, b: HPoint,
 def elliptic_rep(model: ModelGeometry, p: HPoint):
     """A unit representative of a real point against the definite form."""
     x, y, z = real_triple(p)
-    r = model.real_rows
-    q = (
-        r[0][0] * x * x + r[1][1] * y * y + r[2][2] * z * z
-        + 2 * (r[0][1] * x * y + r[0][2] * x * z + r[1][2] * y * z)
-    )
-    n = math.sqrt(q)
+    n = math.sqrt(model.form(p))
     return (x / n, y / n, z / n)
 
 

@@ -227,19 +227,20 @@ def chart_axes(carrier):
     return 0, 1
 
 
-def cross_ratio(a, b, c, d, carrier=None, tol=None, check=True):
+def cross_ratio(a, b, c, d, carrier=None, tol=None):
     """Cross ratio (ABCD) of four collinear points (or concurrent lines).
 
-    `carrier` is the common line (resp. point).  When omitted it is the
-    longest of A x B, A x C and A x D (see `line_through`), and with `check`
-    the inputs must lie on it to 1e3 * tol, measured relative to its largest
-    component, or NotCollinear is raised.
+    `carrier` is the common line (resp. point); a given carrier is trusted,
+    and only picks the chart.  When omitted it is the longest of A x B,
+    A x C and A x D (see `line_through`), and the inputs must lie on it to
+    1e3 * tol, measured relative to its largest component, or NotCollinear
+    is raised.
     Chart-free: evaluated from 2x2 determinants of homogeneous coordinates.
     """
     t = get_tol() if tol is None else tol
     if carrier is None:
         _, (i, j), rmax = line_through(a, b, c, d, t)
-        if check and rmax > 1e3 * t:
+        if rmax > 1e3 * t:
             raise NotCollinear(f"inputs not incident with a common carrier (residual {rmax:.3g})")
     else:
         i, j = chart_axes(carrier)
@@ -263,7 +264,7 @@ def cross_ratio_lines(a: HLine, b: HLine, c: HLine, d: HLine, tol=None):
     vertex, _, rmax = line_through(a, b, c, d, t)  # dual: common point of the pencil
     if rmax > 1e3 * t:
         raise NotConcurrent(f"lines not concurrent (residual {rmax:.3g})")
-    return cross_ratio(a, b, c, d, carrier=vertex, tol=t, check=False)
+    return cross_ratio(a, b, c, d, carrier=vertex, tol=t)
 
 
 def harmonic_conjugate(a: HPoint, b: HPoint, c: HPoint, tol=None) -> HPoint:

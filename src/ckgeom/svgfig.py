@@ -110,15 +110,6 @@ class Figure:
         self.add(f'<line x1="{sx1:.2f}" y1="{sy1:.2f}" x2="{sx2:.2f}" '
                  f'y2="{sy2:.2f}" stroke="{stroke}" stroke-width="{width}"{dash}/>')
 
-    def segment(self, p: HPoint, q: HPoint, stroke="#444", width=1.4):
-        cp, cq = _chart(p), _chart(q)
-        if cp is None or cq is None:
-            return
-        sx1, sy1 = _to_svg(*cp)
-        sx2, sy2 = _to_svg(*cq)
-        self.add(f'<line x1="{sx1:.2f}" y1="{sy1:.2f}" x2="{sx2:.2f}" '
-                 f'y2="{sy2:.2f}" stroke="{stroke}" stroke-width="{width}"/>')
-
     def point(self, p: HPoint, name="", fill="#b3202c", r=4.0):
         c = _chart(p)
         if c is None or max(abs(c[0]), abs(c[1])) > 40 * BOX:
@@ -149,23 +140,6 @@ class Figure:
             self.add(f'<text x="{sx - 18:.1f}" y="{sy - 8:.1f}" font-size="14" '
                      f'fill="#777" font-family="serif">{_esc(name)}</text>')
 
-    def right_angle_mark(self, vertex: HPoint, l1: HLine, l2: HLine,
-                         size=0.09, stroke="#555"):
-        c = _chart(vertex)
-        if c is None or abs(c[0]) > BOX or abs(c[1]) > BOX:
-            return
-        d1 = _direction(l1)
-        d2 = _direction(l2)
-        if d1 is None or d2 is None:
-            return
-        x, y = c
-        p1 = (x + size * d1[0], y + size * d1[1])
-        p2 = (x + size * (d1[0] + d2[0]), y + size * (d1[1] + d2[1]))
-        p3 = (x + size * d2[0], y + size * d2[1])
-        pts = " ".join("%.2f,%.2f" % _to_svg(*p) for p in (p1, p2, p3))
-        self.add(f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-                 f'stroke-width="1.2"/>')
-
     def render(self) -> str:
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -185,14 +159,6 @@ class Figure:
 
 def _esc(s: str) -> str:
     return (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
-
-
-def _direction(line: HLine):
-    u, v, w = real_triple(line)
-    n = math.hypot(u, v)
-    if n < 1e-14:
-        return None
-    return (-v / n, u / n)
 
 
 def _clip_line(u, v, w):

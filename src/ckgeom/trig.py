@@ -81,9 +81,9 @@ class MenelausConfig:
 
 def menelaus_product(cfg: MenelausConfig) -> complex:
     return (
-        cross_ratio(cfg.X, cfg.Y, cfg.Z1, cfg.Z0, carrier=cfg.z, check=False)
-        * cross_ratio(cfg.Y, cfg.Z, cfg.X1, cfg.X0, carrier=cfg.x, check=False)
-        * cross_ratio(cfg.Z, cfg.X, cfg.Y1, cfg.Y0, carrier=cfg.y, check=False)
+        cross_ratio(cfg.X, cfg.Y, cfg.Z1, cfg.Z0, carrier=cfg.z)
+        * cross_ratio(cfg.Y, cfg.Z, cfg.X1, cfg.X0, carrier=cfg.x)
+        * cross_ratio(cfg.Z, cfg.X, cfg.Y1, cfg.Y0, carrier=cfg.y)
     )
 
 
@@ -104,9 +104,9 @@ def ceva_product(X, Y, Z, X1, Y1, Z1, r: HLine, tol=None) -> complex:
     z = join_points(X, Y)
     X0, Y0, Z0 = meet_lines(x, r), meet_lines(y, r), meet_lines(z, r)
     return (
-        cross_ratio(X, Y, Z1, Z0, carrier=z, check=False)
-        * cross_ratio(Y, Z, X1, X0, carrier=x, check=False)
-        * cross_ratio(Z, X, Y1, Y0, carrier=y, check=False)
+        cross_ratio(X, Y, Z1, Z0, carrier=z)
+        * cross_ratio(Y, Z, X1, X0, carrier=x)
+        * cross_ratio(Z, X, Y1, Y0, carrier=y)
     )
 
 
@@ -127,7 +127,7 @@ def van_aubel(X, Y, Z, X1, Y1, Z1, r: HLine, tol=None):
     X2 = meet_lines(r, cx)
     Z0 = meet_lines(r, join_points(X, Y))
     Y0 = meet_lines(r, join_points(X, Z))
-    lhs = cross_ratio(X, X1, q, X2, carrier=cx, check=False)
+    lhs = cross_ratio(X, X1, q, X2, carrier=cx)
     rhs = (cross_ratio_points(X, Y, Z1, Z0, tol=t)
            + cross_ratio_points(X, Z, Y1, Y0, tol=t))
     return lhs, rhs
@@ -367,7 +367,7 @@ def cosine_split_lemma(cfg: PolarTriangleConfig, x: HPoint | None = None):
     """
     X = cfg.HA if x is None else x
     t = cfg.tol
-    r = cross_ratio(cfg.B, X, cfg.C, cfg.Ca, carrier=cfg.a, check=False)
+    r = cross_ratio(cfg.B, X, cfg.C, cfg.Ca, carrier=cfg.a)
     ta = _cst(cfg, cfg.B, cfg.C)[2]
     ca1, sa1, _ = mt.squared_trig(cfg.model, cfg.B, X, tol=t)
     ca2, sa2, ta2 = mt.squared_trig(cfg.model, cfg.C, X, tol=t)
@@ -389,12 +389,12 @@ def carnot_product(X, Y, Z, X0, Y0, Z0, X1, X2, Y1, Y2, Z1, Z2, tol=None) -> com
     x = join_points(Y, Z)
     y = join_points(Z, X)
     return (
-        cross_ratio(X, Y, Z0, Z1, carrier=z, check=False)
-        * cross_ratio(X, Y, Z0, Z2, carrier=z, check=False)
-        * cross_ratio(Y, Z, X0, X1, carrier=x, check=False)
-        * cross_ratio(Y, Z, X0, X2, carrier=x, check=False)
-        * cross_ratio(Z, X, Y0, Y1, carrier=y, check=False)
-        * cross_ratio(Z, X, Y0, Y2, carrier=y, check=False)
+        cross_ratio(X, Y, Z0, Z1, carrier=z)
+        * cross_ratio(X, Y, Z0, Z2, carrier=z)
+        * cross_ratio(Y, Z, X0, X1, carrier=x)
+        * cross_ratio(Y, Z, X0, X2, carrier=x)
+        * cross_ratio(Z, X, Y0, Y1, carrier=y)
+        * cross_ratio(Z, X, Y0, Y2, carrier=y)
     )
 
 
@@ -516,28 +516,6 @@ def carnot_elliptic_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     return lhs, rhs
 
 
-def carnot_hyperbolic_iff(cfg: PolarTriangleConfig, Astar, Bstar, Cstar,
-                          margin: float = 1e-6):
-    """Both directions of the interior-triangle equivalence: the cosh
-    product identity holds exactly when the perpendiculars concur.
-
-    Returns a dict with the measured identity gap, the concurrency
-    residual, and the two direction verdicts under the given margin.
-    """
-    lhs, rhs = carnot_hyperbolic_sides(cfg, Astar, Bstar, Cstar)
-    gap = abs(lhs - rhs) / max(1.0, abs(lhs))
-    cc = carnot_cosines(cfg, Astar, Bstar, Cstar)
-    concurrent = cc.concurrency_residual <= margin
-    identity = gap <= margin
-    return {
-        "identity_gap": gap,
-        "concurrency_residual": cc.concurrency_residual,
-        "identity_holds": identity,
-        "concurrent": concurrent,
-        "equivalent": identity == concurrent,
-    }
-
-
 def carnot_hexagon_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     """Measured sinh products on a right-angled hexagon: the hexagon vertices
     on side a are the conjugate points B_a, C_a (dually for b, c)."""
@@ -598,12 +576,12 @@ def complementary_midpoints_conic(cfg: PolarTriangleConfig):
     conic = cn.conic_fit(pts[:5], tol=cfg.tol, rank_check=False)
     fit_residual = cn.conic_residual(conic, pts[5])
     prod = (
-        cross_ratio(cfg.B, cfg.C, cfg.Da, g, carrier=cfg.a, check=False)
-        * cross_ratio(cfg.B, cfg.C, cfg.Da, ga, carrier=cfg.a, check=False)
-        * cross_ratio(cfg.C, cfg.A, cfg.Eb, h, carrier=cfg.b, check=False)
-        * cross_ratio(cfg.C, cfg.A, cfg.Eb, hb, carrier=cfg.b, check=False)
-        * cross_ratio(cfg.A, cfg.B, cfg.Fc, i, carrier=cfg.c, check=False)
-        * cross_ratio(cfg.A, cfg.B, cfg.Fc, ic, carrier=cfg.c, check=False)
+        cross_ratio(cfg.B, cfg.C, cfg.Da, g, carrier=cfg.a)
+        * cross_ratio(cfg.B, cfg.C, cfg.Da, ga, carrier=cfg.a)
+        * cross_ratio(cfg.C, cfg.A, cfg.Eb, h, carrier=cfg.b)
+        * cross_ratio(cfg.C, cfg.A, cfg.Eb, hb, carrier=cfg.b)
+        * cross_ratio(cfg.A, cfg.B, cfg.Fc, i, carrier=cfg.c)
+        * cross_ratio(cfg.A, cfg.B, cfg.Fc, ic, carrier=cfg.c)
     )
     carnot_residual = abs(prod - 1.0)
     transversal_residual = collinearity_residual(cfg.Da, cfg.Eb, cfg.Fc)
@@ -771,10 +749,6 @@ def coherent_orientation(cfg: PolarTriangleConfig) -> OrientedTriangleConfig:
 # unsquared projective ratios of an oriented triangle
 # ---------------------------------------------------------------------------
 
-def _cr(a, b, c, d, carrier):
-    return cross_ratio(a, b, c, d, carrier=carrier, check=False)
-
-
 def side_cc(o: OrientedTriangleConfig, side: str) -> complex:
     """cc of the cyclic side: (X Y Y_p D) with the preferred midpoint."""
     c = o.cfg
@@ -787,7 +761,7 @@ def side_cc(o: OrientedTriangleConfig, side: str) -> complex:
         "C'A'": (c.Cp, c.Ap, c.Ba, o.Ep, c.bp),
     }
     x, y, yp, d, carrier = table[side]
-    return _cr(x, y, yp, d, carrier)
+    return cross_ratio(x, y, yp, d, carrier=carrier)
 
 
 def side_ss(o: OrientedTriangleConfig, side: str) -> complex:
@@ -803,7 +777,7 @@ def side_ss(o: OrientedTriangleConfig, side: str) -> complex:
         "C'A'": (c.Cp, c.Ba, c.Ap, o.Hp, c.bp),
     }
     x, yp, y, g, carrier = table[side]
-    return _cr(x, yp, y, g, carrier)
+    return cross_ratio(x, yp, y, g, carrier=carrier)
 
 
 def projective_law_of_sines(o: OrientedTriangleConfig):

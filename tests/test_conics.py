@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from ckgeom import conics as cn
 from ckgeom import errors
 from ckgeom import projective as pj
+from ckgeom import rays as ry
 from ckgeom.projective import (
     Quadrangle,
     affine_point,
@@ -153,48 +155,45 @@ def test_cross_ratio_on_conic(circle):
         cn.cross_ratio_on_conic(circle, affine_point(0, 0), *pts[1:])
 
 
-def test_cross_ratio_on_conic_reuses_auxiliary_points(monkeypatch):
-    pts = [circle_pt(t) for t in (0.3, 1.1, 2.0, 4.4)]
-    warm = cn.unit_circle()
-    cn.cross_ratio_on_conic(warm, *pts, tol=1e-9)
+def test_cross_ratio_on_conic_needs_no_auxiliary_points(monkeypatch):
+    # the pencil is taken at an input: no conic point is searched for
     calls = []
-    meet = cn.line_conic_meet
+    for name in ("line_conic_meet", "sample_conic_points", "conic_point"):
+        fn = getattr(cn, name)
 
-    def counting_meet(*args, **kwargs):
-        calls.append(args)
-        return meet(*args, **kwargs)
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(cn, "line_conic_meet", counting_meet)
-    again = cn.cross_ratio_on_conic(warm, *pts, tol=1e-9)
-    assert calls == []
-    cold = cn.cross_ratio_on_conic(cn.unit_circle(), *pts, tol=1e-9)
-    assert len(calls) >= 13  # conic_point's probe and the 12 pencil lines
-    assert again == cold
-
-
-def test_auxiliary_points_per_conic_and_tol():
+        monkeypatch.setattr(cn, name, counting)
     pts = [circle_pt(t) for t in (0.3, 1.1, 2.0, 4.4)]
+    for with_check in (True, False):
+        cn.cross_ratio_on_conic(cn.unit_circle(), *pts, with_check=with_check)
+    assert calls == []
+
+
+def test_cross_ratio_on_conic_repeated_input():
+    # two slots may hold the same object: the pencil's tangent slot is the
+    # vertex's own index, and an input equal to the vertex is joined by the
+    # tangent too, which is the limit of its chord
     circle = cn.unit_circle()
-    r = cn.cross_ratio_on_conic(circle, *pts, tol=1e-9)
-    a = circle._aux[1e-9]
-    assert isinstance(a, tuple) and len(a) == 12
-    assert a == tuple(cn.sample_conic_points(circle, 12, tol=1e-9))
-    cn.cross_ratio_on_conic(circle, *pts, tol=1e-9)
-    assert circle._aux[1e-9] is a
-    # another tolerance gets its own points, next to the first
-    cn.cross_ratio_on_conic(circle, *pts, tol=1e-8)
-    b = circle._aux[1e-8]
-    assert isinstance(b, tuple) and b is not a
-    assert set(circle._aux) == {1e-9, 1e-8}
-    # a fitted copy of the same circle is another conic with its own points
-    fit = cn.conic_fit([circle_pt(t) for t in (0.1, 0.9, 2.2, 3.3, 5.1)])
-    assert fit._aux == {}
-    r_fit = cn.cross_ratio_on_conic(fit, *pts, tol=1e-9)
-    f = fit._aux[1e-9]
-    assert isinstance(f, tuple) and f is not a
-    assert max(cn.conic_residual(fit, p) for p in f) < 1e-12
-    assert set(circle._aux) == {1e-9, 1e-8} and set(fit._aux) == {1e-9}
-    assert abs(r_fit - r) < 1e-10 * abs(r)
+    a, b, c = (circle_pt(t) for t in (0.3, 1.1, 2.0))
+    assert cn.cross_ratio_on_conic(circle, a, b, c, a) == pj.INF
+    assert abs(cn.cross_ratio_on_conic(circle, a, b, a, c)) < 1e-15
+    assert abs(cn.cross_ratio_on_conic(circle, a, b, a, b)) < 1e-15
+    # a rescaled copy of the vertex is another object but the same point
+    a2 = pj.HPoint(*(2j * x for x in a))
+    assert cn.cross_ratio_on_conic(circle, a, b, c, a2) == pj.INF
+
+
+def test_cross_ratio_on_degenerate_conic_raises():
+    # the line pair xy = 0: every input lies on it, and no tangent exists
+    pair = cn.Conic(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    assert pair.is_degenerate()
+    pts = [hpoint(1, 0, 1), hpoint(2, 0, 1), hpoint(0, 1, 1), hpoint(0, 3, 1)]
+    for with_check in (True, False):
+        with pytest.raises(errors.DegenerateConic):  # a GeometryError
+            cn.cross_ratio_on_conic(pair, *pts, with_check=with_check)
 
 
 def _list_real(phi, t):
@@ -221,15 +220,64 @@ def test_real_rows_matches_entrywise_imaginary_test():
         assert (phi.real_rows() is not None) == real
         if phi.klass == cn.IMAGINARY:
             continue
-        # line_conic_meet reads real-representability at the ambient tol,
-        # whatever tol it is given; non-real conics count as generic
+        # line_conic_meet reads real-representability at the tol it is
+        # given, as real_rows does; non-real conics count as generic
         for t in (None, 1e-6, 1e-12):
             status = cn.line_conic_meet(phi, exterior, tol=t).status
-            assert status == (cn.EXTERIOR if real else cn.SECANT)
+            real_t = _list_real(phi, get_tol() if t is None else t)
+            assert status == (cn.EXTERIOR if real_t else cn.SECANT)
     assert seen == {True, False}
 
 
-def test_steiner_auxiliary_independence(circle, rng):
+def _ray_quadruples(hyp, rng, n):
+    """n draws of the conic quadruples behind the ray-angle checks, as
+    (angle quads, opposite quad).  An angle quad (U, V, A1, B1) or
+    (U, V, A1, B2) is an input of `angle_between_rays`, the opposite quad
+    (A1, B1, B2, A2) one of `ray_cosine_opposite`.  Families: generic rays,
+    near-parallel rays, origins out to radius 0.999, near-antiparallel
+    rays."""
+    absolute = hyp.absolute
+    out = []
+    while len(out) < n:
+        family = len(out) % 4
+        o = interior_point(rng, 0.7)
+        p = interior_point(rng, 0.85)
+        q = interior_point(rng, 0.85)
+        eps = 10 ** rng.uniform(-9, -3)
+        ang = rng.uniform(0, 2 * math.pi)
+        if family == 1:
+            q = affine_point(p[0].real + eps * math.cos(ang),
+                             p[1].real + eps * math.sin(ang))
+        elif family == 2:
+            rad = rng.uniform(0.9, 0.999)
+            o = affine_point(rad * math.cos(ang), rad * math.sin(ang))
+        elif family == 3:
+            s = rng.uniform(0.05, 0.5)
+            ox, oy, px, py = o[0].real, o[1].real, p[0].real, p[1].real
+            q = affine_point(ox - s * (px - ox) + eps * math.cos(ang),
+                             oy - s * (py - oy) + eps * math.sin(ang))
+        try:
+            r1 = ry.ray_towards(hyp, o, p)
+            r2 = ry.ray_towards(hyp, o, q)
+            u, v = cn.line_conic_meet(absolute, cn.polar(absolute, o)).points
+            a2 = ry._other_trace(hyp, r1, absolute, 1e-9)
+            b2 = ry._other_trace(hyp, r2, absolute, 1e-9)
+        except errors.GeometryError:
+            continue
+        a1, b1 = r1.endpoint, r2.endpoint
+        out.append((((u, v, a1, b1), (u, v, a1, b2)), (a1, b1, b2, a2)))
+    return out
+
+
+FIXED_CIRCLE_POINTS = tuple(circle_pt(t) for t in (0.0, 1.3, 2.6, 3.9, 5.2))
+
+
+def _far_fixed_point(quad):
+    return max(FIXED_CIRCLE_POINTS,
+               key=lambda x: min(pj.point_gap(x, p) for p in quad))
+
+
+def test_steiner_auxiliary_independence(circle, hyp, rng):
     # two explicit auxiliary points give the same value
     pts = [circle_pt(t) for t in (0.2, 1.4, 2.6, 5.0)]
     vals = []
@@ -238,6 +286,60 @@ def test_steiner_auxiliary_independence(circle, rng):
         lines = [join_points(x, p) for p in pts]
         vals.append(pj.cross_ratio_lines(*lines))
     assert abs(vals[0] - vals[1]) < 1e-10
+    # the pencil at an input equals the pencil at a fixed circle point clear
+    # of all four, on the quadruples of the ray-angle checks
+    for angle_quads, opposite in _ray_quadruples(hyp, rng, 400):
+        for quad in angle_quads + (opposite,):
+            x = _far_fixed_point(quad)
+            ref = pj.cross_ratio_lines(*(join_points(x, p) for p in quad))
+            got = cn.cross_ratio_on_conic(circle, *quad)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_cross_ratio_on_conic_against_exact_oracle(hyp, rng):
+    # 30-digit bracket evaluation of the same rounded inputs, each first
+    # moved onto the circle by a Newton step along the gradient of its form
+    # (residual ~1e-32), so that the value does not depend on the center
+    mp = pytest.importorskip("mpmath")
+    sign = (1, 1, -1)
+
+    @functools.lru_cache(maxsize=None)
+    def on_circle(p):
+        p = [mp.mpc(z.real, z.imag) for z in p]
+        step = (sum(s * z * z for s, z in zip(sign, p))
+                / (2 * sum(z * z for z in p)))
+        return [z - step * s * z for s, z in zip(sign, p)]
+
+    def det(a, b, c):
+        return (a[0] * (b[1] * c[2] - b[2] * c[1])
+                - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+    def exact(quad):
+        x = [mp.mpf(c.real) for c in _far_fixed_point(quad)]
+        a, b, c, d = (on_circle(p) for p in quad)
+        return det(x, a, c) * det(x, b, d) / (det(x, b, c) * det(x, a, d))
+
+    def error(quad):
+        val = cn.cross_ratio_on_conic(hyp.absolute, *quad, with_check=False)
+        ref = exact(quad)
+        return float(abs(mp.mpc(val.real, val.imag) - ref)), float(abs(ref))
+
+    angle_quads = 0
+    with mp.workdps(30):
+        for quads, opposite in _ray_quadruples(hyp, rng, 1100):
+            # ray-angle quadruples: relative error
+            for quad in quads:
+                err, ref = error(quad)
+                assert err <= 1e-14 * ref
+                angle_quads += 1
+            # ray_cosine_opposite uses 2 (A1 B1 B2 A2) - 1: absolute error.
+            # Near-antiparallel rays put A1 by B2 and B1 by A2 at a gap g,
+            # and the value is O(g^2); its relative error grows as
+            # eps / g^2 at an input's pencil (eps / g at a far center)
+            err, ref = error(opposite)
+            assert err <= 1e-14 * max(1.0, ref)
+    assert angle_quads >= 2000
 
 
 def test_self_polar_diagonal_triangle(circle, rng):
