@@ -239,7 +239,6 @@ def _choose_midpoints(pairs, avoid, t):
 class CentersReport:
     __slots__ = (
         "orthocenter", "barycenters", "circumcenters", "incenters",
-        "pseudo_spieker", "N", "Np", "P", "Pp", "euler_line", "orthic_axis",
         "residuals",
     )
 
@@ -248,13 +247,6 @@ class CentersReport:
         self.barycenters = []
         self.circumcenters = []
         self.incenters = []
-        self.pseudo_spieker = None
-        self.N = None
-        self.Np = None
-        self.P = None
-        self.Pp = None
-        self.euler_line = None
-        self.orthic_axis = None
         self.residuals = {}
 
 
@@ -306,7 +298,7 @@ def pseudo_spieker(cfg: PolarTriangleConfig):
 
 class PseudoCenters:
     __slots__ = (
-        "App", "Bpp", "Cpp", "napp", "nbpp", "ncpp",
+        "App", "Bpp", "Cpp",
         "N", "NA", "NB", "NC", "P", "Np", "NpA", "NpB", "NpC", "Pp",
         "residuals",
     )

@@ -330,7 +330,7 @@ def conic_fit(points, tol=None, rank_check=True) -> Conic:
     _, s, vh = np.linalg.svd(rows)
     if rank_check and len(points) == 5 and s[-1] > 0 and s[-2] <= t * s[0]:
         raise DegenerateInput("design matrix rank-deficient beyond one")
-    v = vh[-1]
+    v = vh[-1].conj()  # rows = U S V^H, so the null vector is conj(vh[-1])
     m00, m11, m22, d12, d02, d01 = v
     return Conic(m00, m11, m22, d01, d02, d12)
 

@@ -126,10 +126,6 @@ def _exterior_point(rng, annulus=(1.1, 3.0)) -> HPoint:
     return affine_point(r * math.cos(ang), r * math.sin(ang))
 
 
-# the acceptance tests read the chart gap under this name
-_chart_gap = point_gap
-
-
 def _well_separated(points, floor=MIN_SEPARATION) -> bool:
     n = len(points)
     for i in range(n):
@@ -471,8 +467,7 @@ def _chk_chasles(rng, geometry, tol, perturb=0.0):
     if conic is None or conic.is_degenerate():
         return None
     tri = [_interior_point(rng, 2.0) for _ in range(3)]
-    if not (_well_separated(tri, 0.05) and
-            abs(collinearity_residual(*tri)) > 0.01):
+    if not _conditioned(tri):
         return None
     try:
         poles = [cn.pole(conic, join_points(tri[(i + 1) % 3], tri[(i + 2) % 3]))
@@ -788,8 +783,7 @@ def _chk_carnot_projective(rng, geometry, tol, perturb=0.0):
     if conic is None or conic.is_degenerate():
         return None
     tri = [_interior_point(rng, 2.2) for _ in range(3)]
-    if not (_well_separated(tri, 0.05) and
-            abs(collinearity_residual(*tri)) > 0.01):
+    if not _conditioned(tri):
         return None
     p = _exterior_point(rng)
     q = _exterior_point(rng, (3.2, 4.4))

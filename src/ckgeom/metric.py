@@ -113,12 +113,6 @@ def elliptic_model() -> ModelGeometry:
     return ModelGeometry(cn.unit_imaginary_conic())
 
 
-def absolute_trace(model: ModelGeometry, line: HLine, tol=None):
-    """The two intersection points U, V of a line with the absolute."""
-    meet = cn.line_conic_meet(model.absolute, line, tol=tol)
-    return meet
-
-
 def distance(model: ModelGeometry, a: HPoint, b: HPoint, tol=None) -> float:
     """Non-euclidean distance, curvature -1 (hyperbolic) or +1 (elliptic).
 
@@ -134,7 +128,7 @@ def distance(model: ModelGeometry, a: HPoint, b: HPoint, tol=None) -> float:
     if triple_eq(a, b, t):
         return 0.0
     line = join_points(a, b)
-    u, v = absolute_trace(model, line, tol=t).points
+    u, v = cn.line_conic_meet(model.absolute, line, tol=t).points
     r = cross_ratio(u, v, a, b, carrier=line, tol=t)
     if model.kind == HYPERBOLIC:
         return 0.5 * abs(math.log(abs(r)))
@@ -154,7 +148,7 @@ def angle_lines(model: ModelGeometry, a: HLine, b: HLine, tol=None) -> float:
     if not model.is_interior(p, t):
         raise VertexOutsideModel("angle vertex must be inside the model")
     pol = cn.polar(model.absolute, p)
-    u_pt, v_pt = absolute_trace(model, pol, tol=t).points
+    u_pt, v_pt = cn.line_conic_meet(model.absolute, pol, tol=t).points
     u = join_points(p, u_pt)
     v = join_points(p, v_pt)
     r = cross_ratio(u, v, a, b, carrier=p, tol=t)

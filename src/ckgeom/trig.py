@@ -6,6 +6,10 @@ squared laws of sines and cosines; the Carnot machinery (projective product,
 cosine form, its converse through the Carnot involution, fake points); the
 magic triangle and coherent orientations; and the unsquared projective laws
 of sines and cosines with their geometric translations.
+
+Each identity, law and Carnot product is written once: a figure kind only
+names the root family (circular, hyperbolic or mixed) through which each of
+its measured magnitudes is read.
 """
 
 from __future__ import annotations
@@ -192,7 +196,18 @@ def squared_ratios(cfg: PolarTriangleConfig):
     }
 
 
-IDENTITY_NAMES = ("T1", "T2", "T3", "T4", "T5", "T6")
+# T1..T6 as (lhs, rhs) over the C/S/T of the segments a, b, c, b', c': read
+# squared from cross ratios, unsquared through root families (table_5_1).
+_IDENTITIES = {
+    "T1": lambda C, S, T: (C["a"], C["b"] * C["c"]),
+    "T2": lambda C, S, T: (S["c"], S["a"] * S["c'"]),
+    "T3": lambda C, S, T: (C["c'"], C["c"] * S["b'"]),
+    "T4": lambda C, S, T: (T["c"], T["a"] * C["b'"]),
+    "T5": lambda C, S, T: (C["a"], 1.0 / (T["b'"] * T["c'"])),
+    "T6": lambda C, S, T: (T["c"], S["b"] * T["c'"]),
+}
+
+IDENTITY_NAMES = tuple(_IDENTITIES)
 
 
 def squared_identity(name: str, cfg: PolarTriangleConfig) -> float:
@@ -201,19 +216,30 @@ def squared_identity(name: str, cfg: PolarTriangleConfig) -> float:
     C = {k: v[0] for k, v in r.items()}
     S = {k: v[1] for k, v in r.items()}
     T = {k: v[2] for k, v in r.items()}
-    if name == "T1":
-        return _rel(C["a"], C["b"] * C["c"])
-    if name == "T2":
-        return _rel(S["c"], S["a"] * S["c'"])
-    if name == "T3":
-        return _rel(C["c'"], C["c"] * S["b'"])
-    if name == "T4":
-        return _rel(T["c"], T["a"] * C["b'"])
-    if name == "T5":
-        return _rel(C["a"], 1.0 / (T["b'"] * T["c'"]))
-    if name == "T6":
-        return _rel(T["c"], S["b"] * T["c'"])
-    raise KeyError(name)
+    return _rel(*_IDENTITIES[name](C, S, T))
+
+
+# Root families: the unsquared (cc, ss, tt) of a measured magnitude v.  A
+# figure kind only names the family each of its magnitudes is read through.
+_ROOTS = {
+    "C": (math.cos, math.sin, math.tan),                     # circular
+    "H": (math.cosh, math.sinh, math.tanh),                  # hyperbolic
+    "M": (math.sinh, math.cosh, lambda v: 1.0 / math.tanh(v)),  # mixed
+}
+
+
+def _roots(names, families, mags):
+    """cc, ss and tt maps of the named magnitudes, each through its family."""
+    C, S, T = {}, {}, {}
+    for name, family, v in zip(names, families, mags):
+        cc, ss, tt = _ROOTS[family]
+        C[name], S[name], T[name] = cc(v), ss(v), tt(v)
+    return C, S, T
+
+
+def _spread(r) -> float:
+    """Largest relative gap among the three ratios a law of sines equates."""
+    return max(_rel(r[0], r[1]), _rel(r[1], r[2]), _rel(r[0], r[2]))
 
 
 def _swap_bc(cfg: PolarTriangleConfig) -> PolarTriangleConfig:
@@ -265,51 +291,27 @@ def right_angled_magnitudes(cfg: PolarTriangleConfig):
     raise KindMismatch(f"no magnitude table for kind {kind}")
 
 
-_TABLE_ROWS = {
-    ELLIPTIC_RIGHT: (
-        ("T1", lambda a, b, c, B, G: (math.cos(a), math.cos(c) * math.cos(b))),
-        ("T2", lambda a, b, c, B, G: (math.sin(c), math.sin(a) * math.sin(G))),
-        ("T3", lambda a, b, c, B, G: (math.cos(G), math.cos(c) * math.sin(B))),
-        ("T4", lambda a, b, c, B, G: (math.tan(c), math.tan(a) * math.cos(B))),
-        ("T5", lambda a, b, c, B, G: (math.cos(a), 1.0 / (math.tan(B) * math.tan(G)))),
-        ("T6", lambda a, b, c, B, G: (math.tan(c), math.sin(b) * math.tan(G))),
-    ),
-    HYPERBOLIC_RIGHT: (
-        ("T1", lambda a, b, c, B, G: (math.cosh(a), math.cosh(c) * math.cosh(b))),
-        ("T2", lambda a, b, c, B, G: (math.sinh(c), math.sinh(a) * math.sin(G))),
-        ("T3", lambda a, b, c, B, G: (math.cos(G), math.cosh(c) * math.sin(B))),
-        ("T4", lambda a, b, c, B, G: (math.tanh(c), math.tanh(a) * math.cos(B))),
-        ("T5", lambda a, b, c, B, G: (math.cosh(a), 1.0 / (math.tan(B) * math.tan(G)))),
-        ("T6", lambda a, b, c, B, G: (math.tanh(c), math.sinh(b) * math.tan(G))),
-    ),
-    LAMBERT: (
-        ("T1", lambda a, b, c, B, G: (math.sinh(a), math.sinh(c) * math.cosh(b))),
-        ("T2", lambda a, b, c, B, G: (math.cosh(c), math.cosh(a) * math.sin(G))),
-        ("T3", lambda a, b, c, B, G: (math.cos(G), math.sinh(c) * math.sinh(B))),
-        ("T4", lambda a, b, c, B, G: (1.0 / math.tanh(c), math.cosh(B) / math.tanh(a))),
-        ("T5", lambda a, b, c, B, G: (math.sinh(a), 1.0 / (math.tanh(B) * math.tan(G)))),
-        ("T6", lambda a, b, c, B, G: (1.0 / math.tanh(c), math.sinh(b) * math.tan(G))),
-    ),
-    PENTAGON: (
-        ("T1", lambda a, b, c, B, G: (math.cosh(a), math.sinh(c) * math.sinh(b))),
-        ("T2", lambda a, b, c, B, G: (math.cosh(c), math.sinh(a) * math.sinh(G))),
-        ("T3", lambda a, b, c, B, G: (math.cosh(G), math.sinh(c) * math.sinh(B))),
-        ("T4", lambda a, b, c, B, G: (1.0 / math.tanh(c), math.tanh(a) * math.cosh(B))),
-        ("T5", lambda a, b, c, B, G: (math.cosh(a), 1.0 / (math.tanh(B) * math.tanh(G)))),
-        ("T6", lambda a, b, c, B, G: (1.0 / math.tanh(c), math.cosh(b) * math.tanh(G))),
-    ),
+# the magnitudes (a, b, c, beta, gamma) of right_angled_magnitudes stand for
+# the segments a, b, c, b', c' of the identities
+_SEGMENTS = ("a", "b", "c", "b'", "c'")
+_FAMILIES = {
+    ELLIPTIC_RIGHT: "CCCCC",
+    HYPERBOLIC_RIGHT: "HHHCC",
+    LAMBERT: "MHMHC",
+    PENTAGON: "HMMHH",
 }
 
 
 def table_5_1(cfg: PolarTriangleConfig, kind: str | None = None):
     """Evaluate all six unsquared rows for the figure, returning
     [(row, lhs, rhs, residual)] from independently measured magnitudes."""
-    found, (a, b, c, beta, gamma) = right_angled_magnitudes(cfg)
+    found, mags = right_angled_magnitudes(cfg)
     if kind is not None and kind != found:
         raise KindMismatch(f"expected {kind}, classified {found}")
+    C, S, T = _roots(_SEGMENTS, _FAMILIES[found], mags)
     out = []
-    for name, fn in _TABLE_ROWS[found]:
-        lhs, rhs = fn(a, b, c, beta, gamma)
+    for name, identity in _IDENTITIES.items():
+        lhs, rhs = identity(C, S, T)
         out.append((name, lhs, rhs, _rel(lhs, rhs)))
     return out
 
@@ -327,12 +329,7 @@ def squared_law_of_sines(cfg: PolarTriangleConfig):
     sbp = _cst(cfg, cfg.Cp, cfg.Ap)[1]
     scp = _cst(cfg, cfg.Ap, cfg.Bp)[1]
     ratios = (sa / sap, sb / sbp, sc / scp)
-    spread = max(
-        _rel(ratios[0], ratios[1]),
-        _rel(ratios[1], ratios[2]),
-        _rel(ratios[0], ratios[2]),
-    )
-    return ratios, spread
+    return ratios, _spread(ratios)
 
 
 def _sqrt_branches(u: complex, v: complex, target: complex, tol: float):
@@ -368,12 +365,10 @@ def cosine_split_lemma(cfg: PolarTriangleConfig, x: HPoint | None = None):
     X = cfg.HA if x is None else x
     t = cfg.tol
     r = cross_ratio(cfg.B, X, cfg.C, cfg.Ca, carrier=cfg.a)
-    ta = _cst(cfg, cfg.B, cfg.C)[2]
+    ca, sa, ta = _cst(cfg, cfg.B, cfg.C)
     ca1, sa1, _ = mt.squared_trig(cfg.model, cfg.B, X, tol=t)
     ca2, sa2, ta2 = mt.squared_trig(cfg.model, cfg.C, X, tol=t)
     res1 = _rel(r * r, ta / ta2)
-    ca = _cst(cfg, cfg.B, cfg.C)[0]
-    sa = _cst(cfg, cfg.B, cfg.C)[1]
     res2, matches = _sqrt_branches(ca * ca2, sa * sa2, ca1, t)
     return res1, res2, matches
 
@@ -449,11 +444,9 @@ def carnot_cosines(cfg: PolarTriangleConfig, Astar, Bstar, Cstar, tol=None):
     bstar = join_points(Bstar, cfg.Bp)
     cstar = join_points(Cstar, cfg.Cp)
     out.concurrency_residual = concurrency_residual(astar, bstar, cstar)
-    lhs = (_cst(cfg, cfg.B, Astar)[0] * _cst(cfg, cfg.C, Bstar)[0]
-           * _cst(cfg, cfg.A, Cstar)[0])
-    rhs = (_cst(cfg, cfg.C, Astar)[0] * _cst(cfg, cfg.A, Bstar)[0]
-           * _cst(cfg, cfg.B, Cstar)[0])
-    out.identity_residual = _rel(lhs, rhs)
+    out.identity_residual = _rel(*_carnot_products(
+        lambda p, q: _cst(cfg, p, q)[0],
+        ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)), (Astar, Bstar, Cstar)))
     hstar = meet_lines(bstar, cstar)
     dstar = meet_lines(cfg.a, join_points(cfg.Ap, hstar))
     out.Dstar = dstar
@@ -488,6 +481,16 @@ def fake_carnot_points(cfg: PolarTriangleConfig, Bstar, Cstar, tol=None):
     return fake, dstar
 
 
+def _carnot_products(seg, ends, stars):
+    """Both sides of a Carnot product identity: seg(end, star) multiplied
+    over the stars A*, B*, C* on sides a, b, c, once with the left ends and
+    once with the right ends."""
+    (l0, l1, l2), (r0, r1, r2) = ends
+    a, b, c = stars
+    return (seg(l0, a) * seg(l1, b) * seg(l2, c),
+            seg(r0, a) * seg(r1, b) * seg(r2, c))
+
+
 def carnot_hyperbolic_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     """Measured cosh products for the iff-theorem on interior triangles:
     returns (lhs, rhs) of cosh a1 cosh b1 cosh c1 = cosh a2 cosh b2 cosh c2."""
@@ -495,37 +498,26 @@ def carnot_hyperbolic_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     for p in (cfg.A, cfg.B, cfg.C, Astar, Bstar, Cstar):
         if not model.is_interior(p):
             raise PointOutsideModel("hyperbolic Carnot needs interior data")
-    d = lambda p, q: mt.distance(model, p, q, tol=cfg.tol)
-    lhs = (math.cosh(d(cfg.B, Astar)) * math.cosh(d(cfg.C, Bstar))
-           * math.cosh(d(cfg.A, Cstar)))
-    rhs = (math.cosh(d(cfg.C, Astar)) * math.cosh(d(cfg.A, Bstar))
-           * math.cosh(d(cfg.B, Cstar)))
-    return lhs, rhs
+    seg = lambda p, q: math.cosh(mt.distance(cfg.model, p, q, tol=cfg.tol))
+    return _carnot_products(seg, ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)),
+                            (Astar, Bstar, Cstar))
 
 
 def carnot_elliptic_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     """Measured cos products (elliptic).  Elliptic distances live in
     [0, pi/2] (a full line has length pi), so every cosine is nonnegative
     and the product identity is exact, not just up to sign."""
-    model = cfg.model
-    d = lambda p, q: mt.distance(model, p, q, tol=cfg.tol)
-    lhs = (math.cos(d(cfg.B, Astar)) * math.cos(d(cfg.C, Bstar))
-           * math.cos(d(cfg.A, Cstar)))
-    rhs = (math.cos(d(cfg.C, Astar)) * math.cos(d(cfg.A, Bstar))
-           * math.cos(d(cfg.B, Cstar)))
-    return lhs, rhs
+    seg = lambda p, q: math.cos(mt.distance(cfg.model, p, q, tol=cfg.tol))
+    return _carnot_products(seg, ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)),
+                            (Astar, Bstar, Cstar))
 
 
 def carnot_hexagon_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     """Measured sinh products on a right-angled hexagon: the hexagon vertices
     on side a are the conjugate points B_a, C_a (dually for b, c)."""
-    model = cfg.model
-    d = lambda p, q: mt.distance(model, p, q, tol=cfg.tol)
-    lhs = (math.sinh(d(cfg.Ca, Astar)) * math.sinh(d(cfg.Ab, Bstar))
-           * math.sinh(d(cfg.Bc, Cstar)))
-    rhs = (math.sinh(d(cfg.Ba, Astar)) * math.sinh(d(cfg.Cb, Bstar))
-           * math.sinh(d(cfg.Ac, Cstar)))
-    return lhs, rhs
+    seg = lambda p, q: math.sinh(mt.distance(cfg.model, p, q, tol=cfg.tol))
+    return _carnot_products(seg, ((cfg.Ca, cfg.Ab, cfg.Bc), (cfg.Ba, cfg.Cb, cfg.Ac)),
+                            (Astar, Bstar, Cstar))
 
 
 def six_points_conic_check(cfg: PolarTriangleConfig):
@@ -786,19 +778,14 @@ def projective_law_of_sines(o: OrientedTriangleConfig):
         side_ss(o, s) / side_ss(o, sp)
         for s, sp in (("AB", "A'B'"), ("BC", "B'C'"), ("CA", "C'A'"))
     )
-    spread = max(
-        _rel(ratios[0], ratios[1]),
-        _rel(ratios[1], ratios[2]),
-        _rel(ratios[0], ratios[2]),
-    )
-    return ratios, spread
+    return ratios, _spread(ratios)
 
 
 _COSINE_SIDES = {
-    # target, ss factors, cc' of opposite primed side, cc factors
-    "a": ("BC", "AB", "CA", "B'C'", "AB", "CA"),
-    "b": ("CA", "BC", "AB", "C'A'", "BC", "AB"),
-    "c": ("AB", "CA", "BC", "A'B'", "CA", "BC"),
+    # target YZ, the sides XY and ZX, the opposite primed side Y'Z'
+    "a": ("BC", "AB", "CA", "B'C'"),
+    "b": ("CA", "BC", "AB", "C'A'"),
+    "c": ("AB", "CA", "BC", "A'B'"),
 }
 
 
@@ -806,15 +793,14 @@ def projective_law_of_cosines(o: OrientedTriangleConfig, side: str = "a",
                               dual: bool = False) -> float:
     """Residual of cc(YZ) = -ss(XY) ss(ZX) cc(Y'Z') - cc(XY) cc(ZX) (or the
     primed dual) for the requested side."""
-    tgt, s1, s2, opp, c1, c2 = _COSINE_SIDES[side]
+    tgt, s1, s2, opp = _COSINE_SIDES[side]
     if dual:
         swap = {"AB": "A'B'", "BC": "B'C'", "CA": "C'A'",
                 "A'B'": "AB", "B'C'": "BC", "C'A'": "CA"}
-        tgt, s1, s2, opp, c1, c2 = (swap[tgt], swap[s1], swap[s2],
-                                    swap[opp], swap[c1], swap[c2])
+        tgt, s1, s2, opp = swap[tgt], swap[s1], swap[s2], swap[opp]
     lhs = side_cc(o, tgt)
     rhs = (-side_ss(o, s1) * side_ss(o, s2) * side_cc(o, opp)
-           - side_cc(o, c1) * side_cc(o, c2))
+           - side_cc(o, s1) * side_cc(o, s2))
     return _rel(lhs, rhs)
 
 
@@ -840,6 +826,18 @@ def _convex_in_chart(pts) -> bool:
     return True
 
 
+def _exterior_at_c(cfg: PolarTriangleConfig) -> PolarTriangleConfig:
+    """Rotate the labels so that C is exterior when C is interior and A or B
+    is not."""
+    model = cfg.model
+    if model.is_interior(cfg.C):
+        if not model.is_interior(cfg.A):
+            return PolarTriangleConfig(model, cfg.B, cfg.C, cfg.A, tol=cfg.tol)
+        if not model.is_interior(cfg.B):
+            return PolarTriangleConfig(model, cfg.C, cfg.A, cfg.B, tol=cfg.tol)
+    return cfg
+
+
 def classify_generalized(cfg: PolarTriangleConfig) -> str:
     """Taxonomy of the generalized triangle cut out by T and T'.  Stellate
     variants (vertex cycle not convex in the disk) share the projective
@@ -853,14 +851,7 @@ def classify_generalized(cfg: PolarTriangleConfig) -> str:
     if ins == 3:
         return "hyperbolic-triangle"
     if ins == 2 and secant:
-        # canonical labels: C exterior
-        c2 = cfg
-        if model.is_interior(cfg.C):
-            ext = "a" if not model.is_interior(cfg.A) else "b"
-            c2 = PolarTriangleConfig(
-                model,
-                *((cfg.B, cfg.C, cfg.A) if ext == "a" else (cfg.C, cfg.A, cfg.B)),
-                tol=cfg.tol)
+        c2 = _exterior_at_c(cfg)
         if _convex_in_chart((c2.A, c2.B, c2.Ca, c2.Cb)):
             return QUADRILATERAL_2R
         return "stellate-quadrilateral"
@@ -869,6 +860,41 @@ def classify_generalized(cfg: PolarTriangleConfig) -> str:
             return HEXAGON
         return "stellate-hexagon"
     return "other"
+
+
+# Each figure names the root family of its magnitudes a, b, c, alpha, beta,
+# gamma and its cosine laws (x, y, z, w, e1, e2), which read
+# cc(x) = e1 ss(y) ss(z) cc(w) + e2 cc(y) cc(z); its law of sines equates
+# ss(x)/ss(opposite) over the pairs (a, alpha), (b, beta), (c, gamma).
+_MAGNITUDES = ("a", "b", "c", "alpha", "beta", "gamma")
+_LAWS = {
+    "elliptic": ("CCCCCC", {
+        "cosines": ("a", "c", "b", "alpha", 1.0, 1.0),
+        "dual_cosines": ("alpha", "gamma", "beta", "a", 1.0, -1.0),
+    }),
+    "hyperbolic": ("HHHCCC", {
+        "cosines": ("a", "c", "b", "alpha", -1.0, 1.0),
+        "dual_cosines": ("alpha", "gamma", "beta", "a", 1.0, -1.0),
+    }),
+    "hexagon": ("HHHHHH", {"cosines": ("a", "c", "b", "alpha", 1.0, -1.0)}),
+    "quadrilateral": ("MMHCCH", {
+        "law_alpha": ("alpha", "gamma", "beta", "a", 1.0, -1.0),
+        "law_a": ("a", "c", "b", "alpha", -1.0, 1.0),
+        "law_c": ("c", "a", "b", "gamma", 1.0, -1.0),
+        "law_gamma": ("gamma", "alpha", "beta", "c", 1.0, -1.0),
+    }),
+}
+
+
+def _laws(figure: str, mags):
+    """Residuals of the figure's law of sines (spread) and cosine laws."""
+    families, cosine_laws = _LAWS[figure]
+    C, S, _ = _roots(_MAGNITUDES, families, mags)
+    out = {"sines": _spread(tuple(
+        S[x] / S[y] for x, y in (("a", "alpha"), ("b", "beta"), ("c", "gamma"))))}
+    for name, (x, y, z, w, e1, e2) in cosine_laws.items():
+        out[name] = _rel(C[x], e1 * S[y] * S[z] * C[w] + e2 * C[y] * C[z])
+    return out
 
 
 def elliptic_triangle_laws(cfg: PolarTriangleConfig):
@@ -881,17 +907,7 @@ def elliptic_triangle_laws(cfg: PolarTriangleConfig):
     al = mt.elliptic_vertex_angle(model, cfg.A, cfg.B, cfg.C)
     be = mt.elliptic_vertex_angle(model, cfg.B, cfg.C, cfg.A)
     ga = mt.elliptic_vertex_angle(model, cfg.C, cfg.A, cfg.B)
-    r1 = math.sin(a) / math.sin(al)
-    r2 = math.sin(b) / math.sin(be)
-    r3 = math.sin(c) / math.sin(ga)
-    sines = max(_rel(r1, r2), _rel(r2, r3), _rel(r1, r3))
-    cosines = _rel(math.cos(a),
-                   math.sin(c) * math.sin(b) * math.cos(al)
-                   + math.cos(c) * math.cos(b))
-    dual = _rel(math.cos(al),
-                math.sin(ga) * math.sin(be) * math.cos(a)
-                - math.cos(ga) * math.cos(be))
-    return {"sines": sines, "cosines": cosines, "dual_cosines": dual}
+    return _laws("elliptic", (a, b, c, al, be, ga))
 
 
 def hyperbolic_triangle_laws(cfg: PolarTriangleConfig):
@@ -905,17 +921,7 @@ def hyperbolic_triangle_laws(cfg: PolarTriangleConfig):
     al = ry.vertex_angle(model, cfg.A, cfg.B, cfg.C, tol=t)
     be = ry.vertex_angle(model, cfg.B, cfg.C, cfg.A, tol=t)
     ga = ry.vertex_angle(model, cfg.C, cfg.A, cfg.B, tol=t)
-    r1 = math.sinh(a) / math.sin(al)
-    r2 = math.sinh(b) / math.sin(be)
-    r3 = math.sinh(c) / math.sin(ga)
-    sines = max(_rel(r1, r2), _rel(r2, r3), _rel(r1, r3))
-    cosines = _rel(math.cosh(a),
-                   -math.sinh(c) * math.sinh(b) * math.cos(al)
-                   + math.cosh(c) * math.cosh(b))
-    dual = _rel(math.cos(al),
-                math.sin(ga) * math.sin(be) * math.cosh(a)
-                - math.cos(ga) * math.cos(be))
-    return {"sines": sines, "cosines": cosines, "dual_cosines": dual}
+    return _laws("hyperbolic", (a, b, c, al, be, ga))
 
 
 def hexagon_laws(cfg: PolarTriangleConfig):
@@ -931,14 +937,7 @@ def hexagon_laws(cfg: PolarTriangleConfig):
     al = d(cfg.Ab, cfg.Ac)
     be = d(cfg.Bc, cfg.Ba)
     ga = d(cfg.Ca, cfg.Cb)
-    r1 = math.sinh(a) / math.sinh(al)
-    r2 = math.sinh(b) / math.sinh(be)
-    r3 = math.sinh(c) / math.sinh(ga)
-    sines = max(_rel(r1, r2), _rel(r2, r3), _rel(r1, r3))
-    cosines = _rel(math.cosh(a),
-                   math.sinh(c) * math.sinh(b) * math.cosh(al)
-                   - math.cosh(c) * math.cosh(b))
-    return {"sines": sines, "cosines": cosines}
+    return _laws("hexagon", (a, b, c, al, be, ga))
 
 
 def quadrilateral_laws(cfg: PolarTriangleConfig):
@@ -947,12 +946,7 @@ def quadrilateral_laws(cfg: PolarTriangleConfig):
     c = ||AB||, gamma = ||C_a C_b||; angles alpha at A, beta at B."""
     model = cfg.model
     t = cfg.tol
-    if model.is_interior(cfg.C):
-        # rotate labels so the exterior vertex is C
-        if not model.is_interior(cfg.A):
-            cfg = PolarTriangleConfig(model, cfg.B, cfg.C, cfg.A, tol=t)
-        elif not model.is_interior(cfg.B):
-            cfg = PolarTriangleConfig(model, cfg.C, cfg.A, cfg.B, tol=t)
+    cfg = _exterior_at_c(cfg)
     if not (model.is_interior(cfg.A) and model.is_interior(cfg.B)) \
             or model.is_interior(cfg.C):
         raise KindMismatch("quadrilateral laws need A, B interior and C exterior")
@@ -963,23 +957,4 @@ def quadrilateral_laws(cfg: PolarTriangleConfig):
     ga = d(cfg.Ca, cfg.Cb)
     al = ry.vertex_angle(model, cfg.A, cfg.B, cfg.Cb, tol=t)
     be = ry.vertex_angle(model, cfg.B, cfg.A, cfg.Ca, tol=t)
-    r1 = math.cosh(a) / math.sin(al)
-    r2 = math.cosh(b) / math.sin(be)
-    r3 = math.sinh(c) / math.sinh(ga)
-    sines = max(_rel(r1, r2), _rel(r2, r3), _rel(r1, r3))
-    laws = {
-        "sines": sines,
-        "law_alpha": _rel(math.cos(al),
-                          math.sinh(ga) * math.sin(be) * math.sinh(a)
-                          - math.cosh(ga) * math.cos(be)),
-        "law_a": _rel(math.sinh(a),
-                      -math.sinh(c) * math.cosh(b) * math.cos(al)
-                      + math.cosh(c) * math.sinh(b)),
-        "law_c": _rel(math.cosh(c),
-                      math.cosh(a) * math.cosh(b) * math.cosh(ga)
-                      - math.sinh(a) * math.sinh(b)),
-        "law_gamma": _rel(math.cosh(ga),
-                          math.sin(al) * math.sin(be) * math.cosh(c)
-                          - math.cos(al) * math.cos(be)),
-    }
-    return laws
+    return _laws("quadrilateral", (a, b, c, al, be, ga))

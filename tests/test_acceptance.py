@@ -339,7 +339,7 @@ def test_criterion_8_ray_angles():
         o = lab._interior_point(rng, 0.7)
         p = lab._interior_point(rng, 0.85)
         q = lab._interior_point(rng, 0.85)
-        if lab._chart_gap(o, p) < 1e-2 or lab._chart_gap(o, q) < 1e-2:
+        if lab.point_gap(o, p) < 1e-2 or lab.point_gap(o, q) < 1e-2:
             continue
         try:
             r1 = ry.ray_towards(hyp, o, p)

@@ -130,6 +130,36 @@ def test_conic_through_five_roundtrip(circle):
     assert cn.conic_residual(fit, sixth) < 1e-12
 
 
+def _complex_point(rng):
+    return hpoint(*(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    for _ in range(3)))
+
+
+def test_conic_through_five_contains_complex_inputs(rng):
+    # for complex rows the null vector of the design matrix is the
+    # conjugate of the last right singular vector, not the vector itself
+    for _ in range(200):
+        pts = [_complex_point(rng) for _ in range(5)]
+        fit = cn.conic_through_five(pts)
+        assert max(cn.conic_residual(fit, p) for p in pts) < 1e-12
+
+
+def test_conic_fit_conjugation_closed_six_points_not_conconic(rng):
+    # (p, p~, q, q~, r, r~) for random complex p, q, r lie on no common
+    # conic, so the sixth point misses the conic through the first five
+    # (a fit through the conjugated inputs would contain it)
+    misses = []
+    for _ in range(200):
+        pts = []
+        for _ in range(3):
+            p = _complex_point(rng)
+            pts += [p, hpoint(*(c.conjugate() for c in p))]
+        fit = cn.conic_fit(pts[:5], rank_check=False)
+        misses.append(cn.conic_residual(fit, pts[5]))
+    misses.sort()
+    assert misses[len(misses) // 2] > 1e-3
+
+
 def test_conic_through_five_collinear_degenerate():
     pts = [affine_point(t, 0) for t in (0, 1, 2)] + \
         [affine_point(0, 1), affine_point(1, 2)]

@@ -137,6 +137,26 @@ def test_right_angled_identities(kind):
             assert res < 1e-8, (kind, row, lhs, rhs)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_table_rows_are_roots_of_squared_identities(kind):
+    # each unsquared row, squared, is its identity on the cross-ratio C/S/T:
+    # a wrong root family for any segment of any kind breaks this
+    geometry = "elliptic" if kind == "right:elliptic" else "hyperbolic"
+    for trial in range(200):
+        cfg = lab_cfg(kind, geometry, seed=53, trial=trial)
+        rows = tg.table_5_1(cfg)
+        if tg.right_angled_kind(cfg) == tg.LAMBERT and cfg.model.is_interior(cfg.B):
+            cfg = tg._swap_bc(cfg)  # the labels right_angled_magnitudes uses
+        r = tg.squared_ratios(cfg)
+        C = {k: v[0] for k, v in r.items()}
+        S = {k: v[1] for k, v in r.items()}
+        T = {k: v[2] for k, v in r.items()}
+        for name, lhs, rhs, _ in rows:
+            sq_lhs, sq_rhs = tg._IDENTITIES[name](C, S, T)
+            assert tg._rel(abs(lhs * lhs), abs(sq_lhs)) < 1e-8, (kind, trial, name)
+            assert tg._rel(abs(rhs * rhs), abs(sq_rhs)) < 1e-8, (kind, trial, name)
+
+
 def test_right_angled_hand_values():
     # legs artanh(1/2) each along the axes: C(b) = C(c) = 4/3, and the
     # hyperbolic Pythagoras cosh a = cosh b cosh c gives C(a) = 16/9
