@@ -1,12 +1,23 @@
 """Triangle + polar triangle configurations and their centers.
 
-A PolarTriangleConfig eagerly derives, from a triangle ABC in general
-position with respect to the absolute conic, every named object used by the
-center theorems: polar sides and vertices, conjugate points and lines, the
-midpoint pairs of all six sides and altitudes/orthocenter/feet.  The
-isosceles flags and the center operations (classical centers, pseudo
-centers, Euler line, nine-point conic) are computed once on demand and
-cached so all downstream residual checks reference identical coordinates.
+A PolarTriangleConfig is built from a triangle ABC in general position with
+respect to the absolute conic.  The build keeps eager only what can reject
+a scene, or what every draw reads: the general-position checks, the sides,
+the polar sides and polar vertices, the distinctness of the six vertices
+and the conjugate side pairs.  The other named objects of the center
+theorems (conjugate points and lines, altitudes/orthocenter/feet, the
+midpoint pairs of all six sides and the chosen midpoints) are derived on
+first read, one group at a time, so a theorem pays only for the groups it
+reads: the squared trigonometric identities read none of them.  Each group
+is a pure function of the eager slots, so reading it early or late gives
+the same floats.  Nor can a group reject a scene the eager build accepted,
+which would change what a certificate counts: the midpoint groups test
+their endpoints against the absolute and each other exactly as the eager
+checks do, at the same tol, and tests pin that no group raises on drawn
+scenes of every kind.  The isosceles flags and the center operations
+(classical centers, pseudo centers, Euler line, nine-point conic) are
+computed once on demand and cached so all downstream residual checks
+reference identical coordinates.
 """
 
 from __future__ import annotations
@@ -33,6 +44,14 @@ from .tolerance import get_tol
 
 
 class PolarTriangleConfig:
+    """A triangle, its polar triangle and their incidence objects.
+
+    Eager: model, tol, A/B/C, the sides a/b/c, the polars ap/bp/cp, the
+    poles Ap/Bp/Cp and conjugate_side_pairs.  Derived on first read by the
+    groups of `_DERIVED`: Ab..Cb; aB..cB, A0/B0/C0, ha/hb/hc, H, h,
+    HA/HB/HC and A1/B1/C1; mids_a/b/c; mids_ap/bp/cp; and D..Fcp.
+    """
+
     __slots__ = (
         "model", "tol",
         "A", "B", "C", "a", "b", "c",
@@ -88,50 +107,16 @@ class PolarTriangleConfig:
                 if points_equal(verts[i][1], verts[j][1], t):
                     raise GeneralPositionViolation(
                         f"vertices {verts[i][0]} and {verts[j][0]} coincide")
-        # conjugate points of the vertices on the sides through them
-        self.Ab = meet_lines(self.b, self.ap)
-        self.Ac = meet_lines(self.c, self.ap)
-        self.Bc = meet_lines(self.c, self.bp)
-        self.Ba = meet_lines(self.a, self.bp)
-        self.Ca = meet_lines(self.a, self.cp)
-        self.Cb = meet_lines(self.b, self.cp)
-        # conjugate lines of the sides at the vertices
-        self.aB = join_points(B, self.Ap)
-        self.aC = join_points(C, self.Ap)
-        self.bC = join_points(C, self.Bp)
-        self.bA = join_points(A, self.Bp)
-        self.cA = join_points(A, self.Cp)
-        self.cB = join_points(B, self.Cp)
-        self.A0 = meet_lines(self.a, self.ap)
-        self.B0 = meet_lines(self.b, self.bp)
-        self.C0 = meet_lines(self.c, self.cp)
-        # altitudes, orthocenter, feet
-        self.ha = join_points(A, self.Ap)
-        self.hb = join_points(B, self.Bp)
-        self.hc = join_points(C, self.Cp)
-        self.H = meet_lines(self.ha, self.hb)
-        self.h = cn.polar(phi, self.H)
-        self.HA = meet_lines(self.a, self.ha)
-        self.HB = meet_lines(self.b, self.hb)
-        self.HC = meet_lines(self.c, self.hc)
-        self.A1 = meet_lines(self.bC, self.cB)
-        self.B1 = meet_lines(self.cA, self.aC)
-        self.C1 = meet_lines(self.aB, self.bA)
-        # midpoint pairs (canonically ordered)
-        self.mids_a = mt.midpoints(model, B, C, tol=t)
-        self.mids_b = mt.midpoints(model, C, A, tol=t)
-        self.mids_c = mt.midpoints(model, A, B, tol=t)
-        self.mids_ap = mt.midpoints(model, self.Bp, self.Cp, tol=t)
-        self.mids_bp = mt.midpoints(model, self.Cp, self.Ap, tol=t)
-        self.mids_cp = mt.midpoints(model, self.Ap, self.Bp, tol=t)
-        self.D, self.E, self.F, self.Da, self.Eb, self.Fc = _choose_midpoints(
-            (self.mids_a, self.mids_b, self.mids_c),
-            (self.A0, self.B0, self.C0), t)
-        self.Dp, self.Ep, self.Fp, self.Dap, self.Ebp, self.Fcp = \
-            _choose_midpoints(
-                (self.mids_ap, self.mids_bp, self.mids_cp),
-                (self.A0, self.B0, self.C0), t)
         self.conjugate_side_pairs = self._conjugate_sides()
+
+    def __getattr__(self, name):
+        # called only for an unset slot: derive its group, then read it
+        derive = _DERIVED.get(name)
+        if derive is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        derive(self)
+        return object.__getattribute__(self, name)
 
     def _conjugate_sides(self):
         phi = self.model.absolute
@@ -230,6 +215,79 @@ def _choose_midpoints(pairs, avoid, t):
     for (i, j, k), trip in midpoint_assignments(pairs, t, avoid):
         return (*trip, da[1 - i], db[1 - j], dc[1 - k])
     raise GeneralPositionViolation("no valid midpoint assignment found")
+
+
+# -- slots derived on first read: each group fills all of its slots ----------
+
+def _conjugate_points(cfg):
+    # conjugate points of the vertices on the sides through them
+    cfg.Ab = meet_lines(cfg.b, cfg.ap)
+    cfg.Ac = meet_lines(cfg.c, cfg.ap)
+    cfg.Bc = meet_lines(cfg.c, cfg.bp)
+    cfg.Ba = meet_lines(cfg.a, cfg.bp)
+    cfg.Ca = meet_lines(cfg.a, cfg.cp)
+    cfg.Cb = meet_lines(cfg.b, cfg.cp)
+
+
+def _orthic(cfg):
+    A, B, C = cfg.A, cfg.B, cfg.C
+    # conjugate lines of the sides at the vertices
+    cfg.aB = join_points(B, cfg.Ap)
+    cfg.aC = join_points(C, cfg.Ap)
+    cfg.bC = join_points(C, cfg.Bp)
+    cfg.bA = join_points(A, cfg.Bp)
+    cfg.cA = join_points(A, cfg.Cp)
+    cfg.cB = join_points(B, cfg.Cp)
+    cfg.A0 = meet_lines(cfg.a, cfg.ap)
+    cfg.B0 = meet_lines(cfg.b, cfg.bp)
+    cfg.C0 = meet_lines(cfg.c, cfg.cp)
+    # altitudes, orthocenter, feet
+    cfg.ha = join_points(A, cfg.Ap)
+    cfg.hb = join_points(B, cfg.Bp)
+    cfg.hc = join_points(C, cfg.Cp)
+    cfg.H = meet_lines(cfg.ha, cfg.hb)
+    cfg.h = cn.polar(cfg.model.absolute, cfg.H)
+    cfg.HA = meet_lines(cfg.a, cfg.ha)
+    cfg.HB = meet_lines(cfg.b, cfg.hb)
+    cfg.HC = meet_lines(cfg.c, cfg.hc)
+    cfg.A1 = meet_lines(cfg.bC, cfg.cB)
+    cfg.B1 = meet_lines(cfg.cA, cfg.aC)
+    cfg.C1 = meet_lines(cfg.aB, cfg.bA)
+
+
+# midpoint pairs (canonically ordered)
+def _side_midpoints(cfg):
+    model, t = cfg.model, cfg.tol
+    cfg.mids_a = mt.midpoints(model, cfg.B, cfg.C, tol=t)
+    cfg.mids_b = mt.midpoints(model, cfg.C, cfg.A, tol=t)
+    cfg.mids_c = mt.midpoints(model, cfg.A, cfg.B, tol=t)
+
+
+def _polar_side_midpoints(cfg):
+    model, t = cfg.model, cfg.tol
+    cfg.mids_ap = mt.midpoints(model, cfg.Bp, cfg.Cp, tol=t)
+    cfg.mids_bp = mt.midpoints(model, cfg.Cp, cfg.Ap, tol=t)
+    cfg.mids_cp = mt.midpoints(model, cfg.Ap, cfg.Bp, tol=t)
+
+
+def _midpoint_choice(cfg):
+    avoid = (cfg.A0, cfg.B0, cfg.C0)
+    cfg.D, cfg.E, cfg.F, cfg.Da, cfg.Eb, cfg.Fc = _choose_midpoints(
+        (cfg.mids_a, cfg.mids_b, cfg.mids_c), avoid, cfg.tol)
+    cfg.Dp, cfg.Ep, cfg.Fp, cfg.Dap, cfg.Ebp, cfg.Fcp = _choose_midpoints(
+        (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), avoid, cfg.tol)
+
+
+_DERIVED = {name: group for group, names in (
+    (_conjugate_points, ("Ab", "Ac", "Bc", "Ba", "Ca", "Cb")),
+    (_orthic, ("aB", "aC", "bC", "bA", "cA", "cB", "A0", "B0", "C0",
+               "ha", "hb", "hc", "H", "h", "HA", "HB", "HC",
+               "A1", "B1", "C1")),
+    (_side_midpoints, ("mids_a", "mids_b", "mids_c")),
+    (_polar_side_midpoints, ("mids_ap", "mids_bp", "mids_cp")),
+    (_midpoint_choice, ("D", "E", "F", "Da", "Eb", "Fc",
+                        "Dp", "Ep", "Fp", "Dap", "Ebp", "Fcp")),
+) for name in names}
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def cmd_compute(args) -> int:
             a, b, c = (scene.point(n) for n in names)
             cfg = ce.build_config(model, a, b, c)
             kind, mags = tg.right_angled_magnitudes(cfg)
-            rows = tg.table_5_1(cfg)
+            rows = tg._table_rows(kind, mags)
             out["kind"] = kind
             out["magnitudes"] = dict(zip(("a", "b", "c", "beta", "gamma"), mags))
             out["rows"] = [

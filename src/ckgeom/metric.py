@@ -197,7 +197,7 @@ def midpoints(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
     qb = phi.value(b)
     if abs(qa) <= 1e3 * t or abs(qb) <= 1e3 * t:
         raise EndpointOnConic("midpoints need endpoints off the absolute")
-    if triple_eq(a, b):
+    if triple_eq(a, b, t):
         raise CoincidentPoints(f"midpoints of coincident points {a} and {b}")
     ra = cmath.sqrt(qa)
     rb = cmath.sqrt(qb)

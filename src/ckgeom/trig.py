@@ -308,7 +308,12 @@ def table_5_1(cfg: PolarTriangleConfig, kind: str | None = None):
     found, mags = right_angled_magnitudes(cfg)
     if kind is not None and kind != found:
         raise KindMismatch(f"expected {kind}, classified {found}")
-    C, S, T = _roots(_SEGMENTS, _FAMILIES[found], mags)
+    return _table_rows(found, mags)
+
+
+def _table_rows(kind, mags):
+    """The rows of `table_5_1` from magnitudes already measured."""
+    C, S, T = _roots(_SEGMENTS, _FAMILIES[kind], mags)
     out = []
     for name, identity in _IDENTITIES.items():
         lhs, rhs = identity(C, S, T)

@@ -237,3 +237,85 @@ def test_medial_shadow(hyp, ell, rng):
                 {"D": cfg.D, "E": cfg.E, "F": cfg.F}[vertex],
                 cn.pole(model.absolute, opp))
             assert pj.lines_equal(bisector, altitude, 1e-7)
+
+
+# the slots a config derives on first read, group by group
+_LAZY_GROUPS = (
+    ("Ab", "Ac", "Bc", "Ba", "Ca", "Cb"),
+    ("aB", "aC", "bC", "bA", "cA", "cB", "A0", "B0", "C0",
+     "ha", "hb", "hc", "H", "h", "HA", "HB", "HC", "A1", "B1", "C1"),
+    ("mids_a", "mids_b", "mids_c"),
+    ("mids_ap", "mids_bp", "mids_cp"),
+    ("D", "E", "F", "Da", "Eb", "Fc", "Dp", "Ep", "Fp", "Dap", "Ebp", "Fcp"),
+)
+_LAZY = tuple(name for group in _LAZY_GROUPS for name in group)
+_SCENE_PAIRS = (
+    ("generic", "hyperbolic"), ("generic", "elliptic"),
+    ("isosceles", "hyperbolic"), ("isosceles", "elliptic"),
+    ("ext1", "hyperbolic"), ("ext2", "hyperbolic"), ("ext3", "hyperbolic"),
+    ("quadrilateral", "hyperbolic"), ("hexagon", "hyperbolic"),
+    ("right:elliptic", "elliptic"), ("right:hyp-right", "hyperbolic"),
+    ("right:lambert", "hyperbolic"), ("right:pentagon", "hyperbolic"),
+)
+
+
+def _filled(cfg):
+    """The slots of cfg that hold a value, read without deriving any."""
+    out = set()
+    for name in ce.PolarTriangleConfig.__slots__:
+        try:
+            object.__getattribute__(cfg, name)
+        except AttributeError:
+            continue
+        out.add(name)
+    return out
+
+
+@pytest.mark.parametrize("geometry", ["hyperbolic", "elliptic"])
+def test_lazy_slots_derive_on_first_read(monkeypatch, geometry):
+    from ckgeom import lab
+    calls = []
+    midpoints = mt.midpoints
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return midpoints(*args, **kwargs)
+
+    monkeypatch.setattr(mt, "midpoints", counting)
+    scene = lab.random_triangle_config(lab.trial_rng(31, 0), geometry)
+    cfg = ce.build_config(scene.model, scene.A, scene.B, scene.C)
+    assert calls == []
+    eager = set(ce.PolarTriangleConfig.__slots__) - set(_LAZY)
+    assert _filled(cfg) == eager
+    assert cfg.D is cfg.D
+    assert len(calls) == 6
+    assert {"A0", "mids_a", "mids_ap", "D"} <= _filled(cfg)
+    with pytest.raises(AttributeError):
+        cfg.no_such_slot
+    # one read fills the slot's group and the groups it reads, no other:
+    # the midpoint choice reads A0 and both midpoint groups
+    reads = {4: (1, 2, 3)}
+    for g, group in enumerate(_LAZY_GROUPS):
+        want = set(group).union(*(_LAZY_GROUPS[r] for r in reads.get(g, ())))
+        for name in group:
+            fresh = ce.build_config(scene.model, scene.A, scene.B, scene.C)
+            getattr(fresh, name)
+            assert _filled(fresh) - eager == want
+    forward = ce.build_config(scene.model, scene.A, scene.B, scene.C)
+    backward = ce.build_config(scene.model, scene.A, scene.B, scene.C)
+    want = [repr(getattr(forward, name)) for name in _LAZY]
+    got = [repr(getattr(backward, name)) for name in reversed(_LAZY)]
+    assert got[::-1] == want
+
+
+def test_lazy_slots_never_reject_a_drawn_scene():
+    # a lazy group that could raise would reject, on first read inside a
+    # check, a scene the eager build accepted: none may raise on drawn scenes
+    from ckgeom import lab
+    for kind, geometry in _SCENE_PAIRS:
+        for i in range(300):
+            tol = 1e-8 if i % 2 else 1e-9
+            cfg = lab.random_triangle_config(lab.trial_rng(2026, i), geometry,
+                                             kind, tol=tol)
+            for name in _LAZY:
+                getattr(cfg, name)

@@ -145,3 +145,33 @@ def test_figure_all_names(tmp_path):
         out = tmp_path / f"{name}.svg"
         assert run_cli(["figure", "--figure", name, "-o", str(out)]) == 0
         assert out.read_text().rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("geometry,kind", [
+    ("elliptic", "right:elliptic"), ("hyperbolic", "right:hyp-right"),
+    ("hyperbolic", "right:lambert"), ("hyperbolic", "right:pentagon"),
+])
+def test_compute_table51_measures_once(tmp_path, capsys, monkeypatch,
+                                       geometry, kind):
+    from ckgeom import lab
+    from ckgeom import trig as tg
+    cfg = lab.random_triangle_config(lab.trial_rng(5, 0), geometry, kind)
+    path = tmp_path / "right.json"
+    sceneio.dump_scene(sceneio.Scene(cfg.model, {"A": cfg.A, "B": cfg.B,
+                                                 "C": cfg.C}), path)
+    want = tg.table_5_1(cfg)
+    calls = []
+    measure = tg.right_angled_magnitudes
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(tg, "right_angled_magnitudes", counting)
+    assert run_cli(["compute", "--scene", str(path), "--op", "table51",
+                    "A", "B", "C"]) == 0
+    assert len(calls) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == tg.right_angled_kind(cfg)
+    assert [(r["row"], r["lhs"], r["rhs"], r["residual"])
+            for r in out["rows"]] == want

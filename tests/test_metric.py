@@ -180,6 +180,17 @@ def test_midpoints_degenerate_endpoints(hyp, ell):
         mt.midpoints(ell, hpoint(1, 1j, 0), a)
 
 
+def test_midpoints_coincidence_at_given_tol(hyp, ell):
+    # 1e-7 apart: coincident at tol 1e-6, distinct at the ambient 1e-9
+    a = affine_point(0.3, -0.2)
+    b = affine_point(0.3 + 1e-7, -0.2)
+    assert pj.points_equal(a, b, 1e-6) and not pj.points_equal(a, b, 1e-9)
+    for model in (hyp, ell):
+        mt.midpoints(model, a, b, tol=1e-9)
+        with pytest.raises(errors.CoincidentPoints):
+            mt.midpoints(model, a, b, tol=1e-6)
+
+
 def test_midpoint_polars_are_angle_bisectors(hyp, rng):
     # polars of the midpoints of AB bisect the angle between polar(A), polar(B)
     a, b = interior_point(rng, 0.6), interior_point(rng, 0.6)
