@@ -37,6 +37,7 @@ from .projective import (
     incidence_residual,
     join_points,
     meet_lines,
+    pascal_points,
     point_gap,
     points_equal,
 )
@@ -295,13 +296,9 @@ _DERIVED = {name: group for group, names in (
 # ---------------------------------------------------------------------------
 
 class CentersReport:
-    __slots__ = (
-        "orthocenter", "barycenters", "circumcenters", "incenters",
-        "residuals",
-    )
+    __slots__ = ("barycenters", "circumcenters", "incenters", "residuals")
 
     def __init__(self):
-        self.orthocenter = None
         self.barycenters = []
         self.circumcenters = []
         self.incenters = []
@@ -313,7 +310,6 @@ def _classical_centers(cfg: PolarTriangleConfig):
     midpoint assignment, with their concurrency residuals."""
     t = cfg.tol
     report = CentersReport()
-    report.orthocenter = cfg.H
     report.residuals["orthocenter"] = incidence_residual(cfg.hc, cfg.H)
     for bits, (d, e, f) in midpoint_assignments(
             (cfg.mids_a, cfg.mids_b, cfg.mids_c), t):
@@ -357,7 +353,7 @@ def pseudo_spieker(cfg: PolarTriangleConfig):
 class PseudoCenters:
     __slots__ = (
         "App", "Bpp", "Cpp",
-        "N", "NA", "NB", "NC", "P", "Np", "NpA", "NpB", "NpC", "Pp",
+        "N", "NA", "NB", "NC", "P", "Np", "Pp",
         "residuals",
     )
 
@@ -397,7 +393,7 @@ def _pseudo_centers(cfg: PolarTriangleConfig) -> PseudoCenters:
      res["pseudomedians"], res["pseudobisectors"]) = _pseudo_chain(
         cfg, cfg.A, cfg.B, cfg.C, cfg.a, cfg.b, cfg.c,
         cfg.Ap, cfg.Bp, cfg.Cp)
-    (_, _, _, out.Np, out.NpA, out.NpB, out.NpC, out.Pp,
+    (_, _, _, out.Np, _, _, _, out.Pp,
      res["pseudomedians_dual"], res["pseudobisectors_dual"]) = _pseudo_chain(
         cfg, cfg.Ap, cfg.Bp, cfg.Cp, cfg.ap, cfg.bp, cfg.cp,
         cfg.A, cfg.B, cfg.C)
@@ -449,7 +445,7 @@ def pseudo_centers(cfg: PolarTriangleConfig) -> PseudoCenters:
 # ---------------------------------------------------------------------------
 
 class EulerLine:
-    __slots__ = ("line", "orthic_axis", "orthic_pole", "residuals")
+    __slots__ = ("line", "orthic_axis", "residuals")
 
 
 def _euler_wildberger(cfg: PolarTriangleConfig) -> EulerLine:
@@ -474,7 +470,6 @@ def _euler_wildberger(cfg: PolarTriangleConfig) -> EulerLine:
     res["orthic_pole_is_Np"] = point_gap(pole_o, ps.Np)
     res["e_perp_orthic"] = incidence_residual(e, pole_o)
     out.orthic_axis = o
-    out.orthic_pole = pole_o
     out.residuals = res
     return out
 
@@ -488,7 +483,7 @@ def euler_wildberger(cfg: PolarTriangleConfig) -> EulerLine:
 # ---------------------------------------------------------------------------
 
 class NinePointConic:
-    __slots__ = ("conic", "points", "pascal_points", "residuals")
+    __slots__ = ("conic", "points", "residuals")
 
 
 def _nine_point_conic(cfg: PolarTriangleConfig) -> NinePointConic:
@@ -526,15 +521,10 @@ def _nine_point_conic(cfg: PolarTriangleConfig) -> NinePointConic:
     res["eleven_on_conic"] = max(cn.conic_residual(gamma, p) for p in eleven)
     # Pascal line of the hexagon HA NB HC NA HB NC is the Euler line
     hexagon = (cfg.HA, ps.NB, cfg.HC, ps.NA, cfg.HB, ps.NC)
-    pas = []
-    for i in range(3):
-        s1 = join_points(hexagon[i], hexagon[(i + 1) % 6])
-        s2 = join_points(hexagon[(i + 3) % 6], hexagon[(i + 4) % 6])
-        pas.append(meet_lines(s1, s2))
-    res["pascal_on_euler"] = max(incidence_residual(eu.line, p) for p in pas)
+    res["pascal_on_euler"] = max(incidence_residual(eu.line, p)
+                                 for p in pascal_points(hexagon))
     out.conic = gamma
     out.points = nine
-    out.pascal_points = tuple(pas)
     out.residuals = res
     return out
 

@@ -40,7 +40,7 @@ def cmd_verify(args) -> int:
     certs = []
     failed = False
     for tid in ids:
-        fn, geoms, report_only = lab.THEOREMS[tid]
+        _, geoms, report_only = lab.THEOREMS[tid]
         for geometry in _geometries(args.geometry):
             if geometry not in geoms:
                 continue

@@ -34,6 +34,7 @@ from .projective import (
     join_points,
     meet_lines,
     affine_point,
+    pascal_points,
     point_gap,
 )
 from .tolerance import get_tol
@@ -448,12 +449,7 @@ def _chk_pascal(rng, geometry, tol, perturb=0.0):
     pts = [image(t) for t in ths]
     hexagon = [pts[i] for i in (0, 3, 1, 4, 2, 5)]
     hexagon[5] = nudge(hexagon[5], perturb)
-    meets = []
-    for i in range(3):
-        s1 = join_points(hexagon[i], hexagon[(i + 1) % 6])
-        s2 = join_points(hexagon[(i + 3) % 6], hexagon[(i + 4) % 6])
-        meets.append(meet_lines(s1, s2))
-    return collinearity_residual(*meets)
+    return collinearity_residual(*pascal_points(hexagon))
 
 
 def _conic_from_bounded(rng):
@@ -519,7 +515,7 @@ def _chk_midpoint_quadrilateral(rng, geometry, tol, perturb=0.0):
     return ce.midpoint_quadrilateral_residual(mids_a, cfg.mids_b, cfg.mids_c)
 
 
-def _tangent_triangle(rng, model, n_tangent, tol):
+def _tangent_triangle(rng, model, n_tangent):
     """Triangle with n sides tangent to the absolute (hyperbolic only).
 
     All three lines are anchored on the boundary circle (tangency points for
@@ -563,7 +559,7 @@ def _chk_midpoint_quadrilateral_tangent(rng, geometry, tol, perturb=0.0):
         return _chk_midpoint_quadrilateral(rng, geometry, tol, perturb)
     model = model_for(geometry)
     n_tangent = 1 + int(rng.integers(0, 3))
-    got = _tangent_triangle(rng, model, n_tangent, tol)
+    got = _tangent_triangle(rng, model, n_tangent)
     if got is None:
         return None
     A, B, C = got
@@ -682,10 +678,8 @@ def _chk_pascal_hexagon(rng, geometry, tol, perturb=0.0):
         ps = cfg.pseudo()
         eu = cfg.euler()
         hexagon = (cfg.HA, nudge(ps.NB, perturb), cfg.HC, ps.NA, cfg.HB, ps.NC)
-        for i in range(3):
-            s1 = join_points(hexagon[i], hexagon[(i + 1) % 6])
-            s2 = join_points(hexagon[(i + 3) % 6], hexagon[(i + 4) % 6])
-            worst = max(worst, incidence_residual(eu.line, meet_lines(s1, s2)))
+        for p in pascal_points(hexagon):
+            worst = max(worst, incidence_residual(eu.line, p))
     return worst
 
 

@@ -6,7 +6,7 @@ nonzero scale and stored normalized: the largest-modulus component is divided
 out, so residuals of normalized data are directly comparable to the ambient
 tolerance.  Cross ratios are computed by a chart-free determinant formula on
 homogeneous coordinates; the affine-chart evaluation is kept separately as an
-oracle (see theorem_lab).
+oracle (`lab.oracle_cross_ratio`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import (
     DegenerateQuadrangle,
     DegenerateTriple,
     IndeterminateRatio,
-    LineThroughVertex,
     NonRealInput,
     NotCollinear,
     NotConcurrent,
@@ -310,63 +309,31 @@ def separates(a: HPoint, b: HPoint, c: HPoint, d: HPoint, tol=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# 1-dimensional projectivities and involutions on a line
+# involutions on a line
 # ---------------------------------------------------------------------------
 
-def _solve2(a, b, rhs):
-    """Solve [a b] [lam, mu]^T = rhs for column 2-vectors a, b."""
-    det = a[0] * b[1] - a[1] * b[0]
-    if det == 0:
-        raise ChartDegenerate("singular 2x2 system")
-    lam = (rhs[0] * b[1] - rhs[1] * b[0]) / det
-    mu = (a[0] * rhs[1] - a[1] * rhs[0]) / det
-    return lam, mu
-
-
-def projectivity_1d(src, dst):
-    """2x2 matrix of the projectivity sending three source parameter pairs to
-    three destination pairs (entries row-major)."""
-    p1, p2, p3 = src
-    q1, q2, q3 = dst
-    lam, mu = _solve2(p1, p2, p3)
-    lam2, mu2 = _solve2(q1, q2, q3)
-    # columns lam*p1, mu*p2 map the canonical basis; compose dst * src^-1
-    s00, s10 = lam * p1[0], lam * p1[1]
-    s01, s11 = mu * p2[0], mu * p2[1]
-    t00, t10 = lam2 * q1[0], lam2 * q1[1]
-    t01, t11 = mu2 * q2[0], mu2 * q2[1]
-    det = s00 * s11 - s01 * s10
-    if det == 0:
-        raise ChartDegenerate("degenerate source triple")
-    i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
-    return (
-        t00 * i00 + t01 * i10,
-        t00 * i01 + t01 * i11,
-        t10 * i00 + t11 * i10,
-        t10 * i01 + t11 * i11,
-    )
-
-
 class LineInvolution:
-    """A projective involution of a line, stored as a 2x2 matrix acting on
-    the chart of the line that drops its largest-modulus coefficient.
+    """A projective involution of a line, stored as its symmetric form
+
+        B(x, y) = a x0 y0 + b (x0 y1 + x1 y0) + c x1 y1
+
+    on the chart of the line that drops its largest-modulus coefficient.  It
+    sends x to the y with B(x, y) = 0, by the matrix [[-b, -c], [a, b]],
+    whose square is (b^2 - ac) I: every nonzero form is an involution.  Its
+    fixed points are the roots of B(x, x) = 0.
 
     `degenerate` marks the parabolic limit of a quadrangular involution whose
     cutting line passes through a vertex: the matrix is rank one and the two
     fixed points coincide there.
     """
 
-    __slots__ = ("line", "axes", "matrix", "degenerate")
+    __slots__ = ("line", "axes", "form", "degenerate")
 
-    def __init__(self, line: HLine, matrix, degenerate=False):
+    def __init__(self, line: HLine, form, degenerate=False):
         self.line = line
         self.axes = chart_axes(line)
-        self.matrix = matrix
+        self.form = form
         self.degenerate = degenerate
-
-    def param(self, p: HPoint):
-        i, j = self.axes
-        return (p[i], p[j])
 
     def unparam(self, alpha: complex, beta: complex) -> HPoint:
         i, j = self.axes
@@ -378,31 +345,22 @@ class LineInvolution:
         return HPoint(*_normalize(*coords))
 
     def apply(self, p: HPoint) -> HPoint:
-        m00, m01, m10, m11 = self.matrix
-        a, b = self.param(p)
-        return self.unparam(m00 * a + m01 * b, m10 * a + m11 * b)
+        a, b, c = self.form
+        i, j = self.axes
+        x0, x1 = p[i], p[j]
+        return self.unparam(-(b * x0 + c * x1), a * x0 + b * x1)
 
     __call__ = apply
 
-    def involution_residual(self) -> float:
-        """Deviation of matrix^2 from a scalar multiple of the identity."""
-        m00, m01, m10, m11 = self.matrix
-        s00 = m00 * m00 + m01 * m10
-        s01 = m01 * (m00 + m11)
-        s10 = m10 * (m00 + m11)
-        s11 = m11 * m11 + m01 * m10
-        scale = max(abs(s00), abs(s11), 1e-300)
-        return max(abs(s01), abs(s10), abs(s00 - s11)) / scale
-
     def fixed_points(self):
         """The two (possibly coincident, possibly imaginary) fixed points."""
-        m00, m01, m10, m11 = self.matrix
+        a, b, c = self.form
         if self.degenerate:
-            ev = _dominant_eigvec(self.matrix)
-            p = self.unparam(*ev)
+            # rank one: both fixed points are the image, the larger column
+            p = self.unparam(-b, a) if abs(a) >= abs(c) else self.unparam(-c, b)
             return p, p
-        # fixed parameter (1, t): m01 t^2 + (m00 - m11) t - m10 = 0
-        t1, t2 = solve_quadratic(m01, m00 - m11, -m10)
+        # fixed parameter (1, t): c t^2 + 2b t + a = 0
+        t1, t2 = solve_quadratic(c, 2 * b, a)
         pts = []
         for t in (t1, t2):
             if t == INF:
@@ -410,14 +368,6 @@ class LineInvolution:
             else:
                 pts.append(self.unparam(1.0, t))
         return pts[0], pts[1]
-
-
-def _dominant_eigvec(m):
-    m00, m01, m10, m11 = m
-    # rank-one matrix: any nonzero column spans the image
-    if max(abs(m00), abs(m10)) >= max(abs(m01), abs(m11)):
-        return (m00, m10)
-    return (m01, m11)
 
 
 def solve_quadratic(a, b, c):
@@ -446,35 +396,26 @@ def solve_quadratic(a, b, c):
 def involution_from_pairs(line: HLine, pair1, pair2, tol=None) -> LineInvolution:
     """The involution of `line` swapping pair1 = (P, P') and pair2 = (Q, Q').
 
-    Fitted as the projectivity P -> P', P' -> P, Q -> Q'; a projectivity with
-    one 2-cycle is automatically an involution, so Q' -> Q comes for free (it
-    is asserted to the ambient tolerance).
+    B(P, P') = 0 and B(Q, Q') = 0 are two linear conditions on the form
+    (a, b, c); its coefficients are the cross product of their rows.  A pair
+    (F, F) makes F a fixed point.  ChartDegenerate is raised when the rows
+    are parallel to tol, as for the same pair given twice.
     """
     t = get_tol() if tol is None else tol
     i, j = chart_axes(line)
-    p, p2 = pair1
-    q, q2 = pair2
-    src = ((p[i], p[j]), (p2[i], p2[j]), (q[i], q[j]))
-    dst = ((p2[i], p2[j]), (p[i], p[j]), (q2[i], q2[j]))
-    m = projectivity_1d(src, dst)
-    inv = LineInvolution(line, m)
-    if inv.involution_residual() > 1e3 * t:
-        raise ChartDegenerate("fitted projectivity is not an involution")
-    return inv
+    rows = []
+    for p, p2 in (pair1, pair2):
+        x0, x1, y0, y1 = p[i], p[j], p2[i], p2[j]
+        rows.append((x0 * y0, x0 * y1 + x1 * y0, x1 * y1))
+    form = _cross_apart(rows[0], rows[1], t)
+    if form is None:
+        raise ChartDegenerate("the two pairs do not determine an involution")
+    return LineInvolution(line, form)
 
 
 def harmonic_involution(line: HLine, f1: HPoint, f2: HPoint) -> LineInvolution:
     """Harmonic conjugacy on `line` with respect to fixed points f1, f2."""
-    i, j = chart_axes(line)
-    a = (f1[i], f1[j])
-    b = (f2[i], f2[j])
-    # matrix with eigenvectors a, b and eigenvalues +1, -1
-    det = a[0] * b[1] - a[1] * b[0]
-    m00 = (a[0] * b[1] + a[1] * b[0]) / det
-    m01 = (-2 * a[0] * b[0]) / det
-    m10 = (2 * a[1] * b[1]) / det
-    m11 = -(a[0] * b[1] + a[1] * b[0]) / det
-    return LineInvolution(line, (m00, m01, m10, m11))
+    return involution_from_pairs(line, (f1, f1), (f2, f2))
 
 
 # ---------------------------------------------------------------------------
@@ -516,30 +457,34 @@ def diagonal_triangle(q: Quadrangle):
     return q.diagonal_points()
 
 
-def quadrangular_involution(q: Quadrangle, line: HLine, tol=None,
-                            strict=False) -> LineInvolution:
+def pascal_points(hexagon):
+    """The three meets of opposite sides of a hexagon: side i, from vertex i
+    to i + 1, against side i + 3, for i = 0, 1, 2.  By Pascal they are
+    collinear when the six vertices lie on a conic."""
+    meets = []
+    for i in range(3):
+        s1 = join_points(hexagon[i], hexagon[(i + 1) % 6])
+        s2 = join_points(hexagon[(i + 3) % 6], hexagon[(i + 4) % 6])
+        meets.append(meet_lines(s1, s2))
+    return meets
+
+
+def quadrangular_involution(q: Quadrangle, line: HLine, tol=None) -> LineInvolution:
     """The involution the three pairs of opposite sides of `q` cut on `line`.
 
-    A vertex on the line is a parabolic limit: that vertex becomes the double
-    point and the returned involution is flagged degenerate (rank-one
-    matrix with both image and kernel at the vertex).
+    A vertex v on the line is a parabolic limit: v becomes the double point
+    and the returned involution is flagged degenerate.  Its form is
+    (v_j x0 - v_i x1)(v_j y0 - v_i y1) in the chart (i, j), so the matrix is
+    rank one with both image and kernel at v.
     """
     t = get_tol() if tol is None else tol
-    on_vertex = None
     for v in q.vertices:
         if incidence_residual(line, v) <= t:
-            on_vertex = v
-            break
-    if on_vertex is not None:
-        if strict:
-            raise LineThroughVertex("cutting line passes through a vertex")
-        i, j = chart_axes(line)
-        a, b = on_vertex[i], on_vertex[j]
-        # rank-one limit with image and kernel both at the vertex
-        m = (a * b, -a * a, b * b, -a * b)
-        return LineInvolution(line, m, degenerate=True)
+            i, j = chart_axes(line)
+            vi, vj = v[i], v[j]
+            return LineInvolution(line, (vj * vj, -vi * vj, vi * vi),
+                                  degenerate=True)
     pairs = []
     for s1, s2 in q.opposite_side_pairs():
         pairs.append((meet_lines(s1, line), meet_lines(s2, line)))
-    inv = involution_from_pairs(line, pairs[0], pairs[1], tol=t)
-    return inv
+    return involution_from_pairs(line, pairs[0], pairs[1], tol=t)

@@ -59,7 +59,7 @@ class MenelausConfig:
     """Triangle xyz with transversals r, s and the nine labeled intersection
     points (the meet of the transversals is not used)."""
 
-    __slots__ = ("x", "y", "z", "r", "s",
+    __slots__ = ("x", "y", "z", "s",
                  "X", "Y", "Z", "X0", "Y0", "Z0", "X1", "Y1", "Z1")
 
     def __init__(self, x, y, z, r, s, tol=None):
@@ -71,7 +71,7 @@ class MenelausConfig:
                     if concurrency_residual(lines[i], lines[j], lines[k]) <= t:
                         raise GeneralPositionViolation(
                             f"lines {i},{j},{k} are concurrent")
-        self.x, self.y, self.z, self.r, self.s = lines
+        self.x, self.y, self.z, self.s = x, y, z, s
         self.X = meet_lines(y, z)
         self.Y = meet_lines(z, x)
         self.Z = meet_lines(x, y)
@@ -382,9 +382,8 @@ def cosine_split_lemma(cfg: PolarTriangleConfig, x: HPoint | None = None):
 # Carnot machinery
 # ---------------------------------------------------------------------------
 
-def carnot_product(X, Y, Z, X0, Y0, Z0, X1, X2, Y1, Y2, Z1, Z2, tol=None) -> complex:
+def carnot_product(X, Y, Z, X0, Y0, Z0, X1, X2, Y1, Y2, Z1, Z2) -> complex:
     """(XYZ0Z1)(XYZ0Z2)(YZX0X1)(YZX0X2)(ZXY0Y1)(ZXY0Y2)."""
-    t = get_tol() if tol is None else tol
     z = join_points(X, Y)
     x = join_points(Y, Z)
     y = join_points(Z, X)
@@ -416,7 +415,7 @@ def carnot_projective_residual(X, Y, Z, conic: cn.Conic, transversal: HLine,
     X0 = meet_lines(x, transversal)
     Y0 = meet_lines(y, transversal)
     Z0 = meet_lines(z, transversal)
-    prod = carnot_product(X, Y, Z, X0, Y0, Z0, X1, X2, Y1, Y2, Z1, Z2, tol=t)
+    prod = carnot_product(X, Y, Z, X0, Y0, Z0, X1, X2, Y1, Y2, Z1, Z2)
     return abs(prod - 1.0), (X1, X2, Y1, Y2, Z1, Z2)
 
 
@@ -431,7 +430,7 @@ def carnot_conjugate(model, X: HPoint, Y: HPoint, w: HPoint, tol=None) -> HPoint
 
 class CarnotCosines:
     __slots__ = ("identity_residual", "concurrency_residual",
-                 "classification", "Dstar")
+                 "classification")
 
 
 def carnot_cosines(cfg: PolarTriangleConfig, Astar, Bstar, Cstar, tol=None):
@@ -454,7 +453,6 @@ def carnot_cosines(cfg: PolarTriangleConfig, Astar, Bstar, Cstar, tol=None):
         ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)), (Astar, Bstar, Cstar)))
     hstar = meet_lines(bstar, cstar)
     dstar = meet_lines(cfg.a, join_points(cfg.Ap, hstar))
-    out.Dstar = dstar
     if points_equal(Astar, dstar, 1e-6):
         out.classification = "concurrent"
     else:
@@ -687,7 +685,7 @@ def _pick_on_line(pair, line, t):
     return pair[0] if r0 <= r1 else pair[1]
 
 
-def _solve_complementary(comp_pairs, magics, t):
+def _solve_complementary(comp_pairs, magics):
     """Choices (g, h, i) of complementary midpoints such that the magic
     midpoints lie on HI, IG and GH respectively."""
     (gp, hp, ip) = comp_pairs
@@ -727,11 +725,11 @@ def coherent_orientation(cfg: PolarTriangleConfig) -> OrientedTriangleConfig:
             if collinearity_residual(mD, mE, mF) <= 1e3 * t:
                 continue
             sol = _solve_complementary((comp[0], comp[1], comp[2]),
-                                       (mD, mE, mF), t)
+                                       (mD, mE, mF))
             if sol is None:
                 continue
             sol_d = _solve_complementary((compd[0], compd[1], compd[2]),
-                                         (mD, mE, mF), t)
+                                         (mD, mE, mF))
             if sol_d is None:
                 continue
             return OrientedTriangleConfig(
