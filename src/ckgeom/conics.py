@@ -21,7 +21,7 @@ from .projective import (
     HPoint,
     Quadrangle,
     _cross_apart,
-    _normalize,
+    _normalized,
     cross,
     cross_ratio,
     dot,
@@ -29,10 +29,10 @@ from .projective import (
     hline,
     hpoint,
     incidence_residual,
+    involution_from_pairs,
     join_points,
     meet_lines,
     point_gap,
-    quadrangular_involution,
     solve_quadratic,
     triple_eq,
 )
@@ -170,16 +170,16 @@ def point_on_conic(phi: Conic, p, tol=None) -> bool:
 def polar(phi: Conic, p: HPoint) -> HLine:
     if phi.is_degenerate():
         raise DegenerateConic("polar needs a nondegenerate conic")
-    return HLine(*_normalize(*phi.apply(p)))
+    x, y, z = phi.apply(p)
+    return _normalized(HLine, x, y, z)
 
 
 def pole(phi: Conic, line: HLine) -> HPoint:
     if phi.is_degenerate():
         raise DegenerateConic("pole needs a nondegenerate conic")
     adj = phi.adjugate()
-    return HPoint(*_normalize(
-        dot(adj[0], line), dot(adj[1], line), dot(adj[2], line)
-    ))
+    return _normalized(HPoint, dot(adj[0], line), dot(adj[1], line),
+                       dot(adj[2], line))
 
 
 def lines_conjugate(phi: Conic, a: HLine, b: HLine, tol=None) -> bool:
@@ -295,7 +295,8 @@ def conjugate_point(phi: Conic, q: HPoint, line: HLine, tol=None) -> HPoint:
     if point_gap(line, pol) <= 1e3 * t:
         # polar of Q is the line itself: Q is the contact point of a tangent
         raise TangentLine("line is tangent to the conic at Q")
-    return HPoint(*_normalize(*cross(line, pol)))
+    x, y, z = cross(line, pol)
+    return _normalized(HPoint, x, y, z)
 
 
 def conjugate_line(phi: Conic, q: HLine, p: HPoint, tol=None) -> HLine:
@@ -384,7 +385,7 @@ def _pencil_cross_ratio(theta: Conic, quad, k: int, t) -> complex:
     lines = []
     for j, p in enumerate(quad):
         w = None if j == k else _cross_apart(v, p, t)
-        lines.append(tangent if w is None else HLine(*_normalize(*w)))
+        lines.append(tangent if w is None else _normalized(HLine, w[0], w[1], w[2]))
     return cross_ratio(*lines, carrier=v, tol=t)
 
 
@@ -434,20 +435,20 @@ def eleven_point_conic(q: Quadrangle, line: HLine, tol=None):
     (diagonal points and harmonic conjugates); I and J are verified members.
     """
     t = get_tol() if tol is None else tol
-    for v in q.vertices:
+    vs = q.vertices
+    for v in vs:
         if incidence_residual(line, v) <= t:
             raise LineThroughVertex("eleven-point conic needs l off the vertices")
-    sigma = quadrangular_involution(q, line, tol=t)
-    fixed = sigma.fixed_points()
-    diag = q.diagonal_points()
-    harmonics = []
-    for (i1, j1), (i2, j2) in Quadrangle.OPPOSITE:
-        for (ia, ib) in ((i1, j1), (i2, j2)):
-            side = q.side(ia, ib)
-            trace = meet_lines(side, line)
-            harmonics.append(
-                harmonic_conjugate(q.vertices[ia], q.vertices[ib], trace, tol=t)
-            )
-    members = list(diag) + harmonics
+    # each side and its trace once, opposite sides adjacent
+    ends = [e for pair in Quadrangle.OPPOSITE for e in pair]
+    sides = [q.side(i, j) for i, j in ends]
+    traces = [meet_lines(side, line) for side in sides]
+    # the pairs `quadrangular_involution` uses; no vertex lies on the line
+    fixed = involution_from_pairs(line, traces[0:2], traces[2:4],
+                                  tol=t).fixed_points()
+    diag = [meet_lines(sides[k], sides[k + 1]) for k in (0, 2, 4)]
+    harmonics = [harmonic_conjugate(vs[i], vs[j], trace, tol=t)
+                 for (i, j), trace in zip(ends, traces)]
+    members = diag + harmonics
     conic = conic_fit(members, tol=t)
     return conic, tuple(list(fixed) + members)

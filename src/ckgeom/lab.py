@@ -484,16 +484,14 @@ def _chk_pappus_involution(rng, geometry, tol, perturb=0.0):
         sigma = quadrangular_involution(q, line)
     except GeometryError:
         return None
-    pairs = []
-    for s1, s2 in q.opposite_side_pairs():
-        pairs.append((meet_lines(s1, line), meet_lines(s2, line)))
-    x3, y3 = pairs[2]
-    x3 = nudge(x3, perturb)
+    # sigma is fixed by the first two pairs of opposite sides; the third
+    # pair, side 03 against side 12, must be swapped too
+    x3 = nudge(meet_lines(q.side(0, 3), line), perturb)
+    y3 = meet_lines(q.side(1, 2), line)
     res = point_gap(sigma.apply(x3), y3)
     # involutivity spot check on the first trace
-    res = max(res, point_gap(sigma.apply(sigma.apply(pairs[0][0])),
-                             pairs[0][0]))
-    return res
+    x1 = meet_lines(q.side(0, 1), line)
+    return max(res, point_gap(sigma.apply(sigma.apply(x1)), x1))
 
 
 def _cfg_kind_cycle(geometry, trial_hint=0):

@@ -27,7 +27,7 @@ from .errors import (
 from .projective import (
     HLine,
     HPoint,
-    _normalize,
+    _normalized,
     dot,
     cross_ratio,
     is_real_triple,
@@ -210,10 +210,10 @@ def midpoints(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
     s = ra + rb
     k = dot(phi.apply(d), (a[0] + b[0], a[1] + b[1], a[2] + b[2])) / s
     return sort_point_pair(
-        HPoint(*_normalize(s * a[0] + ra * d[0], s * a[1] + ra * d[1],
-                           s * a[2] + ra * d[2])),
-        HPoint(*_normalize(k * a[0] - ra * d[0], k * a[1] - ra * d[1],
-                           k * a[2] - ra * d[2])),
+        _normalized(HPoint, s * a[0] + ra * d[0], s * a[1] + ra * d[1],
+                    s * a[2] + ra * d[2]),
+        _normalized(HPoint, k * a[0] - ra * d[0], k * a[1] - ra * d[1],
+                    k * a[2] - ra * d[2]),
     )
 
 
@@ -234,11 +234,8 @@ def point_symmetry(model: ModelGeometry, center: HPoint, p: HPoint,
     qc = dot(q, center)
     qp = dot(q, p)
     lam = 2.0 * qp / qc
-    return HPoint(*_normalize(
-        p[0] - lam * center[0],
-        p[1] - lam * center[1],
-        p[2] - lam * center[2],
-    ))
+    return _normalized(HPoint, p[0] - lam * center[0], p[1] - lam * center[1],
+                       p[2] - lam * center[2])
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ involutions on a line, and quadrangle machinery.
 
 Points and lines are immutable triples of complex doubles, identified up to a
 nonzero scale and stored normalized: the largest-modulus component is divided
-out, so residuals of normalized data are directly comparable to the ambient
-tolerance.  Cross ratios are computed by a chart-free determinant formula on
-homogeneous coordinates; the affine-chart evaluation is kept separately as an
-oracle (`lab.oracle_cross_ratio`).
+out (it reads 1 + 0j for real input, 1 + i*delta with |delta| <= eps for
+complex), so residuals of normalized data are directly comparable to the
+ambient tolerance.  Cross ratios are chart-free, in bracket form
+(ABCD) = [AC][BD] / ([BC][AD]) at the carrier's largest component, equal bit
+for bit to the chart determinants (see `cross_ratio`); the affine-chart
+evaluation is kept separately as an oracle (`lab.oracle_cross_ratio`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ class HLine(NamedTuple):
     w: complex
 
 
-def _normalize(x: complex, y: complex, z: complex):
+def _normalized(cls, x, y, z):
+    """cls(x, y, z) divided by its largest-modulus component; no namedtuple
+    constructor call."""
     ax, ay, az = abs(x), abs(y), abs(z)
     m = ax
     c = x
@@ -55,15 +59,15 @@ def _normalize(x: complex, y: complex, z: complex):
         raise ValueError("zero homogeneous triple")
     if not (m == m and m < math.inf):
         raise ValueError("non-finite homogeneous triple")
-    return x / c, y / c, z / c
+    return tuple.__new__(cls, (x / c, y / c, z / c))
 
 
 def hpoint(x, y, z) -> HPoint:
-    return HPoint(*_normalize(complex(x), complex(y), complex(z)))
+    return _normalized(HPoint, complex(x), complex(y), complex(z))
 
 
 def hline(u, v, w) -> HLine:
-    return HLine(*_normalize(complex(u), complex(v), complex(w)))
+    return _normalized(HLine, complex(u), complex(v), complex(w))
 
 
 def affine_point(x, y) -> HPoint:
@@ -137,14 +141,14 @@ def join_points(p: HPoint, q: HPoint, tol=None) -> HLine:
     c = _cross_apart(p, q, get_tol() if tol is None else tol)
     if c is None:
         raise CoincidentPoints(f"join of coincident points {p} and {q}")
-    return HLine(*_normalize(*c))
+    return _normalized(HLine, c[0], c[1], c[2])
 
 
 def meet_lines(a: HLine, b: HLine, tol=None) -> HPoint:
     c = _cross_apart(a, b, get_tol() if tol is None else tol)
     if c is None:
         raise CoincidentLines(f"meet of coincident lines {a} and {b}")
-    return HPoint(*_normalize(*c))
+    return _normalized(HPoint, c[0], c[1], c[2])
 
 
 def det3(a, b, c) -> complex:
@@ -188,18 +192,20 @@ def line_through(a, b, c, d, tol):
     p0, p1, p2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
     q0, q1, q2 = a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0
     r0, r1, r2 = a1 * d2 - a2 * d1, a2 * d0 - a0 * d2, a0 * d1 - a1 * d0
-    np2 = abs(p0) ** 2 + abs(p1) ** 2 + abs(p2) ** 2
-    nq2 = abs(q0) ** 2 + abs(q1) ** 2 + abs(q2) ** 2
-    nr2 = abs(r0) ** 2 + abs(r1) ** 2 + abs(r2) ** 2
+    pm0, pm1, pm2 = abs(p0), abs(p1), abs(p2)
+    qm0, qm1, qm2 = abs(q0), abs(q1), abs(q2)
+    rm0, rm1, rm2 = abs(r0), abs(r1), abs(r2)
+    np2 = pm0 * pm0 + pm1 * pm1 + pm2 * pm2
+    nq2 = qm0 * qm0 + qm1 * qm1 + qm2 * qm2
+    nr2 = rm0 * rm0 + rm1 * rm1 + rm2 * rm2
     if np2 >= nq2 and np2 >= nr2:
-        u0, u1, u2, n2, e, f = p0, p1, p2, np2, c, d
+        u0, u1, u2, n2, m0, m1, m2, e, f = p0, p1, p2, np2, pm0, pm1, pm2, c, d
     elif nq2 >= nr2:
-        u0, u1, u2, n2, e, f = q0, q1, q2, nq2, b, d
+        u0, u1, u2, n2, m0, m1, m2, e, f = q0, q1, q2, nq2, qm0, qm1, qm2, b, d
     else:
-        u0, u1, u2, n2, e, f = r0, r1, r2, nr2, b, c
+        u0, u1, u2, n2, m0, m1, m2, e, f = r0, r1, r2, nr2, rm0, rm1, rm2, b, c
     if not n2 > tol * tol:
         raise DegenerateTriple("points do not span a line")
-    m0, m1, m2 = abs(u0), abs(u1), abs(u2)
     if m0 >= m1 and m0 >= m2:
         axes, m = (1, 2), m0
     elif m1 >= m2:
@@ -231,22 +237,63 @@ def cross_ratio(a, b, c, d, carrier=None, tol=None):
 
     `carrier` is the common line (resp. point); a given carrier is trusted,
     and only picks the chart.  When omitted it is the longest of A x B,
-    A x C and A x D (see `line_through`), and the inputs must lie on it to
+    A x C and A x D, as in `line_through`, and the inputs must lie on it to
     1e3 * tol, measured relative to its largest component, or NotCollinear
     is raised.
-    Chart-free: evaluated from 2x2 determinants of homogeneous coordinates.
+
+    Bracket form (ABCD) = [AC][BD] / ([BC][AD]), where [PQ] = p_i q_j - p_j q_i
+    on the chart (i, j) of `chart_axes`, which drops the carrier's largest
+    component k: [PQ] is +-(P x Q)_k formed from the same products.  For
+    k = 0, 2 the carrierless path reuses (A x C)_k and (A x D)_k from the
+    carrier choice; for k = 1 it forms the brackets in the chart's order,
+    as -(A x C)_1 would flip the sign of a zero.  So the value equals the
+    chart evaluation bit for bit.
     """
     t = get_tol() if tol is None else tol
     if carrier is None:
-        _, (i, j), rmax = line_through(a, b, c, d, t)
+        # `line_through` inlined: the same carrier, tie order and residual
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        c0, c1, c2 = c
+        d0, d1, d2 = d
+        p0, p1, p2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        q0, q1, q2 = a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0
+        r0, r1, r2 = a1 * d2 - a2 * d1, a2 * d0 - a0 * d2, a0 * d1 - a1 * d0
+        pm0, pm1, pm2 = abs(p0), abs(p1), abs(p2)
+        qm0, qm1, qm2 = abs(q0), abs(q1), abs(q2)
+        rm0, rm1, rm2 = abs(r0), abs(r1), abs(r2)
+        np2 = pm0 * pm0 + pm1 * pm1 + pm2 * pm2
+        nq2 = qm0 * qm0 + qm1 * qm1 + qm2 * qm2
+        nr2 = rm0 * rm0 + rm1 * rm1 + rm2 * rm2
+        if np2 >= nq2 and np2 >= nr2:
+            u0, u1, u2, n2, m0, m1, m2, e, f = p0, p1, p2, np2, pm0, pm1, pm2, c, d
+        elif nq2 >= nr2:
+            u0, u1, u2, n2, m0, m1, m2, e, f = q0, q1, q2, nq2, qm0, qm1, qm2, b, d
+        else:
+            u0, u1, u2, n2, m0, m1, m2, e, f = r0, r1, r2, nr2, rm0, rm1, rm2, b, c
+        if not n2 > t * t:
+            raise DegenerateTriple("points do not span a line")
+        if m0 >= m1 and m0 >= m2:
+            m, ac, ad, bc, bd = m0, q0, r0, b1 * c2 - b2 * c1, b1 * d2 - b2 * d1
+        elif m1 >= m2:
+            m, ac, ad = m1, a0 * c2 - a2 * c0, a0 * d2 - a2 * d0
+            bc, bd = b0 * c2 - b2 * c0, b0 * d2 - b2 * d0
+        else:
+            m, ac, ad, bc, bd = m2, q2, r2, b0 * c1 - b1 * c0, b0 * d1 - b1 * d0
+        re = abs(u0 * e[0] + u1 * e[1] + u2 * e[2])
+        rf = abs(u0 * f[0] + u1 * f[1] + u2 * f[2])
+        rmax = (re if re >= rf else rf) / m
         if rmax > 1e3 * t:
             raise NotCollinear(f"inputs not incident with a common carrier (residual {rmax:.3g})")
     else:
-        i, j = chart_axes(carrier)
-    ai, aj, bi, bj = a[i], a[j], b[i], b[j]
-    ci, cj, di, dj = c[i], c[j], d[i], d[j]
-    num = (ai * cj - aj * ci) * (bi * dj - bj * di)
-    den = (bi * cj - bj * ci) * (ai * dj - aj * di)
+        # `chart_axes` inlined
+        m0, m1, m2 = abs(carrier[0]), abs(carrier[1]), abs(carrier[2])
+        i, j = (1, 2) if m0 >= m1 and m0 >= m2 else (0, 2) if m1 >= m2 else (0, 1)
+        ai, aj, bi, bj, ci, cj, di, dj = a[i], a[j], b[i], b[j], c[i], c[j], d[i], d[j]
+        ac, bd = ai * cj - aj * ci, bi * dj - bj * di
+        bc, ad = bi * cj - bj * ci, ai * dj - aj * di
+    num = ac * bd
+    den = bc * ad
     if abs(den) <= t:
         if abs(num) <= t:
             raise IndeterminateRatio("cross ratio 0/0 coincidence pattern")
@@ -254,8 +301,7 @@ def cross_ratio(a, b, c, d, carrier=None, tol=None):
     return num / den
 
 
-def cross_ratio_points(a: HPoint, b: HPoint, c: HPoint, d: HPoint, tol=None):
-    return cross_ratio(a, b, c, d, tol=tol)
+cross_ratio_points = cross_ratio
 
 
 def cross_ratio_lines(a: HLine, b: HLine, c: HLine, d: HLine, tol=None):
@@ -280,12 +326,8 @@ def harmonic_conjugate(a: HPoint, b: HPoint, c: HPoint, tol=None) -> HPoint:
     d_ac = a[i] * c[j] - a[j] * c[i]
     d_bc = b[i] * c[j] - b[j] * c[i]
     # solve (ABCD) = -1, linear in D:  D = [AC]*B + [BC]*A
-    d = (
-        d_ac * b[0] + d_bc * a[0],
-        d_ac * b[1] + d_bc * a[1],
-        d_ac * b[2] + d_bc * a[2],
-    )
-    return HPoint(*_normalize(*d))
+    return _normalized(HPoint, d_ac * b[0] + d_bc * a[0],
+                       d_ac * b[1] + d_bc * a[1], d_ac * b[2] + d_bc * a[2])
 
 
 def separates(a: HPoint, b: HPoint, c: HPoint, d: HPoint, tol=None) -> bool:
@@ -342,7 +384,7 @@ class LineInvolution:
         coords[i] = alpha
         coords[j] = beta
         coords[k] = -(self.line[i] * alpha + self.line[j] * beta) / self.line[k]
-        return HPoint(*_normalize(*coords))
+        return _normalized(HPoint, coords[0], coords[1], coords[2])
 
     def apply(self, p: HPoint) -> HPoint:
         a, b, c = self.form
@@ -470,7 +512,8 @@ def pascal_points(hexagon):
 
 
 def quadrangular_involution(q: Quadrangle, line: HLine, tol=None) -> LineInvolution:
-    """The involution the three pairs of opposite sides of `q` cut on `line`.
+    """The involution the three pairs of opposite sides of `q` cut on `line`,
+    fixed by the first two pairs.
 
     A vertex v on the line is a parabolic limit: v becomes the double point
     and the returned involution is flagged degenerate.  Its form is
@@ -484,7 +527,6 @@ def quadrangular_involution(q: Quadrangle, line: HLine, tol=None) -> LineInvolut
             vi, vj = v[i], v[j]
             return LineInvolution(line, (vj * vj, -vi * vj, vi * vi),
                                   degenerate=True)
-    pairs = []
-    for s1, s2 in q.opposite_side_pairs():
-        pairs.append((meet_lines(s1, line), meet_lines(s2, line)))
-    return involution_from_pairs(line, pairs[0], pairs[1], tol=t)
+    pair1, pair2 = ((meet_lines(q.side(*e1), line), meet_lines(q.side(*e2), line))
+                    for e1, e2 in q.OPPOSITE[:2])
+    return involution_from_pairs(line, pair1, pair2, tol=t)

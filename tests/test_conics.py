@@ -441,6 +441,41 @@ def test_eleven_point_conic_members(rng):
         assert max(cn.conic_residual(fit, p) for p in eleven) < 1e-8
 
 
+def test_eleven_point_conic_forms_each_side_once(rng, monkeypatch):
+    # six sides and their six traces, three diagonal points, and the join
+    # inside each of the six harmonic conjugates; the quadrangular involution
+    # cuts only the two pairs it is fixed by
+    calls = {"join_points": 0, "meet_lines": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(pj, name))
+        for mod in (pj, cn):
+            monkeypatch.setattr(mod, name, wrapper)
+    line = join_points(affine_point(4, 1), affine_point(1, 5))
+    checked = 0
+    for _ in range(20):
+        try:
+            q = Quadrangle(*(interior_point(rng, 1.3) for _ in range(4)))
+        except errors.GeometryError:
+            continue
+        for name in calls:
+            calls[name] = 0
+        cn.eleven_point_conic(q, line)
+        assert calls["join_points"] <= 12 and calls["meet_lines"] <= 9
+        for name in calls:
+            calls[name] = 0
+        pj.quadrangular_involution(q, line)
+        assert calls == {"join_points": 4, "meet_lines": 4}
+        checked += 1
+    assert checked >= 15
+
+
 def test_eleven_point_conic_line_through_vertex(rng):
     pts = [affine_point(0, 0), affine_point(1, 0.2),
            affine_point(0.8, 1.1), affine_point(-0.2, 0.9)]

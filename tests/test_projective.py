@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ckgeom import conics as cn
 from ckgeom import errors
+from ckgeom import metric as mt
 from ckgeom import projective as pj
 from ckgeom.projective import (
     INF,
+    HLine,
+    HPoint,
     Quadrangle,
     affine_point,
     cross_ratio_lines,
@@ -25,6 +29,7 @@ from ckgeom.projective import (
     quadrangular_involution,
     separates,
 )
+from ckgeom.tolerance import get_tol
 
 X_AXIS = hline(0, 1, 0)
 
@@ -155,20 +160,72 @@ def _collinear_quadruple(rng, complex_coords):
 
 
 @pytest.mark.parametrize("complex_coords", [False, True])
+def test_constructors_return_normalized_triples(rng, complex_coords):
+    # the contract of the module docstring: every constructor returns exactly
+    # HPoint or HLine, divided by its largest-modulus component.  Complex
+    # division leaves c / c = 1 + i*delta with |delta| <= eps, and 1 + 0j
+    # exactly for real c; midpoints of real points may be imaginary
+    def z():
+        if complex_coords:
+            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return rng.uniform(-1, 1)
+
+    def normalized(cls, v, real=not complex_coords):
+        assert type(v) is cls
+        top = max(v, key=abs)
+        assert top.real == 1.0 and abs(top.imag) <= 2.0 ** -52
+        if real:
+            assert top == 1 + 0j
+        return v
+
+    phi = cn.Conic(*(z() for _ in range(6)))
+    models = (mt.hyperbolic_model(), mt.elliptic_model())
+    built = 0
+    for _ in range(200):
+        p = normalized(HPoint, hpoint(z(), z(), z()))
+        q = normalized(HPoint, hpoint(z(), z(), z()))
+        line = normalized(HLine, hline(z(), z(), z()))
+        try:
+            pq = normalized(HLine, join_points(p, q))
+            normalized(HPoint, meet_lines(pq, line))
+            normalized(HLine, cn.polar(phi, p))
+            normalized(HPoint, cn.pole(phi, line))
+            normalized(HPoint, cn.conjugate_point(phi, p, pq))
+            for model in models:
+                for m in mt.midpoints(model, p, q):
+                    normalized(HPoint, m, real=False)
+                normalized(HPoint, mt.point_symmetry(model, p, q))
+        except errors.GeometryError:
+            continue
+        built += 1
+    assert built >= 190
+
+
+def _bits(z):
+    """The exact bits of a complex number, the signs of zeros included."""
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("complex_coords", [False, True])
 def test_carrierless_cross_ratio_matches_explicit_carrier(rng, complex_coords):
-    # the carrier only selects the chart axes, so both paths evaluate the
-    # same 2x2 determinants and agree bit for bit
+    # the carrier only selects the chart axes, so the bracket form of the
+    # carrierless path and the chart determinants of a given carrier agree
+    # bit for bit, down to the sign of a zero imaginary part
     checked = 0
+    dropped = set()
     for _ in range(300):
         a, b, c, d = _collinear_quadruple(rng, complex_coords)
         try:
             r = pj.cross_ratio(a, b, c, d)
         except errors.GeometryError:
             continue
-        assert r == pj.cross_ratio(a, b, c, d, carrier=join_points(a, b))
-        assert r == pj.cross_ratio(a, b, c, d, carrier=join_points(c, d))
+        carrier = pj.line_through(a, b, c, d, get_tol())[0]
+        for explicit in (carrier, join_points(a, b), join_points(c, d)):
+            assert _bits(r) == _bits(pj.cross_ratio(a, b, c, d, carrier=explicit))
+        dropped.add(3 - sum(pj.chart_axes(carrier)))
         checked += 1
     assert checked >= 250
+    assert dropped == {0, 1, 2}
 
 
 @pytest.mark.parametrize("pts, carrier", [
