@@ -4,20 +4,22 @@ A PolarTriangleConfig is built from a triangle ABC in general position with
 respect to the absolute conic.  The build keeps eager only what can reject
 a scene, or what every draw reads: the general-position checks, the sides,
 the polar sides and polar vertices, the distinctness of the six vertices
-and the conjugate side pairs.  The other named objects of the center
-theorems (conjugate points and lines, altitudes/orthocenter/feet, the
-midpoint pairs of all six sides and the chosen midpoints) are derived on
-first read, one group at a time, so a theorem pays only for the groups it
-reads: the squared trigonometric identities read none of them.  Each group
-is a pure function of the eager slots, so reading it early or late gives
-the same floats.  Nor can a group reject a scene the eager build accepted,
-which would change what a certificate counts: the midpoint groups test
-their endpoints against the absolute and each other exactly as the eager
-checks do, at the same tol, and tests pin that no group raises on drawn
-scenes of every kind.  The isosceles flags and the center operations
-(classical centers, pseudo centers, Euler line, nine-point conic) are
-computed once on demand and cached so all downstream residual checks
-reference identical coordinates.
+and the conjugate side pairs.  Everything else is derived one way: on first
+read, one group of slots at a time, by the groups of `_DERIVED`, so a
+theorem pays only for the groups it reads and every check reads the same
+coordinates.  Each group is a pure function of the eager slots, so reading
+it early or late gives the same floats.  Two contracts:
+
+* the five incidence groups (conjugate points and lines, the orthic objects,
+  the midpoint pairs of all six sides, the chosen midpoints) never raise on
+  a scene the eager build accepted, which would change what a certificate
+  counts: the midpoint groups test their endpoints exactly as the eager
+  checks do, at the same tol, and tests pin this on drawn scenes of every
+  kind;
+* the isosceles flags, the complementary midpoint pairs, the magic triangle
+  and the center reports (read through `classical()`, `pseudo()`, `euler()`
+  and `nine_point()`) may raise `GeometryError`.  A raise leaves the slot
+  unset, so the next read raises again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 
 from . import conics as cn
 from . import metric as mt
-from .errors import GeneralPositionViolation
+from .errors import GeneralPositionViolation, GeometryError
 from .projective import (
     HLine,
     Quadrangle,
@@ -45,12 +47,11 @@ from .tolerance import get_tol
 
 
 class PolarTriangleConfig:
-    """A triangle, its polar triangle and their incidence objects.
+    """A triangle, its polar triangle and what they derive.
 
     Eager: model, tol, A/B/C, the sides a/b/c, the polars ap/bp/cp, the
-    poles Ap/Bp/Cp and conjugate_side_pairs.  Derived on first read by the
-    groups of `_DERIVED`: Ab..Cb; aB..cB, A0/B0/C0, ha/hb/hc, H, h,
-    HA/HB/HC and A1/B1/C1; mids_a/b/c; mids_ap/bp/cp; and D..Fcp.
+    poles Ap/Bp/Cp and conjugate_side_pairs.  Every other slot is filled on
+    first read by its group in `_DERIVED`, under the module's two contracts.
     """
 
     __slots__ = (
@@ -66,7 +67,8 @@ class PolarTriangleConfig:
         "ha", "hb", "hc", "H", "h", "HA", "HB", "HC",
         "A1", "B1", "C1",
         "conjugate_side_pairs",
-        "_cache",
+        "iso_flags", "complementary", "complementary_dual", "magic",
+        "_classical", "_pseudo", "_euler", "_nine_point",
     )
 
     def __init__(self, model, A, B, C, tol=None):
@@ -74,7 +76,6 @@ class PolarTriangleConfig:
         self.tol = get_tol() if tol is None else tol
         self.A, self.B, self.C = A, B, C
         self._check_and_derive()
-        self._cache = {}
 
     # -- construction -----------------------------------------------------
 
@@ -133,54 +134,17 @@ class PolarTriangleConfig:
     def is_right_angled(self) -> bool:
         return len(self.conjugate_side_pairs) > 0
 
-    def _isosceles_flags(self):
-        """Isosceles test at each vertex: equality of the two conic cross
-        ratios (B1B2AC) = (C1C2AB) under the best labeling."""
-        t = self.tol
-        phi = self.model.absolute
-        flags = []
-        for vertex, s1, s2, v1, v2 in (
-            (self.A, self.b, self.c, self.C, self.B),
-            (self.B, self.c, self.a, self.A, self.C),
-            (self.C, self.a, self.b, self.B, self.A),
-        ):
-            p1, p2 = cn.line_conic_meet(phi, s1, tol=t).points
-            q1, q2 = cn.line_conic_meet(phi, s2, tol=t).points
-            r1 = cross_ratio(p1, p2, vertex, v1, carrier=s1)
-            best = math.inf
-            for q in ((q1, q2), (q2, q1)):
-                r2 = cross_ratio(q[0], q[1], vertex, v2, carrier=s2)
-                best = min(best, abs(r1 - r2), abs(1.0 / r1 - r2))
-            flags.append(best <= t)
-        return tuple(flags)
+    def classical(self) -> CentersReport:
+        return self._classical
 
-    # -- cached derivations -------------------------------------------------
+    def pseudo(self) -> PseudoCenters:
+        return self._pseudo
 
-    @property
-    def iso_flags(self):
-        if "iso_flags" not in self._cache:
-            self._cache["iso_flags"] = self._isosceles_flags()
-        return self._cache["iso_flags"]
+    def euler(self) -> EulerLine:
+        return self._euler
 
-    def classical(self):
-        if "classical" not in self._cache:
-            self._cache["classical"] = _classical_centers(self)
-        return self._cache["classical"]
-
-    def pseudo(self):
-        if "pseudo" not in self._cache:
-            self._cache["pseudo"] = _pseudo_centers(self)
-        return self._cache["pseudo"]
-
-    def euler(self):
-        if "euler" not in self._cache:
-            self._cache["euler"] = _euler_wildberger(self)
-        return self._cache["euler"]
-
-    def nine_point(self):
-        if "nine_point" not in self._cache:
-            self._cache["nine_point"] = _nine_point_conic(self)
-        return self._cache["nine_point"]
+    def nine_point(self) -> NinePointConic:
+        return self._nine_point
 
 
 def build_config(model, A, B, C, tol=None) -> PolarTriangleConfig:
@@ -218,7 +182,7 @@ def _choose_midpoints(pairs, avoid, t):
     raise GeneralPositionViolation("no valid midpoint assignment found")
 
 
-# -- slots derived on first read: each group fills all of its slots ----------
+# -- groups derived on first read: each fills all of its slots ---------------
 
 def _conjugate_points(cfg):
     # conjugate points of the vertices on the sides through them
@@ -279,16 +243,68 @@ def _midpoint_choice(cfg):
         (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), avoid, cfg.tol)
 
 
-_DERIVED = {name: group for group, names in (
-    (_conjugate_points, ("Ab", "Ac", "Bc", "Ba", "Ca", "Cb")),
-    (_orthic, ("aB", "aC", "bC", "bA", "cA", "cB", "A0", "B0", "C0",
-               "ha", "hb", "hc", "H", "h", "HA", "HB", "HC",
-               "A1", "B1", "C1")),
-    (_side_midpoints, ("mids_a", "mids_b", "mids_c")),
-    (_polar_side_midpoints, ("mids_ap", "mids_bp", "mids_cp")),
-    (_midpoint_choice, ("D", "E", "F", "Da", "Eb", "Fc",
-                        "Dp", "Ep", "Fp", "Dap", "Ebp", "Fcp")),
-) for name in names}
+def _isosceles_flags(cfg):
+    """Isosceles test at each vertex: equality of the two conic cross
+    ratios (B1B2AC) = (C1C2AB) under the best labeling."""
+    t = cfg.tol
+    phi = cfg.model.absolute
+    flags = []
+    for vertex, s1, s2, v1, v2 in (
+        (cfg.A, cfg.b, cfg.c, cfg.C, cfg.B),
+        (cfg.B, cfg.c, cfg.a, cfg.A, cfg.C),
+        (cfg.C, cfg.a, cfg.b, cfg.B, cfg.A),
+    ):
+        p1, p2 = cn.line_conic_meet(phi, s1, tol=t).points
+        q1, q2 = cn.line_conic_meet(phi, s2, tol=t).points
+        r1 = cross_ratio(p1, p2, vertex, v1, carrier=s1)
+        best = math.inf
+        for q in ((q1, q2), (q2, q1)):
+            r2 = cross_ratio(q[0], q[1], vertex, v2, carrier=s2)
+            best = min(best, abs(r1 - r2), abs(1.0 / r1 - r2))
+        flags.append(best <= t)
+    cfg.iso_flags = tuple(flags)
+
+
+def _complementary(cfg):
+    """Complementary midpoint pairs (G, Ga), (H, Hb), (I, Ic) of the sides
+    a, b, c: midpoints of the conjugate-endpoint segments."""
+    model, t = cfg.model, cfg.tol
+    cfg.complementary = (
+        mt.midpoints(model, cfg.B, cfg.Ca, tol=t),
+        mt.midpoints(model, cfg.C, cfg.Ab, tol=t),
+        mt.midpoints(model, cfg.A, cfg.Bc, tol=t),
+    )
+
+
+def _complementary_dual(cfg):
+    model, t = cfg.model, cfg.tol
+    cfg.complementary_dual = (
+        mt.midpoints(model, cfg.Bp, cfg.Ac, tol=t),
+        mt.midpoints(model, cfg.Cp, cfg.Ba, tol=t),
+        mt.midpoints(model, cfg.Ap, cfg.Cb, tol=t),
+    )
+
+
+class MagicTriangle:
+    __slots__ = ("a", "b", "c", "A", "B", "C", "pairs")
+
+
+def _magic(cfg):
+    """Sides a~ = B_c C_b, b~ = C_a A_c, c~ = A_b B_a, their vertices, and
+    the midpoint pair of each side."""
+    m = MagicTriangle()
+    m.a = join_points(cfg.Bc, cfg.Cb)
+    m.b = join_points(cfg.Ca, cfg.Ac)
+    m.c = join_points(cfg.Ab, cfg.Ba)
+    m.A = meet_lines(m.b, m.c)
+    m.B = meet_lines(m.c, m.a)
+    m.C = meet_lines(m.a, m.b)
+    m.pairs = (
+        mt.midpoints(cfg.model, cfg.Bc, cfg.Cb, tol=cfg.tol),
+        mt.midpoints(cfg.model, cfg.Ca, cfg.Ac, tol=cfg.tol),
+        mt.midpoints(cfg.model, cfg.Ab, cfg.Ba, tol=cfg.tol),
+    )
+    cfg.magic = m
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +346,7 @@ def _classical_centers(cfg: PolarTriangleConfig):
         ang_c = join_points(cfg.C, f)
         i = meet_lines(ang_a, ang_b)
         report.incenters.append((bits, i, incidence_residual(ang_c, i)))
-    return report
-
-
-def classical_centers(cfg: PolarTriangleConfig) -> CentersReport:
-    return cfg.classical()
+    cfg._classical = report
 
 
 def pseudo_spieker(cfg: PolarTriangleConfig):
@@ -386,7 +398,7 @@ def _pseudo_chain(cfg, A, B, C, a, b, c, poleA, poleB, poleC):
     return App, Bpp, Cpp, N, NA, NB, NC, P, res_n, res_p
 
 
-def _pseudo_centers(cfg: PolarTriangleConfig) -> PseudoCenters:
+def _pseudo_centers(cfg: PolarTriangleConfig):
     out = PseudoCenters()
     res = {}
     (out.App, out.Bpp, out.Cpp, out.N, out.NA, out.NB, out.NC, out.P,
@@ -433,11 +445,7 @@ def _pseudo_centers(cfg: PolarTriangleConfig) -> PseudoCenters:
         0.0 if cn.lines_conjugate(phi, cfg.hc, join_points(cfg.A1, cfg.B1)) else 1.0,
     )
     out.residuals = res
-    return out
-
-
-def pseudo_centers(cfg: PolarTriangleConfig) -> PseudoCenters:
-    return cfg.pseudo()
+    cfg._pseudo = out
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +456,7 @@ class EulerLine:
     __slots__ = ("line", "orthic_axis", "residuals")
 
 
-def _euler_wildberger(cfg: PolarTriangleConfig) -> EulerLine:
+def _euler_wildberger(cfg: PolarTriangleConfig):
     ps = cfg.pseudo()
     out = EulerLine()
     e = join_points(cfg.H, ps.N)
@@ -471,11 +479,7 @@ def _euler_wildberger(cfg: PolarTriangleConfig) -> EulerLine:
     res["e_perp_orthic"] = incidence_residual(e, pole_o)
     out.orthic_axis = o
     out.residuals = res
-    return out
-
-
-def euler_wildberger(cfg: PolarTriangleConfig) -> EulerLine:
-    return cfg.euler()
+    cfg._euler = out
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +490,7 @@ class NinePointConic:
     __slots__ = ("conic", "points", "residuals")
 
 
-def _nine_point_conic(cfg: PolarTriangleConfig) -> NinePointConic:
+def _nine_point_conic(cfg: PolarTriangleConfig):
     """The eleven-point conic of the quadrangle {A, B, C, H} and the polar h
     of the orthocenter, carrying the nine classical members.
 
@@ -526,11 +530,7 @@ def _nine_point_conic(cfg: PolarTriangleConfig) -> NinePointConic:
     out.conic = gamma
     out.points = nine
     out.residuals = res
-    return out
-
-
-def nine_point_conic(cfg: PolarTriangleConfig) -> NinePointConic:
-    return cfg.nine_point()
+    cfg._nine_point = out
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +594,7 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
     try:
         report["self_polar_absolute"] = self_polar_residual(phi)
         report["self_polar_gamma"] = self_polar_residual(gamma)
-    except Exception as exc:  # degenerate gamma etc.
+    except GeometryError as exc:  # degenerate gamma etc.
         report["self_polar_error"] = repr(exc)
     # (2) e is a symmetry axis of gamma: the harmonic homology with axis e
     # and center pole(e) w.r.t. the absolute maps gamma to itself
@@ -605,7 +605,7 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
             worst = max(worst, cn.conic_residual(gamma,
                         mt.point_symmetry(cfg.model, e_pole, s, tol=t)))
         report["axis_symmetry"] = worst
-    except Exception as exc:
+    except GeometryError as exc:
         report["axis_symmetry_error"] = repr(exc)
     # (3) ellipse case: center of gamma is a midpoint of HP, and the
     # orthogonal line to e through the center is another symmetry axis
@@ -627,6 +627,29 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
                 worst = max(worst, cn.conic_residual(gamma,
                             mt.point_symmetry(cfg.model, pole2, s, tol=t)))
             report["second_axis_symmetry"] = worst
-        except Exception as exc:
+        except GeometryError as exc:
             report["second_axis_error"] = repr(exc)
     return report
+
+
+# -- the slots derived on first read, by the group that fills them ----------
+
+_DERIVED = {name: group for group, names in (
+    (_conjugate_points, ("Ab", "Ac", "Bc", "Ba", "Ca", "Cb")),
+    (_orthic, ("aB", "aC", "bC", "bA", "cA", "cB", "A0", "B0", "C0",
+               "ha", "hb", "hc", "H", "h", "HA", "HB", "HC",
+               "A1", "B1", "C1")),
+    (_side_midpoints, ("mids_a", "mids_b", "mids_c")),
+    (_polar_side_midpoints, ("mids_ap", "mids_bp", "mids_cp")),
+    (_midpoint_choice, ("D", "E", "F", "Da", "Eb", "Fc",
+                        "Dp", "Ep", "Fp", "Dap", "Ebp", "Fcp")),
+    # these may raise GeometryError and leave their slots unset
+    (_isosceles_flags, ("iso_flags",)),
+    (_complementary, ("complementary",)),
+    (_complementary_dual, ("complementary_dual",)),
+    (_magic, ("magic",)),
+    (_classical_centers, ("_classical",)),
+    (_pseudo_centers, ("_pseudo",)),
+    (_euler_wildberger, ("_euler",)),
+    (_nine_point_conic, ("_nine_point",)),
+) for name in names}

@@ -447,8 +447,8 @@ def eleven_point_conic(q: Quadrangle, line: HLine, tol=None):
     fixed = involution_from_pairs(line, traces[0:2], traces[2:4],
                                   tol=t).fixed_points()
     diag = [meet_lines(sides[k], sides[k + 1]) for k in (0, 2, 4)]
-    harmonics = [harmonic_conjugate(vs[i], vs[j], trace, tol=t)
-                 for (i, j), trace in zip(ends, traces)]
+    harmonics = [harmonic_conjugate(vs[i], vs[j], trace, side, tol=t)
+                 for (i, j), side, trace in zip(ends, sides, traces)]
     members = diag + harmonics
     conic = conic_fit(members, tol=t)
     return conic, tuple(list(fixed) + members)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from . import centers as ce
 from . import metric as mt
-from . import trig as tg
 from .errors import GeometryError
 from .projective import join_points
 from .sceneio import Scene, SceneError
@@ -127,7 +126,7 @@ def fig_menelaus(scene: Scene) -> Figure:
 def fig_magic_midpoints(scene: Scene) -> Figure:
     _require_real_absolute(scene)
     cfg = _triangle_config(scene)
-    magic = tg.magic_triangle(cfg)
+    magic = cfg.magic
     fig = Figure("magic triangle and magic midpoints")
     fig.conic(scene.model.absolute)
     for line in (cfg.a, cfg.b, cfg.c):

@@ -335,52 +335,6 @@ def random_scene(spec: SceneSpec, trial: int = 0, tol=None):
     return random_triangle_config(rng, spec.geometry, spec.kind, tol=tol)
 
 
-def oracle_cross_ratio(a, b, c, d, tol=None):
-    """Affine-chart evaluation of the cross ratio, used only as an oracle
-    against the determinant implementation.
-
-    The chart is the coordinate with the largest least modulus across the
-    four points; a point at chart infinity falls back to the harmonic-ratio
-    form (ABCD) = [AC]/[BC].
-    """
-    from .errors import ChartDegenerate
-    t = get_tol() if tol is None else tol
-    pts = (a, b, c, d)
-    # prefer a chart where no point is at infinity; allow exactly one (it
-    # must be D, where the harmonic-ratio form applies)
-    best = None
-    for k in range(3):
-        mods = [abs(p[k]) for p in pts]
-        n_inf = sum(1 for m in mods if m <= t)
-        finite_min = min((m for m in mods if m > t), default=0.0)
-        # a single infinite point is only usable in the D slot
-        bad_slot = 1 if (n_inf == 1 and mods[3] > t) else 0
-        key = (n_inf, bad_slot, -finite_min)
-        if best is None or key < best[0]:
-            best = (key, k)
-    (n_inf, _, _), k = best
-    if n_inf > 1:
-        raise ChartDegenerate("no affine chart avoids infinity")
-    # a usable second coordinate: pick the one with the larger spread
-    others = [i for i in range(3) if i != k]
-    i = max(others, key=lambda ax: max(abs(p[ax]) for p in pts))
-    coords = []
-    infinite = None
-    for idx, p in enumerate(pts):
-        if abs(p[k]) <= t:
-            infinite = idx
-            coords.append(None)
-        else:
-            coords.append(p[i] / p[k])
-    if infinite is None:
-        ca, cb, cc, cd = coords
-        return ((cc - ca) * (cd - cb)) / ((cc - cb) * (cd - ca))
-    if infinite == 3:
-        ca, cb, cc = coords[0], coords[1], coords[2]
-        return (cc - ca) / (cc - cb)
-    raise ChartDegenerate("chart infinity in an unsupported slot")
-
-
 # ---------------------------------------------------------------------------
 # theorem checks
 # ---------------------------------------------------------------------------
@@ -710,7 +664,7 @@ def _chk_complementary_conic(rng, geometry, tol, perturb=0.0):
     conic, fit_res, carnot_res, coll = tg.complementary_midpoints_conic(cfg)
     worst = max(fit_res, carnot_res, coll)
     if perturb:
-        (g, ga), _, _ = tg.complementary_pairs(cfg)
+        (g, ga), _, _ = cfg.complementary
         worst = max(worst, cn.conic_residual(conic, nudge(g, perturb)))
     return worst
 
@@ -719,7 +673,7 @@ def _chk_magic(rng, geometry, tol, perturb=0.0):
     cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
     worst = tg.magic_midpoints_agreement(cfg)
     if perturb:
-        m = tg.magic_triangle(cfg)
+        m = cfg.magic
         pair = (nudge(m.pairs[0][0], perturb), m.pairs[0][1])
         s_pair = mt.midpoints(cfg.model, m.B, m.C, tol=cfg.tol)
         worst = max(worst, tg._set_gap(pair, s_pair))

@@ -8,7 +8,7 @@ complex), so residuals of normalized data are directly comparable to the
 ambient tolerance.  Cross ratios are chart-free, in bracket form
 (ABCD) = [AC][BD] / ([BC][AD]) at the carrier's largest component, equal bit
 for bit to the chart determinants (see `cross_ratio`); the affine-chart
-evaluation is kept separately as an oracle (`lab.oracle_cross_ratio`).
+evaluation is kept separately as a test oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -312,14 +312,15 @@ def cross_ratio_lines(a: HLine, b: HLine, c: HLine, d: HLine, tol=None):
     return cross_ratio(a, b, c, d, carrier=vertex, tol=t)
 
 
-def harmonic_conjugate(a: HPoint, b: HPoint, c: HPoint, tol=None) -> HPoint:
-    """The point D with (ABCD) = -1."""
+def harmonic_conjugate(a: HPoint, b: HPoint, c: HPoint, carrier: HLine,
+                       tol=None) -> HPoint:
+    """The point D with (ABCD) = -1.  `carrier` is the line AB, trusted as in
+    `cross_ratio`; C must lie on it to 1e3 * tol, or NotCollinear is raised."""
     t = get_tol() if tol is None else tol
     if triple_eq(a, b, t):
         raise DegenerateTriple("harmonic conjugate needs A != B")
     if triple_eq(c, a, t) or triple_eq(c, b, t):
         raise DegenerateTriple("harmonic conjugate needs C distinct from A, B")
-    carrier = join_points(a, b, t)
     if incidence_residual(carrier, c) > 1e3 * t:
         raise NotCollinear("C not on line AB")
     i, j = chart_axes(carrier)

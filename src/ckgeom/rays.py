@@ -44,16 +44,15 @@ class Ray:
         return f"Ray(origin={self.origin}, endpoint={self.endpoint})"
 
 
-def split_rays(model, p: HPoint, line: HLine, conic=None, tol=None):
+def split_rays(model, p: HPoint, line: HLine, tol=None):
     """The two rays into which p divides the line, ordered canonically by
-    their endpoints on the absolute (or on a caller-supplied conic)."""
+    their endpoints on the absolute."""
     t = get_tol() if tol is None else tol
-    conic = model.absolute if conic is None else conic
-    if model is not None and not model.is_interior(p, t):
+    if not model.is_interior(p, t):
         raise PointNotInterior("ray origin must be interior to the model")
     if incidence_residual(line, p) > 1e3 * t:
         raise LineNotThroughPoint("ray carrier must pass through the origin")
-    u, v = cn.line_conic_meet(conic, line, tol=t).points
+    u, v = cn.line_conic_meet(model.absolute, line, tol=t).points
     u, v = mt.sort_point_pair(u, v)
     return Ray(p, line, u), Ray(p, line, v)
 
@@ -112,11 +111,11 @@ def angle_between_rays(model, r1: Ray, r2: Ray, conic=None, tol=None) -> float:
     return abs(cmath.phase(val))
 
 
-def ray_cosine_opposite(model, r1: Ray, r2: Ray, conic=None, tol=None) -> complex:
+def ray_cosine_opposite(model, r1: Ray, r2: Ray, tol=None) -> complex:
     """cos of the ray angle via 2 (A1 B1 B2 A2)_Phi - 1, using the opposite
     ray endpoints A2, B2."""
     t = get_tol() if tol is None else tol
-    conic = model.absolute if conic is None else conic
+    conic = model.absolute
     a2 = _other_trace(model, r1, conic, t)
     b2 = _other_trace(model, r2, conic, t)
     val = cn.cross_ratio_on_conic(conic, r1.endpoint, r2.endpoint, b2, a2,
@@ -124,12 +123,12 @@ def ray_cosine_opposite(model, r1: Ray, r2: Ray, conic=None, tol=None) -> comple
     return 2.0 * val - 1.0
 
 
-def ray_cosine_conjugate(model, r1: Ray, r2: Ray, conic=None, tol=None) -> complex:
+def ray_cosine_conjugate(model, r1: Ray, r2: Ray, tol=None) -> complex:
     """cos of the ray angle via (A1 B1 B1' A1')_Phi, where A1', B1' are
     endpoints of the conjugate lines at the origin, labeled so that the
     lines A1 B2, B1 A2, A1'B1', A2'B2' are concurrent."""
     t = get_tol() if tol is None else tol
-    conic = model.absolute if conic is None else conic
+    conic = model.absolute
     p = r1.origin
     a2 = _other_trace(model, r1, conic, t)
     b2 = _other_trace(model, r2, conic, t)

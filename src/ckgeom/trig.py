@@ -4,7 +4,7 @@ Menelaus, Ceva and Van Aubel in projective form; the six squared identities
 of right-angled configurations and their unsquared table rows; the general
 squared laws of sines and cosines; the Carnot machinery (projective product,
 cosine form, its converse through the Carnot involution, fake points); the
-magic triangle and coherent orientations; and the unsquared projective laws
+magic midpoints and coherent orientations; and the unsquared projective laws
 of sines and cosines with their geometric translations.
 
 Each identity, law and Carnot product is written once: a figure kind only
@@ -424,7 +424,7 @@ def carnot_conjugate(model, X: HPoint, Y: HPoint, w: HPoint, tol=None) -> HPoint
     t = get_tol() if tol is None else tol
     z = join_points(X, Y)
     w1 = cn.conjugate_point(model.absolute, w, z, tol=t)
-    w2 = harmonic_conjugate(X, Y, w1, tol=t)
+    w2 = harmonic_conjugate(X, Y, w1, z, tol=t)
     return cn.conjugate_point(model.absolute, w2, z, tol=t)
 
 
@@ -533,40 +533,14 @@ def six_points_conic_check(cfg: PolarTriangleConfig):
 
 
 # ---------------------------------------------------------------------------
-# complementary midpoints, magic triangle, coherent orientation
+# complementary midpoints, magic midpoints, coherent orientation
 # ---------------------------------------------------------------------------
-
-def complementary_pairs(cfg: PolarTriangleConfig):
-    """Complementary midpoint pairs (G, Ga), (H, Hb), (I, Ic) of the sides
-    a, b, c: midpoints of the conjugate-endpoint segments."""
-    key = "complementary"
-    if key not in cfg._cache:
-        model, t = cfg.model, cfg.tol
-        cfg._cache[key] = (
-            mt.midpoints(model, cfg.B, cfg.Ca, tol=t),
-            mt.midpoints(model, cfg.C, cfg.Ab, tol=t),
-            mt.midpoints(model, cfg.A, cfg.Bc, tol=t),
-        )
-    return cfg._cache[key]
-
-
-def complementary_pairs_dual(cfg: PolarTriangleConfig):
-    key = "complementary_dual"
-    if key not in cfg._cache:
-        model, t = cfg.model, cfg.tol
-        cfg._cache[key] = (
-            mt.midpoints(model, cfg.Bp, cfg.Ac, tol=t),
-            mt.midpoints(model, cfg.Cp, cfg.Ba, tol=t),
-            mt.midpoints(model, cfg.Ap, cfg.Cb, tol=t),
-        )
-    return cfg._cache[key]
-
 
 def complementary_midpoints_conic(cfg: PolarTriangleConfig):
     """The conic through the six complementary midpoints, its worst member
     residual, and the Carnot-route oracle (product of the six cross ratios
     against the collinear unchosen midpoints equals one)."""
-    (g, ga), (h, hb), (i, ic) = complementary_pairs(cfg)
+    (g, ga), (h, hb), (i, ic) = cfg.complementary
     pts = (g, ga, h, hb, i, ic)
     conic = cn.conic_fit(pts[:5], tol=cfg.tol, rank_check=False)
     fit_residual = cn.conic_residual(conic, pts[5])
@@ -583,31 +557,6 @@ def complementary_midpoints_conic(cfg: PolarTriangleConfig):
     return conic, fit_residual, carnot_residual, transversal_residual
 
 
-class MagicTriangle:
-    __slots__ = ("a", "b", "c", "A", "B", "C", "pairs")
-
-
-def magic_triangle(cfg: PolarTriangleConfig) -> MagicTriangle:
-    """Sides a~ = B_c C_b, b~ = C_a A_c, c~ = A_b B_a, their vertices, and
-    the midpoint pair of each side."""
-    key = "magic"
-    if key not in cfg._cache:
-        m = MagicTriangle()
-        m.a = join_points(cfg.Bc, cfg.Cb)
-        m.b = join_points(cfg.Ca, cfg.Ac)
-        m.c = join_points(cfg.Ab, cfg.Ba)
-        m.A = meet_lines(m.b, m.c)
-        m.B = meet_lines(m.c, m.a)
-        m.C = meet_lines(m.a, m.b)
-        m.pairs = (
-            mt.midpoints(cfg.model, cfg.Bc, cfg.Cb, tol=cfg.tol),
-            mt.midpoints(cfg.model, cfg.Ca, cfg.Ac, tol=cfg.tol),
-            mt.midpoints(cfg.model, cfg.Ab, cfg.Ba, tol=cfg.tol),
-        )
-        cfg._cache[key] = m
-    return cfg._cache[key]
-
-
 def _set_gap(pair1, pair2) -> float:
     a, b = pair1
     c, d = pair2
@@ -622,9 +571,9 @@ def magic_midpoints_agreement(cfg: PolarTriangleConfig) -> float:
     the magic sides vs the complementary-midpoint diagonal construction, its
     primed version, the midpoints of the magic triangle's own sides, and
     (when not isosceles) the ordinary-midpoint diagonal construction."""
-    m = magic_triangle(cfg)
-    comp = complementary_pairs(cfg)
-    compd = complementary_pairs_dual(cfg)
+    m = cfg.magic
+    comp = cfg.complementary
+    compd = cfg.complementary_dual
     worst = 0.0
     per_side = (
         # (magic pair, comp pair 1, comp pair 2, magic vertices, iso flag,
@@ -708,13 +657,13 @@ def coherent_orientation(cfg: PolarTriangleConfig) -> OrientedTriangleConfig:
     if cfg.is_right_angled():
         raise NoCoherentAssignment("coherent orientation needs a non-right-angled triangle")
     t = cfg.tol
-    m = magic_triangle(cfg)
+    m = cfg.magic
     avoid = (cfg.A0, cfg.B0, cfg.C0)
     primal = midpoint_assignments((cfg.mids_a, cfg.mids_b, cfg.mids_c), t, avoid)
     dual = [trip for _, trip in midpoint_assignments(
         (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), t, avoid)]
-    comp = complementary_pairs(cfg)
-    compd = complementary_pairs_dual(cfg)
+    comp = cfg.complementary
+    compd = cfg.complementary_dual
     for _, (D, E, F) in primal:
         for (Dp, Ep, Fp) in dual:
             mD = _pick_on_line(m.pairs[0], join_points(D, Dp), t)

@@ -56,14 +56,13 @@ def test_isosceles_flags(hyp):
 
 
 def test_isosceles_agrees_with_magic_concurrency(hyp, rng):
-    from ckgeom import trig as tg
     sym = ce.build_config(hyp, affine_point(0.6, 0), affine_point(-0.2, 0.4),
                           affine_point(-0.2, -0.4))
-    m = tg.magic_triangle(sym)
+    m = sym.magic
     assert pj.concurrency_residual(sym.a, sym.ap, m.a) < 1e-9
     gen = random_cfg(hyp, rng)
     if not any(gen.iso_flags):
-        mg = tg.magic_triangle(gen)
+        mg = gen.magic
         assert pj.concurrency_residual(gen.a, gen.ap, mg.a) > 1e-4
 
 
@@ -124,7 +123,7 @@ def test_midpoint_assignments(geometry, kind):
 def test_classical_centers(hyp, ell, rng):
     for model in (hyp, ell):
         cfg = random_cfg(model, rng)
-        rep = ce.classical_centers(cfg)
+        rep = cfg.classical()
         assert len(rep.barycenters) == 4
         assert len(rep.circumcenters) == 4
         assert len(rep.incenters) == 4
@@ -160,7 +159,7 @@ def test_symmetric_triangle_centers_on_axis(hyp):
 def test_pseudo_chain(hyp, ell, rng):
     for model in (hyp, ell):
         cfg = random_cfg(model, rng)
-        ps = ce.pseudo_centers(cfg)
+        ps = cfg.pseudo()
         for key, val in ps.residuals.items():
             assert val < 1e-9, key
 
@@ -168,7 +167,7 @@ def test_pseudo_chain(hyp, ell, rng):
 def test_euler_line(hyp, ell, rng):
     for model in (hyp, ell):
         cfg = random_cfg(model, rng)
-        eu = ce.euler_wildberger(cfg)
+        eu = cfg.euler()
         assert eu.residuals["five_point_collinearity"] < 1e-9
         assert eu.residuals["orthic_axis_collinear"] < 1e-9
         assert eu.residuals["orthic_pole_is_Np"] < 1e-9
@@ -178,7 +177,7 @@ def test_euler_line(hyp, ell, rng):
 def test_nine_point_conic(hyp, ell, rng):
     for model in (hyp, ell):
         cfg = random_cfg(model, rng)
-        npc = ce.nine_point_conic(cfg)
+        npc = cfg.nine_point()
         assert npc.residuals["nine_on_conic"] < 1e-9
         assert npc.residuals["eleven_on_conic"] < 1e-9
         assert npc.residuals["pascal_on_euler"] < 1e-9
@@ -219,6 +218,26 @@ def test_experimental_conjectures_report(hyp, rng):
     assert isinstance(rep["gamma_is_ellipse"], bool)
 
 
+def test_experimental_conjectures_report_only_geometry_errors(hyp, rng,
+                                                              monkeypatch):
+    # a degenerate sample is reported; a programming error propagates
+    cfg = random_cfg(hyp, rng)
+
+    def chart_degenerate(*args, **kwargs):
+        raise errors.ChartDegenerate("injected")
+
+    def type_error(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(cn, "sample_conic_points", chart_degenerate)
+    rep = ce.experimental_conjectures(cfg)
+    assert "ChartDegenerate" in rep["axis_symmetry_error"]
+    assert "axis_symmetry" not in rep
+    monkeypatch.setattr(cn, "sample_conic_points", type_error)
+    with pytest.raises(TypeError):
+        ce.experimental_conjectures(cfg)
+
+
 def test_medial_shadow(hyp, ell, rng):
     # the side bisectors of T through D, E, F are the altitudes of the
     # medial triangle DEF
@@ -239,7 +258,10 @@ def test_medial_shadow(hyp, ell, rng):
             assert pj.lines_equal(bisector, altitude, 1e-7)
 
 
-# the slots a config derives on first read, group by group
+# the slots a config builds eagerly
+_EAGER = ("model", "tol", "A", "B", "C", "a", "b", "c", "ap", "bp", "cp",
+          "Ap", "Bp", "Cp", "conjugate_side_pairs")
+# the five incidence groups a config derives on first read, group by group
 _LAZY_GROUPS = (
     ("Ab", "Ac", "Bc", "Ba", "Ca", "Cb"),
     ("aB", "aC", "bC", "bA", "cA", "cB", "A0", "B0", "C0",
@@ -249,6 +271,17 @@ _LAZY_GROUPS = (
     ("D", "E", "F", "Da", "Eb", "Fc", "Dp", "Ep", "Fp", "Dap", "Ebp", "Fcp"),
 )
 _LAZY = tuple(name for group in _LAZY_GROUPS for name in group)
+# the slots derived on first read that may raise, and how callers read them
+_REPORTS = {
+    "iso_flags": lambda cfg: cfg.iso_flags,
+    "complementary": lambda cfg: cfg.complementary,
+    "complementary_dual": lambda cfg: cfg.complementary_dual,
+    "magic": lambda cfg: cfg.magic,
+    "_classical": lambda cfg: cfg.classical(),
+    "_pseudo": lambda cfg: cfg.pseudo(),
+    "_euler": lambda cfg: cfg.euler(),
+    "_nine_point": lambda cfg: cfg.nine_point(),
+}
 _SCENE_PAIRS = (
     ("generic", "hyperbolic"), ("generic", "elliptic"),
     ("isosceles", "hyperbolic"), ("isosceles", "elliptic"),
@@ -285,7 +318,8 @@ def test_lazy_slots_derive_on_first_read(monkeypatch, geometry):
     scene = lab.random_triangle_config(lab.trial_rng(31, 0), geometry)
     cfg = ce.build_config(scene.model, scene.A, scene.B, scene.C)
     assert calls == []
-    eager = set(ce.PolarTriangleConfig.__slots__) - set(_LAZY)
+    eager = set(_EAGER)
+    assert set(ce.PolarTriangleConfig.__slots__) == eager.union(_LAZY, _REPORTS)
     assert _filled(cfg) == eager
     assert cfg.D is cfg.D
     assert len(calls) == 6
@@ -306,6 +340,44 @@ def test_lazy_slots_derive_on_first_read(monkeypatch, geometry):
     want = [repr(getattr(forward, name)) for name in _LAZY]
     got = [repr(getattr(backward, name)) for name in reversed(_LAZY)]
     assert got[::-1] == want
+
+
+def test_report_slots_derive_once_and_stay_unset_on_raise(monkeypatch):
+    from ckgeom import lab
+    scene = lab.random_triangle_config(lab.trial_rng(31, 0), "hyperbolic")
+    for slot, read in _REPORTS.items():
+        calls = []
+        group = ce._DERIVED[slot]
+
+        def counting(cfg, group=group, calls=calls):
+            calls.append(1)
+            group(cfg)
+
+        with monkeypatch.context() as m:
+            m.setitem(ce._DERIVED, slot, counting)
+            cfg = ce.build_config(scene.model, scene.A, scene.B, scene.C)
+            assert slot not in _filled(cfg)
+            first = read(cfg)
+            assert read(cfg) is first and calls == [1], slot
+            assert object.__getattribute__(cfg, slot) is first
+    # a raising group leaves its slot unset: the next read raises again,
+    # and once the cause is gone the slot derives what a fresh config does
+    def degenerate(*args, **kwargs):
+        raise errors.DegenerateConic("injected")
+
+    for slot, (module, name), value in (
+            ("complementary", (mt, "midpoints"), _REPORTS["complementary"]),
+            ("_nine_point", (cn, "eleven_point_conic"),
+             lambda cfg: cfg.nine_point().points)):
+        cfg = ce.build_config(scene.model, scene.A, scene.B, scene.C)
+        with monkeypatch.context() as m:
+            m.setattr(module, name, degenerate)
+            for _ in range(2):
+                with pytest.raises(errors.DegenerateConic):
+                    value(cfg)
+                assert slot not in _filled(cfg)
+        fresh = ce.build_config(scene.model, scene.A, scene.B, scene.C)
+        assert repr(value(cfg)) == repr(value(fresh))
 
 
 def test_lazy_slots_never_reject_a_drawn_scene():

@@ -442,9 +442,9 @@ def test_eleven_point_conic_members(rng):
 
 
 def test_eleven_point_conic_forms_each_side_once(rng, monkeypatch):
-    # six sides and their six traces, three diagonal points, and the join
-    # inside each of the six harmonic conjugates; the quadrangular involution
-    # cuts only the two pairs it is fixed by
+    # six sides and their six traces, and three diagonal points: the
+    # harmonic conjugates take their sides as carriers; the quadrangular
+    # involution cuts only the two pairs it is fixed by
     calls = {"join_points": 0, "meet_lines": 0}
 
     def counted(name, fn):
@@ -467,7 +467,7 @@ def test_eleven_point_conic_forms_each_side_once(rng, monkeypatch):
         for name in calls:
             calls[name] = 0
         cn.eleven_point_conic(q, line)
-        assert calls["join_points"] <= 12 and calls["meet_lines"] <= 9
+        assert calls["join_points"] <= 6 and calls["meet_lines"] <= 9
         for name in calls:
             calls[name] = 0
         pj.quadrangular_involution(q, line)

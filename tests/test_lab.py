@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from ckgeom import centers as ce
 from ckgeom import errors, lab
 from ckgeom import projective as pj
 from ckgeom.projective import affine_point, hpoint
+from oracles import oracle_cross_ratio
 
 
 def test_scene_determinism():
@@ -130,10 +132,12 @@ def test_lazy_isosceles_flags():
     for kind in ("generic", "isosceles"):
         for i in range(10):
             cfg = lab.random_triangle_config(lab.trial_rng(11, i), "hyperbolic", kind)
-            assert "iso_flags" not in cfg._cache
+            with pytest.raises(AttributeError):
+                object.__getattribute__(cfg, "iso_flags")
             flags = cfg.iso_flags
-            assert flags == cfg._isosceles_flags()
-            assert cfg._cache["iso_flags"] is flags
+            assert object.__getattribute__(cfg, "iso_flags") is flags
+            assert flags == ce.build_config(cfg.model, cfg.A, cfg.B, cfg.C,
+                                            tol=cfg.tol).iso_flags
             if kind == "isosceles":
                 assert any(flags)
 
@@ -313,7 +317,7 @@ def test_oracle_cross_ratio_matches_determinant(rng):
     # hand value and random agreement between the chart oracle and the
     # determinant implementation
     pts = [affine_point(t, 0) for t in (0, 1, 2, 3)]
-    assert abs(lab.oracle_cross_ratio(*pts) - 4.0 / 3.0) < 1e-14
+    assert abs(oracle_cross_ratio(*pts) - 4.0 / 3.0) < 1e-14
     for _ in range(40):
         ts = [rng.uniform(-5, 5) for _ in range(4)]
         if min(abs(ts[i] - ts[j]) for i in range(4)
@@ -322,7 +326,7 @@ def test_oracle_cross_ratio_matches_determinant(rng):
         base = affine_point(rng.uniform(-1, 1), rng.uniform(-1, 1))
         d = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         pts = [hpoint(base[0] + t * d[0], base[1] + t * d[1], 1.0) for t in ts]
-        v1 = lab.oracle_cross_ratio(*pts)
+        v1 = oracle_cross_ratio(*pts)
         v2 = pj.cross_ratio_points(*pts)
         assert abs(v1 - v2) < 1e-9 * max(1.0, abs(v2))
 
@@ -331,5 +335,5 @@ def test_oracle_cross_ratio_harmonic_fallback():
     # a point at chart infinity falls back to the harmonic-ratio form
     pts = [affine_point(0, 0), affine_point(1, 0), affine_point(3, 0),
            hpoint(1, 0, 0)]
-    v = lab.oracle_cross_ratio(*pts)
+    v = oracle_cross_ratio(*pts)
     assert abs(v - 1.5) < 1e-12  # [AC]/[BC] = 3/2

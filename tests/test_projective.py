@@ -323,16 +323,22 @@ def test_cross_ratio_lines_repeated_is_infinite():
 
 def test_harmonic_conjugate_examples():
     # midpoint maps to the point at infinity
-    h = harmonic_conjugate(x_pt(0), x_pt(2), x_pt(1))
+    x_axis = join_points(x_pt(0), x_pt(2))
+    h = harmonic_conjugate(x_pt(0), x_pt(2), x_pt(1), x_axis)
     assert points_equal(h, hpoint(1, 0, 0))
-    h2 = harmonic_conjugate(x_pt(0), x_pt(1), x_pt(2))
+    h2 = harmonic_conjugate(x_pt(0), x_pt(1), x_pt(2), x_axis)
     assert points_equal(h2, x_pt(2.0 / 3.0))
     # involution: applying twice returns the argument
     c = x_pt(0.37)
-    again = harmonic_conjugate(x_pt(0), x_pt(1), harmonic_conjugate(x_pt(0), x_pt(1), c))
+    again = harmonic_conjugate(x_pt(0), x_pt(1),
+                               harmonic_conjugate(x_pt(0), x_pt(1), c, x_axis),
+                               x_axis)
     assert points_equal(again, c)
     with pytest.raises(errors.DegenerateTriple):
-        harmonic_conjugate(x_pt(0), x_pt(1), x_pt(0))
+        harmonic_conjugate(x_pt(0), x_pt(1), x_pt(0), x_axis)
+    # C must lie on the carrier
+    with pytest.raises(errors.NotCollinear):
+        harmonic_conjugate(x_pt(0), x_pt(1), hpoint(0.5, 1, 1), x_axis)
 
 
 def test_separates():
@@ -483,7 +489,8 @@ def test_involution_from_pairs_closed_form(complex_coords):
             assert points_equal(sigma(sigma(x)), x)
         # harmonic involution: the pairs (f1, f1) and (f2, f2)
         h = harmonic_involution(line, p, p2)
-        assert points_equal(h(q), harmonic_conjugate(p, p2, q))
+        assert points_equal(h(q), harmonic_conjugate(p, p2, q,
+                                                     join_points(p, p2)))
         # a pair (F, F) fixes F; the same pair twice determines nothing
         fixing = involution_from_pairs(line, (p, p), (q, q2))
         assert points_equal(fixing(p), p)

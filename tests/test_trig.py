@@ -79,9 +79,9 @@ def test_ceva_and_harmonic_duality(rng):
     r = join_points(exterior_point(rng), exterior_point(rng, 3.1, 4.0))
     assert tg.ceva_residual(X, Y, Z, X1, Y1, Z1, r) < 1e-10
     # harmonic conjugates of concurrent cevian feet are collinear
-    X2 = harmonic_conjugate(Y, Z, X1)
-    Y2 = harmonic_conjugate(Z, X, Y1)
-    Z2 = harmonic_conjugate(X, Y, Z1)
+    X2 = harmonic_conjugate(Y, Z, X1, join_points(Y, Z))
+    Y2 = harmonic_conjugate(Z, X, Y1, join_points(Z, X))
+    Z2 = harmonic_conjugate(X, Y, Z1, join_points(X, Y))
     assert pj.collinearity_residual(X2, Y2, Z2) < 1e-10
 
 
@@ -248,7 +248,7 @@ def test_carnot_projective_and_converse(rng):
     X, Y, Z = tri
     z = join_points(X, Y)
     Z0 = meet_lines(z, transversal)
-    Z0h = harmonic_conjugate(X, Y, Z0)
+    Z0h = harmonic_conjugate(X, Y, Z0, join_points(X, Y))
     X0 = meet_lines(join_points(Y, Z), transversal)
     Y0 = meet_lines(join_points(Z, X), transversal)
     X1, X2, Y1, Y2, Z1, Z2 = six
@@ -349,7 +349,7 @@ def test_magic_midpoints_isosceles():
     cfg = ce.build_config(model, affine_point(0.6, 0), affine_point(-0.2, 0.4),
                           affine_point(-0.2, -0.4))
     assert cfg.iso_flags[0]
-    m = tg.magic_triangle(cfg)
+    m = cfg.magic
     d1, d2 = m.pairs[0]
     hit = points_equal(d1, cfg.A0, 1e-7) or points_equal(d2, cfg.A0, 1e-7)
     assert hit
@@ -360,7 +360,7 @@ def test_magic_midpoints_isosceles():
 def test_magic_side_segment_lemma():
     # D, Da are the midpoints of the segment cut on a by HI and Hb Ic
     cfg = lab_cfg("generic", "elliptic", trial=3)
-    (_, _), (h, hb), (i, ic) = tg.complementary_pairs(cfg)
+    (_, _), (h, hb), (i, ic) = cfg.complementary
     j1 = meet_lines(cfg.a, join_points(h, i))
     j2 = meet_lines(cfg.a, join_points(hb, ic))
     r = pj.cross_ratio_points(j1, j2, cfg.D, cfg.Da)
@@ -404,7 +404,7 @@ def test_pappus_line_of_complementary_hexagon():
     # the Pappus line of the hexagon E I H F Hb Ic is DD'
     cfg = lab_cfg("generic", "elliptic", trial=5)
     o = tg.coherent_orientation(cfg)
-    (_, _), hpair, ipair = tg.complementary_pairs(cfg)
+    (_, _), hpair, ipair = cfg.complementary
     h, hb = hpair
     i, ic = ipair
     hexagon = [o.E, i, h, o.F, hb, ic]
