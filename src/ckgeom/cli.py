@@ -109,8 +109,8 @@ def cmd_compute(args) -> int:
         elif args.op == "table51":
             a, b, c = (scene.point(n) for n in names)
             cfg = ce.build_config(model, a, b, c)
-            kind, mags = tg.right_angled_magnitudes(cfg)
-            rows = tg._table_rows(kind, mags)
+            kind, families, mags = tg.right_angled_magnitudes(cfg)
+            rows = tg.table_rows(families, mags)
             out["kind"] = kind
             out["magnitudes"] = dict(zip(("a", "b", "c", "beta", "gamma"), mags))
             out["rows"] = [

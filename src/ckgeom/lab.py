@@ -676,7 +676,7 @@ def _chk_magic(rng, geometry, tol, perturb=0.0):
         m = cfg.magic
         pair = (nudge(m.pairs[0][0], perturb), m.pairs[0][1])
         s_pair = mt.midpoints(cfg.model, m.B, m.C, tol=cfg.tol)
-        worst = max(worst, tg._set_gap(pair, s_pair))
+        worst = max(worst, tg.pair_gap(pair, s_pair))
     return worst
 
 
@@ -876,7 +876,7 @@ def _chk_ray_angles(rng, geometry, tol, perturb=0.0):
         c1 = ry.ray_cosine_opposite(model, r1, r2)
         c2 = ry.ray_cosine_conjugate(model, r1, r2)
         r2b = ry.Ray(r2.origin, r2.carrier,
-                     ry._other_trace(model, r2, model.absolute, tol or get_tol()))
+                     ry.other_trace(r2, model.absolute, tol or get_tol()))
         supp = ry.angle_between_rays(model, r1, r2b)
     except GeometryError:
         return None

@@ -5,7 +5,9 @@ plane (interior points), an imaginary one the elliptic plane (all of RP^2).
 Distances and Laguerre angles are logarithms of cross ratios against the
 absolute; midpoints, point symmetries, the squared trigonometric ratios
 C/S/T with their geometric translations, and oriented segments with the
-unsquared cc/ss ratios all live here.
+unsquared cc/ss ratios all live here.  The translation table
+(`segment_measure`) tags each segment's magnitude, and each tag names the
+root family (`FAMILY`, `ROOTS`) through which it is read unsquared.
 """
 
 from __future__ import annotations
@@ -269,6 +271,19 @@ TAG_HYP_MIXED = "hyp-mixed"
 TAG_HYP_EXT_EXT = "hyp-exterior-exterior"
 TAG_HYP_EXT_LINE = "hyp-exterior-line-angle"
 
+# Root families: the unsquared (cc, ss, tt) of a measured magnitude v, and
+# the family (circular, hyperbolic or mixed) each tag's magnitude is read by.
+ROOTS = {
+    "C": (math.cos, math.sin, math.tan),                     # circular
+    "H": (math.cosh, math.sinh, math.tanh),                  # hyperbolic
+    "M": (math.sinh, math.cosh, lambda v: 1.0 / math.tanh(v)),  # mixed
+}
+FAMILY = {
+    TAG_ELLIPTIC: "C", TAG_HYP_EXT_LINE: "C",
+    TAG_HYP_INT_INT: "H", TAG_HYP_EXT_EXT: "H",
+    TAG_HYP_MIXED: "M",
+}
+
 
 class TrigValue:
     """A (C, S, T) triple with its geometric reading."""
@@ -295,14 +310,14 @@ class TrigValue:
 
 def segment_measure(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
     """Geometric magnitude attached to a projective segment per the
-    translation table: (tag, value).
+    translation table, (tag, value); each row ends with its tag's family.
 
-    elliptic               -> elliptic distance ||ab||
-    hyp interior/interior  -> ||ab||
-    hyp mixed              -> ||a b_p|| (conjugate of the exterior endpoint)
+    elliptic               -> elliptic distance ||ab||                  C
+    hyp interior/interior  -> ||ab||                                    H
+    hyp mixed              -> ||a b_p|| (conjugate of the exterior end)  M
     hyp exterior/exterior,
-      secant line          -> ||a_p b_p||
-    hyp exterior line      -> angle between the polars
+      secant line          -> ||a_p b_p||                               H
+    hyp exterior line      -> angle between the polars                  C
     """
     t = get_tol() if tol is None else tol
     if model.kind == ELLIPTIC:
@@ -329,22 +344,17 @@ def segment_measure(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
 
 
 def _predict(tag, v):
-    if tag == TAG_ELLIPTIC or tag == TAG_HYP_EXT_LINE:
-        c = math.cos(v) ** 2
-        s = math.sin(v) ** 2
-        t = math.tan(v) ** 2 if abs(math.cos(v)) > 1e-12 else math.inf
-        return complex(c), complex(s), complex(t)
-    if tag == TAG_HYP_INT_INT or tag == TAG_HYP_EXT_EXT:
-        return (
-            complex(math.cosh(v) ** 2),
-            complex(-math.sinh(v) ** 2),
-            complex(-math.tanh(v) ** 2),
-        )
-    # mixed: C = -sinh^2, S = cosh^2, T = -coth^2
-    c = complex(-math.sinh(v) ** 2)
-    s = complex(math.cosh(v) ** 2)
-    t = complex(-1.0 / math.tanh(v) ** 2) if v > 1e-12 else complex(-math.inf)
-    return c, s, t
+    """(C, S, T) from a tag's magnitude: its family's squared roots, with
+    the signs of the segment's ratios (hyperbolic S, T and mixed C, T < 0)."""
+    family = FAMILY[tag]
+    if family == "M":
+        # C = -sinh^2, S = cosh^2; T = -1/tanh^2 rounds unlike -(1/tanh)^2
+        t = -1.0 / math.tanh(v) ** 2 if v > 1e-12 else -math.inf
+        return complex(-math.sinh(v) ** 2), complex(math.cosh(v) ** 2), complex(t)
+    cc, ss, tt = ROOTS[family]
+    sign = 1.0 if family == "C" else -1.0
+    t = sign * tt(v) ** 2 if family == "H" or abs(math.cos(v)) > 1e-12 else math.inf
+    return complex(cc(v) ** 2), complex(sign * ss(v) ** 2), complex(t)
 
 
 def translate_trig(model: ModelGeometry, a: HPoint, b: HPoint, tol=None) -> TrigValue:

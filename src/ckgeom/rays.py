@@ -57,19 +57,18 @@ def split_rays(model, p: HPoint, line: HLine, tol=None):
     return Ray(p, line, u), Ray(p, line, v)
 
 
-def ray_towards(model, origin: HPoint, target: HPoint, conic=None, tol=None) -> Ray:
-    """The ray from `origin` through `target`: its endpoint is the conic
+def ray_towards(model, origin: HPoint, target: HPoint, tol=None) -> Ray:
+    """The ray from `origin` through `target`: its endpoint is the absolute's
     trace on the target's side of the origin.
 
     All the points involved (origin, target and the traces of a secant line
-    of the model, or of a circle centered at the origin in the euclidean
-    variant) are finite in the standard chart, so the side test is the sign
-    of the chart direction product.
+    of the model, or of a circle centered at the origin when that circle is
+    the model's absolute) are finite in the standard chart, so the side test
+    is the sign of the chart direction product.
     """
     t = get_tol() if tol is None else tol
     line = join_points(origin, target)
-    conic = model.absolute if conic is None else conic
-    u, v = cn.line_conic_meet(conic, line, tol=t).points
+    u, v = cn.line_conic_meet(model.absolute, line, tol=t).points
     ox, oy, oz = real_triple(origin)
     tx, ty, tz = real_triple(target)
     dx, dy = tx / tz - ox / oz, ty / tz - oy / oz
@@ -85,12 +84,14 @@ def ray_towards(model, origin: HPoint, target: HPoint, conic=None, tol=None) -> 
     return Ray(origin, line, best[1])
 
 
-def _other_trace(model, ray: Ray, conic, tol):
+def other_trace(ray: Ray, conic, tol) -> HPoint:
+    """The trace of the ray's carrier on the conic that is not its endpoint:
+    the endpoint of the opposite ray."""
     u, v = cn.line_conic_meet(conic, ray.carrier, tol=tol).points
     return v if triple_eq(u, ray.endpoint, 1e-6) else u
 
 
-def angle_between_rays(model, r1: Ray, r2: Ray, conic=None, tol=None) -> float:
+def angle_between_rays(model, r1: Ray, r2: Ray, tol=None) -> float:
     """Undirected angle between two rays with the same origin, in [0, pi].
 
     Computed as |arg| of the cross ratio over the absolute of the contact
@@ -99,7 +100,7 @@ def angle_between_rays(model, r1: Ray, r2: Ray, conic=None, tol=None) -> float:
     angle(a1,b1) + angle(a1,b2) = pi is exact.
     """
     t = get_tol() if tol is None else tol
-    conic = model.absolute if conic is None else conic
+    conic = model.absolute
     if not points_equal(r1.origin, r2.origin, 1e-6):
         raise DifferentOrigins("rays must share their origin")
     if triple_eq(r1.endpoint, r2.endpoint, 1e-6):
@@ -116,8 +117,8 @@ def ray_cosine_opposite(model, r1: Ray, r2: Ray, tol=None) -> complex:
     ray endpoints A2, B2."""
     t = get_tol() if tol is None else tol
     conic = model.absolute
-    a2 = _other_trace(model, r1, conic, t)
-    b2 = _other_trace(model, r2, conic, t)
+    a2 = other_trace(r1, conic, t)
+    b2 = other_trace(r2, conic, t)
     val = cn.cross_ratio_on_conic(conic, r1.endpoint, r2.endpoint, b2, a2,
                                   tol=t, with_check=False)
     return 2.0 * val - 1.0
@@ -130,8 +131,8 @@ def ray_cosine_conjugate(model, r1: Ray, r2: Ray, tol=None) -> complex:
     t = get_tol() if tol is None else tol
     conic = model.absolute
     p = r1.origin
-    a2 = _other_trace(model, r1, conic, t)
-    b2 = _other_trace(model, r2, conic, t)
+    a2 = other_trace(r1, conic, t)
+    b2 = other_trace(r2, conic, t)
     ap = cn.conjugate_line(conic, r1.carrier, p, tol=t)
     bp = cn.conjugate_line(conic, r2.carrier, p, tol=t)
     a_pr = cn.line_conic_meet(conic, ap, tol=t).points

@@ -7,15 +7,18 @@ cosine form, its converse through the Carnot involution, fake points); the
 magic midpoints and coherent orientations; and the unsquared projective laws
 of sines and cosines with their geometric translations.
 
-Each identity, law and Carnot product is written once: a figure kind only
-names the root family (circular, hyperbolic or mixed) through which each of
-its measured magnitudes is read.
+Each identity, law and Carnot product is written once.  Every hyperbolic
+figure length is the translation-table reading (`metric.segment_measure`) of
+a side of T or T', read through the root family of its tag.  Vertex angles
+(rays) and elliptic unit representatives are read outside the table, as
+circular.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from operator import attrgetter
 
 from . import conics as cn
 from . import metric as mt
@@ -184,16 +187,23 @@ def _cst(cfg, p, q):
     return mt.squared_trig(cfg.model, p, q, tol=cfg.tol)
 
 
+# The sides of T and T' by name.  Every hyperbolic figure length is the
+# reading of one of them through the translation table of
+# `metric.segment_measure`, and its root family is the family of its tag.
+_SIDES = {
+    "a": attrgetter("B", "C"), "b": attrgetter("C", "A"),
+    "c": attrgetter("A", "B"), "a'": attrgetter("Bp", "Cp"),
+    "b'": attrgetter("Cp", "Ap"), "c'": attrgetter("Ap", "Bp"),
+}
+
+# the five segments of the identities of a right-angled configuration
+_SEGMENTS = ("a", "b", "c", "b'", "c'")
+
+
 def squared_ratios(cfg: PolarTriangleConfig):
     """C/S/T triples for the five segments a, b, c, b', c' of a right-angled
     configuration (b' = C'A', c' = A'B')."""
-    return {
-        "a": _cst(cfg, cfg.B, cfg.C),
-        "b": _cst(cfg, cfg.C, cfg.A),
-        "c": _cst(cfg, cfg.A, cfg.B),
-        "b'": _cst(cfg, cfg.Cp, cfg.Ap),
-        "c'": _cst(cfg, cfg.Ap, cfg.Bp),
-    }
+    return {side: _cst(cfg, *_SIDES[side](cfg)) for side in _SEGMENTS}
 
 
 # T1..T6 as (lhs, rhs) over the C/S/T of the segments a, b, c, b', c': read
@@ -219,20 +229,12 @@ def squared_identity(name: str, cfg: PolarTriangleConfig) -> float:
     return _rel(*_IDENTITIES[name](C, S, T))
 
 
-# Root families: the unsquared (cc, ss, tt) of a measured magnitude v.  A
-# figure kind only names the family each of its magnitudes is read through.
-_ROOTS = {
-    "C": (math.cos, math.sin, math.tan),                     # circular
-    "H": (math.cosh, math.sinh, math.tanh),                  # hyperbolic
-    "M": (math.sinh, math.cosh, lambda v: 1.0 / math.tanh(v)),  # mixed
-}
-
-
 def _roots(names, families, mags):
-    """cc, ss and tt maps of the named magnitudes, each through its family."""
+    """cc, ss and tt maps of the named magnitudes, each through its root
+    family (`metric.ROOTS`)."""
     C, S, T = {}, {}, {}
     for name, family, v in zip(names, families, mags):
-        cc, ss, tt = _ROOTS[family]
+        cc, ss, tt = mt.ROOTS[family]
         C[name], S[name], T[name] = cc(v), ss(v), tt(v)
     return C, S, T
 
@@ -246,74 +248,52 @@ def _swap_bc(cfg: PolarTriangleConfig) -> PolarTriangleConfig:
     return PolarTriangleConfig(cfg.model, cfg.A, cfg.C, cfg.B, tol=cfg.tol)
 
 
-def right_angled_magnitudes(cfg: PolarTriangleConfig):
-    """The geometric magnitudes (a, b, c, beta, gamma) of a canonical
-    right-angled figure, measured independently of the cross-ratio route.
+def _lengths(cfg: PolarTriangleConfig, sides):
+    """Root families (one letter each) and magnitudes of the named sides of
+    T and T', read through the translation table."""
+    read = [mt.segment_measure(cfg.model, *_SIDES[side](cfg), tol=cfg.tol)
+            for side in sides]
+    return "".join(mt.FAMILY[tag] for tag, _ in read), tuple(v for _, v in read)
 
-    Lambert configurations are relabeled so the exterior vertex is B.
-    Lengths come from the metric distance; elliptic angles and sides from
-    unit representatives, hyperbolic angles from the Laguerre formula (the
-    non-right angles of these figures are never obtuse).
+
+def right_angled_magnitudes(cfg: PolarTriangleConfig):
+    """(kind, families, magnitudes) of a canonical right-angled figure.
+
+    The magnitudes (a, b, c, beta, gamma) stand for the segments a, b, c,
+    b', c' of the identities and are measured apart from the cross-ratio
+    route.  Lambert figures are relabeled so the exterior vertex is B.
+    Hyperbolic magnitudes are translation-table readings (the non-right
+    angles are never obtuse); elliptic ones are unit representatives.
     """
     kind = right_angled_kind(cfg)
     model = cfg.model
-    t = cfg.tol
     if kind == ELLIPTIC_RIGHT:
         a = mt.elliptic_side(model, cfg.B, cfg.C)
         b = mt.elliptic_side(model, cfg.C, cfg.A)
         c = mt.elliptic_side(model, cfg.A, cfg.B)
         beta = mt.elliptic_vertex_angle(model, cfg.B, cfg.C, cfg.A)
         gamma = mt.elliptic_vertex_angle(model, cfg.C, cfg.A, cfg.B)
-        return kind, (a, b, c, beta, gamma)
-    if kind == HYPERBOLIC_RIGHT:
-        a = mt.distance(model, cfg.B, cfg.C, tol=t)
-        b = mt.distance(model, cfg.C, cfg.A, tol=t)
-        c = mt.distance(model, cfg.A, cfg.B, tol=t)
-        beta = mt.angle_lines(model, cfg.c, cfg.a, tol=t)
-        gamma = mt.angle_lines(model, cfg.a, cfg.b, tol=t)
-        return kind, (a, b, c, beta, gamma)
-    if kind == LAMBERT:
-        if model.is_interior(cfg.B):
-            cfg = _swap_bc(cfg)
-        a = mt.distance(model, cfg.C, cfg.Ba, tol=t)
-        b = mt.distance(model, cfg.C, cfg.A, tol=t)
-        c = mt.distance(model, cfg.A, cfg.Bc, tol=t)
-        beta = mt.distance(model, cfg.Bc, cfg.Ba, tol=t)
-        gamma = mt.angle_lines(model, cfg.a, cfg.b, tol=t)
-        return LAMBERT, (a, b, c, beta, gamma)
-    if kind == PENTAGON:
-        a = mt.distance(model, cfg.Ba, cfg.Ca, tol=t)
-        b = mt.distance(model, cfg.Cb, cfg.A, tol=t)
-        c = mt.distance(model, cfg.A, cfg.Bc, tol=t)
-        beta = mt.distance(model, cfg.Bc, cfg.Ba, tol=t)
-        gamma = mt.distance(model, cfg.Ca, cfg.Cb, tol=t)
-        return kind, (a, b, c, beta, gamma)
-    raise KindMismatch(f"no magnitude table for kind {kind}")
-
-
-# the magnitudes (a, b, c, beta, gamma) of right_angled_magnitudes stand for
-# the segments a, b, c, b', c' of the identities
-_SEGMENTS = ("a", "b", "c", "b'", "c'")
-_FAMILIES = {
-    ELLIPTIC_RIGHT: "CCCCC",
-    HYPERBOLIC_RIGHT: "HHHCC",
-    LAMBERT: "MHMHC",
-    PENTAGON: "HMMHH",
-}
+        return kind, "CCCCC", (a, b, c, beta, gamma)
+    if kind == OTHER_RIGHT:
+        raise KindMismatch(f"no magnitude table for kind {kind}")
+    if kind == LAMBERT and model.is_interior(cfg.B):
+        cfg = _swap_bc(cfg)
+    return (kind, *_lengths(cfg, _SEGMENTS))
 
 
 def table_5_1(cfg: PolarTriangleConfig, kind: str | None = None):
     """Evaluate all six unsquared rows for the figure, returning
     [(row, lhs, rhs, residual)] from independently measured magnitudes."""
-    found, mags = right_angled_magnitudes(cfg)
+    found, families, mags = right_angled_magnitudes(cfg)
     if kind is not None and kind != found:
         raise KindMismatch(f"expected {kind}, classified {found}")
-    return _table_rows(found, mags)
+    return table_rows(families, mags)
 
 
-def _table_rows(kind, mags):
-    """The rows of `table_5_1` from magnitudes already measured."""
-    C, S, T = _roots(_SEGMENTS, _FAMILIES[kind], mags)
+def table_rows(families: str, mags):
+    """The rows of `table_5_1` from the root families and magnitudes of the
+    segments a, b, c, b', c' (`right_angled_magnitudes`)."""
+    C, S, T = _roots(_SEGMENTS, families, mags)
     out = []
     for name, identity in _IDENTITIES.items():
         lhs, rhs = identity(C, S, T)
@@ -327,13 +307,8 @@ def _table_rows(kind, mags):
 
 def squared_law_of_sines(cfg: PolarTriangleConfig):
     """Ratios S(x)/S(x') for the three sides and their maximal spread."""
-    sa = _cst(cfg, cfg.B, cfg.C)[1]
-    sb = _cst(cfg, cfg.C, cfg.A)[1]
-    sc = _cst(cfg, cfg.A, cfg.B)[1]
-    sap = _cst(cfg, cfg.Bp, cfg.Cp)[1]
-    sbp = _cst(cfg, cfg.Cp, cfg.Ap)[1]
-    scp = _cst(cfg, cfg.Ap, cfg.Bp)[1]
-    ratios = (sa / sap, sb / sbp, sc / scp)
+    s = {side: _cst(cfg, *pair(cfg))[1] for side, pair in _SIDES.items()}
+    ratios = (s["a"] / s["a'"], s["b"] / s["b'"], s["c"] / s["c'"])
     return ratios, _spread(ratios)
 
 
@@ -355,10 +330,8 @@ def squared_law_of_cosines(cfg: PolarTriangleConfig):
 
     Returns (residual, n_matching_branches).
     """
-    ca, sa, _ = _cst(cfg, cfg.B, cfg.C)
-    cb, sb, _ = _cst(cfg, cfg.C, cfg.A)
-    cc, _, _ = _cst(cfg, cfg.A, cfg.B)
-    ccp = _cst(cfg, cfg.Ap, cfg.Bp)[0]
+    (ca, sa, _), (cb, sb, _), (cc, _, _), (ccp, _, _) = (
+        _cst(cfg, *_SIDES[side](cfg)) for side in ("a", "b", "c", "c'"))
     return _sqrt_branches(ca * cb, sa * sb * ccp, cc, cfg.tol)
 
 
@@ -557,7 +530,9 @@ def complementary_midpoints_conic(cfg: PolarTriangleConfig):
     return conic, fit_residual, carnot_residual, transversal_residual
 
 
-def _set_gap(pair1, pair2) -> float:
+def pair_gap(pair1, pair2) -> float:
+    """Gap between two unordered point pairs: the worse point gap under the
+    better matching."""
     a, b = pair1
     c, d = pair2
     return min(
@@ -589,21 +564,21 @@ def magic_midpoints_agreement(cfg: PolarTriangleConfig) -> float:
         # I: diagonal points of the complementary-midpoint quadrangle
         q1 = meet_lines(join_points(c1[0], c2[0]), join_points(c1[1], c2[1]))
         q2 = meet_lines(join_points(c1[0], c2[1]), join_points(c1[1], c2[0]))
-        worst = max(worst, _set_gap(pair, (q1, q2)))
+        worst = max(worst, pair_gap(pair, (q1, q2)))
         # II: primed complementary quadrangle
         r1 = meet_lines(join_points(d1[0], d2[0]), join_points(d1[1], d2[1]))
         r2 = meet_lines(join_points(d1[0], d2[1]), join_points(d1[1], d2[0]))
-        worst = max(worst, _set_gap(pair, (r1, r2)))
+        worst = max(worst, pair_gap(pair, (r1, r2)))
         # III: midpoints of the magic triangle side
         s_pair = mt.midpoints(cfg.model, mverts[0], mverts[1], tol=cfg.tol)
-        worst = max(worst, _set_gap(pair, s_pair))
+        worst = max(worst, pair_gap(pair, s_pair))
         # IVa: ordinary-midpoint quadrangle, away from the isosceles case
         if not iso:
             u1 = meet_lines(join_points(mids[0], midsp[0]),
                             join_points(mids[1], midsp[1]))
             u2 = meet_lines(join_points(mids[0], midsp[1]),
                             join_points(mids[1], midsp[0]))
-            worst = max(worst, _set_gap(pair, (u1, u2)))
+            worst = max(worst, pair_gap(pair, (u1, u2)))
     return worst
 
 
@@ -814,44 +789,44 @@ def classify_generalized(cfg: PolarTriangleConfig) -> str:
     return "other"
 
 
-# Each figure names the root family of its magnitudes a, b, c, alpha, beta,
-# gamma and its cosine laws (x, y, z, w, e1, e2), which read
+# The magnitudes a, b, c, alpha, beta, gamma of a worked figure and its
+# cosine laws (x, y, z, w, e1, e2), which read
 # cc(x) = e1 ss(y) ss(z) cc(w) + e2 cc(y) cc(z); its law of sines equates
 # ss(x)/ss(opposite) over the pairs (a, alpha), (b, beta), (c, gamma).
 _MAGNITUDES = ("a", "b", "c", "alpha", "beta", "gamma")
 _LAWS = {
-    "elliptic": ("CCCCCC", {
+    "elliptic": {
         "cosines": ("a", "c", "b", "alpha", 1.0, 1.0),
         "dual_cosines": ("alpha", "gamma", "beta", "a", 1.0, -1.0),
-    }),
-    "hyperbolic": ("HHHCCC", {
+    },
+    "hyperbolic": {
         "cosines": ("a", "c", "b", "alpha", -1.0, 1.0),
         "dual_cosines": ("alpha", "gamma", "beta", "a", 1.0, -1.0),
-    }),
-    "hexagon": ("HHHHHH", {"cosines": ("a", "c", "b", "alpha", 1.0, -1.0)}),
-    "quadrilateral": ("MMHCCH", {
+    },
+    "hexagon": {"cosines": ("a", "c", "b", "alpha", 1.0, -1.0)},
+    "quadrilateral": {
         "law_alpha": ("alpha", "gamma", "beta", "a", 1.0, -1.0),
         "law_a": ("a", "c", "b", "alpha", -1.0, 1.0),
         "law_c": ("c", "a", "b", "gamma", 1.0, -1.0),
         "law_gamma": ("gamma", "alpha", "beta", "c", 1.0, -1.0),
-    }),
+    },
 }
 
 
-def _laws(figure: str, mags):
-    """Residuals of the figure's law of sines (spread) and cosine laws."""
-    families, cosine_laws = _LAWS[figure]
+def _laws(figure: str, families: str, mags):
+    """Residuals of the figure's law of sines (spread) and cosine laws, each
+    magnitude read through its root family."""
     C, S, _ = _roots(_MAGNITUDES, families, mags)
     out = {"sines": _spread(tuple(
         S[x] / S[y] for x, y in (("a", "alpha"), ("b", "beta"), ("c", "gamma"))))}
-    for name, (x, y, z, w, e1, e2) in cosine_laws.items():
+    for name, (x, y, z, w, e1, e2) in _LAWS[figure].items():
         out[name] = _rel(C[x], e1 * S[y] * S[z] * C[w] + e2 * C[y] * C[z])
     return out
 
 
 def elliptic_triangle_laws(cfg: PolarTriangleConfig):
     """Measured spherical laws: law of sines spread, law of cosines, dual
-    law of cosines (unit-representative magnitudes)."""
+    law of cosines (unit-representative magnitudes, all circular)."""
     model = cfg.model
     a = mt.elliptic_side(model, cfg.B, cfg.C)
     b = mt.elliptic_side(model, cfg.C, cfg.A)
@@ -859,54 +834,42 @@ def elliptic_triangle_laws(cfg: PolarTriangleConfig):
     al = mt.elliptic_vertex_angle(model, cfg.A, cfg.B, cfg.C)
     be = mt.elliptic_vertex_angle(model, cfg.B, cfg.C, cfg.A)
     ga = mt.elliptic_vertex_angle(model, cfg.C, cfg.A, cfg.B)
-    return _laws("elliptic", (a, b, c, al, be, ga))
+    return _laws("elliptic", "CCCCCC", (a, b, c, al, be, ga))
 
 
 def hyperbolic_triangle_laws(cfg: PolarTriangleConfig):
-    """Measured hyperbolic laws for an interior triangle; angles through the
-    ray construction so obtuse angles keep their sign."""
+    """Measured hyperbolic laws for an interior triangle: sides through the
+    translation table, angles through the ray construction so obtuse angles
+    keep their sign."""
     model = cfg.model
     t = cfg.tol
-    a = mt.distance(model, cfg.B, cfg.C, tol=t)
-    b = mt.distance(model, cfg.C, cfg.A, tol=t)
-    c = mt.distance(model, cfg.A, cfg.B, tol=t)
+    families, (a, b, c) = _lengths(cfg, ("a", "b", "c"))
     al = ry.vertex_angle(model, cfg.A, cfg.B, cfg.C, tol=t)
     be = ry.vertex_angle(model, cfg.B, cfg.C, cfg.A, tol=t)
     ga = ry.vertex_angle(model, cfg.C, cfg.A, cfg.B, tol=t)
-    return _laws("hyperbolic", (a, b, c, al, be, ga))
+    return _laws("hyperbolic", families + "CCC", (a, b, c, al, be, ga))
 
 
 def hexagon_laws(cfg: PolarTriangleConfig):
     """Measured right-angled hexagon laws: sides a, b, c on the sides of T
     between the conjugate points, opposite sides alpha, beta, gamma on the
-    sides of T'."""
-    model = cfg.model
-    t = cfg.tol
-    d = lambda p, q: mt.distance(model, p, q, tol=t)
-    a = d(cfg.Ba, cfg.Ca)
-    b = d(cfg.Cb, cfg.Ab)
-    c = d(cfg.Ac, cfg.Bc)
-    al = d(cfg.Ab, cfg.Ac)
-    be = d(cfg.Bc, cfg.Ba)
-    ga = d(cfg.Ca, cfg.Cb)
-    return _laws("hexagon", (a, b, c, al, be, ga))
+    sides of T' (the sides a', b', c' through the translation table)."""
+    return _laws("hexagon", *_lengths(cfg, ("a", "b", "c", "a'", "b'", "c'")))
 
 
 def quadrilateral_laws(cfg: PolarTriangleConfig):
     """Measured laws of the quadrilateral with two consecutive right angles
     (A, B interior, C exterior): sides a = ||B C_a||, b = ||A C_b||,
-    c = ||AB||, gamma = ||C_a C_b||; angles alpha at A, beta at B."""
+    c = ||AB||, gamma = ||C_a C_b|| are the sides a, b, c, c' through the
+    translation table; angles alpha at A, beta at B."""
+    cfg = _exterior_at_c(cfg)
     model = cfg.model
     t = cfg.tol
-    cfg = _exterior_at_c(cfg)
     if not (model.is_interior(cfg.A) and model.is_interior(cfg.B)) \
             or model.is_interior(cfg.C):
         raise KindMismatch("quadrilateral laws need A, B interior and C exterior")
-    d = lambda p, q: mt.distance(model, p, q, tol=t)
-    a = d(cfg.B, cfg.Ca)
-    b = d(cfg.A, cfg.Cb)
-    c = d(cfg.A, cfg.B)
-    ga = d(cfg.Ca, cfg.Cb)
+    families, (a, b, c, ga) = _lengths(cfg, ("a", "b", "c", "c'"))
     al = ry.vertex_angle(model, cfg.A, cfg.B, cfg.Cb, tol=t)
     be = ry.vertex_angle(model, cfg.B, cfg.A, cfg.Ca, tol=t)
-    return _laws("quadrilateral", (a, b, c, al, be, ga))
+    return _laws("quadrilateral", families[:3] + "CC" + families[3],
+                 (a, b, c, al, be, ga))

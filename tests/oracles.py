@@ -1,6 +1,9 @@
 """Independent oracles for the tests: evaluations that ckgeom itself does
 not use, written apart from the kernel they check."""
 
+from ckgeom import metric as mt
+from ckgeom import rays as ry
+from ckgeom import trig as tg
 from ckgeom.errors import ChartDegenerate
 from ckgeom.tolerance import get_tol
 
@@ -48,3 +51,45 @@ def oracle_cross_ratio(a, b, c, d, tol=None):
         ca, cb, cc = coords[0], coords[1], coords[2]
         return (cc - ca) / (cc - cb)
     raise ChartDegenerate("chart infinity in an unsupported slot")
+
+
+def hand_figure_lengths(cfg, figure):
+    """Root families and magnitudes of a worked figure, written out per
+    figure as point-pair distances and line angles: an oracle for the
+    translation-table readings of `ckgeom.trig`.
+
+    `figure` is a right-angled kind of `ckgeom.trig` (its magnitudes a, b, c,
+    beta, gamma, with Lambert figures relabeled so B is exterior), "hexagon"
+    or "quadrilateral" (their magnitudes a, b, c, alpha, beta, gamma, with
+    the quadrilateral relabeled so C is exterior; its angles alpha and beta
+    are vertex angles, read outside the translation table).
+    """
+    c, model, t = cfg, cfg.model, cfg.tol
+    d = lambda p, q: mt.distance(model, p, q, tol=t)
+    angle = lambda x, y: mt.angle_lines(model, x, y, tol=t)
+    if figure == tg.LAMBERT and model.is_interior(c.B):
+        c = tg._swap_bc(c)
+    if figure == "quadrilateral":
+        c = tg._exterior_at_c(c)
+    if figure == tg.ELLIPTIC_RIGHT:
+        return "CCCCC", (mt.elliptic_side(model, c.B, c.C),
+                         mt.elliptic_side(model, c.C, c.A),
+                         mt.elliptic_side(model, c.A, c.B),
+                         mt.elliptic_vertex_angle(model, c.B, c.C, c.A),
+                         mt.elliptic_vertex_angle(model, c.C, c.A, c.B))
+    if figure == tg.HYPERBOLIC_RIGHT:
+        return "HHHCC", (d(c.B, c.C), d(c.C, c.A), d(c.A, c.B),
+                         angle(c.c, c.a), angle(c.a, c.b))
+    if figure == tg.LAMBERT:
+        return "MHMHC", (d(c.C, c.Ba), d(c.C, c.A), d(c.A, c.Bc),
+                         d(c.Bc, c.Ba), angle(c.a, c.b))
+    if figure == tg.PENTAGON:
+        return "HMMHH", (d(c.Ba, c.Ca), d(c.Cb, c.A), d(c.A, c.Bc),
+                         d(c.Bc, c.Ba), d(c.Ca, c.Cb))
+    if figure == "hexagon":
+        return "HHHHHH", (d(c.Ba, c.Ca), d(c.Cb, c.Ab), d(c.Ac, c.Bc),
+                          d(c.Ab, c.Ac), d(c.Bc, c.Ba), d(c.Ca, c.Cb))
+    return "MMHCCH", (d(c.B, c.Ca), d(c.A, c.Cb), d(c.A, c.B),
+                      ry.vertex_angle(model, c.A, c.B, c.Cb, tol=t),
+                      ry.vertex_angle(model, c.B, c.A, c.Ca, tol=t),
+                      d(c.Ca, c.Cb))

@@ -290,8 +290,8 @@ def _ray_quadruples(hyp, rng, n):
             r1 = ry.ray_towards(hyp, o, p)
             r2 = ry.ray_towards(hyp, o, q)
             u, v = cn.line_conic_meet(absolute, cn.polar(absolute, o)).points
-            a2 = ry._other_trace(hyp, r1, absolute, 1e-9)
-            b2 = ry._other_trace(hyp, r2, absolute, 1e-9)
+            a2 = ry.other_trace(r1, absolute, 1e-9)
+            b2 = ry.other_trace(r2, absolute, 1e-9)
         except errors.GeometryError:
             continue
         a1, b1 = r1.endpoint, r2.endpoint

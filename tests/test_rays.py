@@ -68,7 +68,7 @@ def test_supplement_relation(hyp, rng):
         q = interior_point(rng, 0.8)
         r1 = ry.ray_towards(hyp, o, p)
         r2 = ry.ray_towards(hyp, o, q)
-        other = ry._other_trace(hyp, r2, hyp.absolute, 1e-9)
+        other = ry.other_trace(r2, hyp.absolute, 1e-9)
         r2b = ry.Ray(r2.origin, r2.carrier, other)
         a1 = ry.angle_between_rays(hyp, r1, r2)
         a2 = ry.angle_between_rays(hyp, r1, r2b)
@@ -117,7 +117,7 @@ def test_different_origins(hyp):
 
 
 def test_auxiliary_circle_variant(hyp):
-    # the same machinery against a caller-supplied circle centered at P
+    # the same machinery with a circle centered at P as the absolute
     # reproduces euclidean angles in the chart
     p = affine_point(0.2, -0.1)
     circle = cn.Conic(1.0, 1.0, -(0.3 ** 2) + 0.2 ** 2 + 0.1 ** 2,
@@ -125,9 +125,10 @@ def test_auxiliary_circle_variant(hyp):
     # (x-0.2)^2 + (y+0.1)^2 = 0.09
     t1 = affine_point(0.2 + 0.4, -0.1)
     t2 = affine_point(0.2 + 0.3, -0.1 + 0.3)
-    r1 = ry.ray_towards(None, p, t1, conic=circle)
-    r2 = ry.ray_towards(None, p, t2, conic=circle)
-    ang = ry.angle_between_rays(None, r1, r2, conic=circle)
+    model = mt.ModelGeometry(circle)
+    r1 = ry.ray_towards(model, p, t1)
+    r2 = ry.ray_towards(model, p, t2)
+    ang = ry.angle_between_rays(model, r1, r2)
     assert abs(ang - math.pi / 4) < 1e-10
 
 
@@ -142,8 +143,8 @@ def test_ray_angle_cross_ratios_rescaling_invariant(hyp, rng):
             r1 = ry.ray_towards(hyp, o, interior_point(rng, 0.8))
             r2 = ry.ray_towards(hyp, o, interior_point(rng, 0.8))
             u, v = cn.line_conic_meet(absolute, cn.polar(absolute, o)).points
-            a2 = ry._other_trace(hyp, r1, absolute, 1e-9)
-            b2 = ry._other_trace(hyp, r2, absolute, 1e-9)
+            a2 = ry.other_trace(r1, absolute, 1e-9)
+            b2 = ry.other_trace(r2, absolute, 1e-9)
             quads = ((u, v, r1.endpoint, r2.endpoint),
                      (r1.endpoint, r2.endpoint, b2, a2))
             values = [cn.cross_ratio_on_conic(absolute, *q, with_check=False)

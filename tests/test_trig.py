@@ -19,6 +19,7 @@ from ckgeom.projective import (
     points_equal,
 )
 from conftest import exterior_point, interior_point
+from oracles import hand_figure_lengths
 
 
 def lab_cfg(kind, geometry="hyperbolic", seed=31, trial=0):
@@ -155,6 +156,44 @@ def test_table_rows_are_roots_of_squared_identities(kind):
             sq_lhs, sq_rhs = tg._IDENTITIES[name](C, S, T)
             assert tg._rel(abs(lhs * lhs), abs(sq_lhs)) < 1e-8, (kind, trial, name)
             assert tg._rel(abs(rhs * rhs), abs(sq_rhs)) < 1e-8, (kind, trial, name)
+
+
+@pytest.mark.parametrize("kind", KINDS + ("hexagon", "quadrilateral"))
+def test_figure_lengths_are_translation_table_readings(kind, monkeypatch):
+    # every worked-figure length, and its root family, read through
+    # metric.segment_measure equals the hand-written point-pair reading of
+    # tests/oracles.py.  Pentagon lengths between conjugate points are
+    # ill-conditioned: both readings miss a 50-digit evaluation of the same
+    # rounded scene by up to 8e-10 relative, so they agree only to 1e-9.
+    read = []
+    laws = tg._laws
+
+    def spy(figure, families, mags):
+        read.append((families, mags))
+        return laws(figure, families, mags)
+
+    monkeypatch.setattr(tg, "_laws", spy)
+    geometry = "elliptic" if kind == "right:elliptic" else "hyperbolic"
+    rel = 1e-9 if kind == "right:pentagon" else 1e-12
+    done = 0
+    for trial in range(300):
+        try:
+            cfg = lab_cfg(kind, geometry, seed=53, trial=trial)
+        except errors.GeometryError:
+            continue
+        if kind in KINDS:
+            figure, families, mags = tg.right_angled_magnitudes(cfg)
+            assert figure == KIND_NAMES[kind]
+        else:
+            figure = kind
+            getattr(tg, kind + "_laws")(cfg)
+            families, mags = read.pop()
+        want_families, want = hand_figure_lengths(cfg, figure)
+        assert families == want_families, (kind, trial)
+        for got, ref in zip(mags, want, strict=True):
+            assert abs(got - ref) <= rel * abs(ref), (kind, trial, got, ref)
+        done += 1
+    assert done >= 200
 
 
 def test_right_angled_hand_values():
