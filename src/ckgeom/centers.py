@@ -14,12 +14,18 @@ it early or late gives the same floats.  Two contracts:
   the midpoint pairs of all six sides, the chosen midpoints) never raise on
   a scene the eager build accepted, which would change what a certificate
   counts: the midpoint groups test their endpoints exactly as the eager
-  checks do, at the same tol, and tests pin this on drawn scenes of every
-  kind;
+  checks do, at the same tolerance, and tests pin this on drawn scenes of
+  every kind;
 * the isosceles flags, the complementary midpoint pairs, the magic triangle
   and the center reports (read through `classical()`, `pseudo()`, `euler()`
   and `nine_point()`) may raise `GeometryError`.  A raise leaves the slot
   unset, so the next read raises again.
+
+A config holds no tolerance: its build and every derived group read the
+ambient one (`get_tol`), so a config is to be read under the tolerance it
+was built under.  Inside the trial driver this holds: `lab.verify` runs
+under its own tolerance, and the scene cache keys each config on the
+tolerance in force.
 """
 
 from __future__ import annotations
@@ -49,14 +55,13 @@ from .tolerance import get_tol
 class PolarTriangleConfig:
     """A triangle, its polar triangle and what they derive.
 
-    Eager: model, tol, A/B/C, the sides a/b/c, the polars ap/bp/cp, the
+    Eager: model, A/B/C, the sides a/b/c, the polars ap/bp/cp, the
     poles Ap/Bp/Cp and conjugate_side_pairs.  Every other slot is filled on
     first read by its group in `_DERIVED`, under the module's two contracts.
     """
 
     __slots__ = (
-        "model", "tol",
-        "A", "B", "C", "a", "b", "c",
+        "model", "A", "B", "C", "a", "b", "c",
         "ap", "bp", "cp", "Ap", "Bp", "Cp",
         "A0", "B0", "C0",
         "Ab", "Ac", "Bc", "Ba", "Ca", "Cb",
@@ -71,23 +76,22 @@ class PolarTriangleConfig:
         "_classical", "_pseudo", "_euler", "_nine_point",
     )
 
-    def __init__(self, model, A, B, C, tol=None):
+    def __init__(self, model, A, B, C):
         self.model = model
-        self.tol = get_tol() if tol is None else tol
         self.A, self.B, self.C = A, B, C
         self._check_and_derive()
 
     # -- construction -----------------------------------------------------
 
     def _check_and_derive(self):
-        t = self.tol
+        t = get_tol()
         model = self.model
         phi = model.absolute
         A, B, C = self.A, self.B, self.C
         if collinearity_residual(A, B, C) <= t:
             raise GeneralPositionViolation("vertices are collinear")
         for name, v in (("A", A), ("B", B), ("C", C)):
-            if model.on_absolute(v, t):
+            if model.on_absolute(v):
                 raise GeneralPositionViolation(f"vertex {name} lies on the absolute")
         self.a = join_points(B, C)
         self.b = join_points(C, A)
@@ -99,7 +103,7 @@ class PolarTriangleConfig:
         self.Bp = cn.pole(phi, self.b)
         self.Cp = cn.pole(phi, self.c)
         for name, v in (("A'", self.Ap), ("B'", self.Bp), ("C'", self.Cp)):
-            if model.on_absolute(v, t):
+            if model.on_absolute(v):
                 raise GeneralPositionViolation(
                     f"polar vertex {name} on the absolute (tangent side)")
         verts = (("A", A), ("B", B), ("C", C),
@@ -123,11 +127,11 @@ class PolarTriangleConfig:
     def _conjugate_sides(self):
         phi = self.model.absolute
         pairs = []
-        if cn.lines_conjugate(phi, self.b, self.c, self.tol):
+        if cn.lines_conjugate(phi, self.b, self.c):
             pairs.append("bc")
-        if cn.lines_conjugate(phi, self.c, self.a, self.tol):
+        if cn.lines_conjugate(phi, self.c, self.a):
             pairs.append("ca")
-        if cn.lines_conjugate(phi, self.a, self.b, self.tol):
+        if cn.lines_conjugate(phi, self.a, self.b):
             pairs.append("ab")
         return tuple(pairs)
 
@@ -147,8 +151,8 @@ class PolarTriangleConfig:
         return self._nine_point
 
 
-def build_config(model, A, B, C, tol=None) -> PolarTriangleConfig:
-    return PolarTriangleConfig(model, A, B, C, tol=tol)
+def build_config(model, A, B, C) -> PolarTriangleConfig:
+    return PolarTriangleConfig(model, A, B, C)
 
 
 def midpoint_assignments(pairs, t, avoid=None):
@@ -222,31 +226,31 @@ def _orthic(cfg):
 
 # midpoint pairs (canonically ordered)
 def _side_midpoints(cfg):
-    model, t = cfg.model, cfg.tol
-    cfg.mids_a = mt.midpoints(model, cfg.B, cfg.C, tol=t)
-    cfg.mids_b = mt.midpoints(model, cfg.C, cfg.A, tol=t)
-    cfg.mids_c = mt.midpoints(model, cfg.A, cfg.B, tol=t)
+    model = cfg.model
+    cfg.mids_a = mt.midpoints(model, cfg.B, cfg.C)
+    cfg.mids_b = mt.midpoints(model, cfg.C, cfg.A)
+    cfg.mids_c = mt.midpoints(model, cfg.A, cfg.B)
 
 
 def _polar_side_midpoints(cfg):
-    model, t = cfg.model, cfg.tol
-    cfg.mids_ap = mt.midpoints(model, cfg.Bp, cfg.Cp, tol=t)
-    cfg.mids_bp = mt.midpoints(model, cfg.Cp, cfg.Ap, tol=t)
-    cfg.mids_cp = mt.midpoints(model, cfg.Ap, cfg.Bp, tol=t)
+    model = cfg.model
+    cfg.mids_ap = mt.midpoints(model, cfg.Bp, cfg.Cp)
+    cfg.mids_bp = mt.midpoints(model, cfg.Cp, cfg.Ap)
+    cfg.mids_cp = mt.midpoints(model, cfg.Ap, cfg.Bp)
 
 
 def _midpoint_choice(cfg):
-    avoid = (cfg.A0, cfg.B0, cfg.C0)
+    avoid, t = (cfg.A0, cfg.B0, cfg.C0), get_tol()
     cfg.D, cfg.E, cfg.F, cfg.Da, cfg.Eb, cfg.Fc = _choose_midpoints(
-        (cfg.mids_a, cfg.mids_b, cfg.mids_c), avoid, cfg.tol)
+        (cfg.mids_a, cfg.mids_b, cfg.mids_c), avoid, t)
     cfg.Dp, cfg.Ep, cfg.Fp, cfg.Dap, cfg.Ebp, cfg.Fcp = _choose_midpoints(
-        (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), avoid, cfg.tol)
+        (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), avoid, t)
 
 
 def _isosceles_flags(cfg):
     """Isosceles test at each vertex: equality of the two conic cross
     ratios (B1B2AC) = (C1C2AB) under the best labeling."""
-    t = cfg.tol
+    t = get_tol()
     phi = cfg.model.absolute
     flags = []
     for vertex, s1, s2, v1, v2 in (
@@ -254,8 +258,8 @@ def _isosceles_flags(cfg):
         (cfg.B, cfg.c, cfg.a, cfg.A, cfg.C),
         (cfg.C, cfg.a, cfg.b, cfg.B, cfg.A),
     ):
-        p1, p2 = cn.line_conic_meet(phi, s1, tol=t).points
-        q1, q2 = cn.line_conic_meet(phi, s2, tol=t).points
+        p1, p2 = cn.line_conic_meet(phi, s1).points
+        q1, q2 = cn.line_conic_meet(phi, s2).points
         r1 = cross_ratio(p1, p2, vertex, v1, carrier=s1)
         best = math.inf
         for q in ((q1, q2), (q2, q1)):
@@ -268,20 +272,20 @@ def _isosceles_flags(cfg):
 def _complementary(cfg):
     """Complementary midpoint pairs (G, Ga), (H, Hb), (I, Ic) of the sides
     a, b, c: midpoints of the conjugate-endpoint segments."""
-    model, t = cfg.model, cfg.tol
+    model = cfg.model
     cfg.complementary = (
-        mt.midpoints(model, cfg.B, cfg.Ca, tol=t),
-        mt.midpoints(model, cfg.C, cfg.Ab, tol=t),
-        mt.midpoints(model, cfg.A, cfg.Bc, tol=t),
+        mt.midpoints(model, cfg.B, cfg.Ca),
+        mt.midpoints(model, cfg.C, cfg.Ab),
+        mt.midpoints(model, cfg.A, cfg.Bc),
     )
 
 
 def _complementary_dual(cfg):
-    model, t = cfg.model, cfg.tol
+    model = cfg.model
     cfg.complementary_dual = (
-        mt.midpoints(model, cfg.Bp, cfg.Ac, tol=t),
-        mt.midpoints(model, cfg.Cp, cfg.Ba, tol=t),
-        mt.midpoints(model, cfg.Ap, cfg.Cb, tol=t),
+        mt.midpoints(model, cfg.Bp, cfg.Ac),
+        mt.midpoints(model, cfg.Cp, cfg.Ba),
+        mt.midpoints(model, cfg.Ap, cfg.Cb),
     )
 
 
@@ -300,9 +304,9 @@ def _magic(cfg):
     m.B = meet_lines(m.c, m.a)
     m.C = meet_lines(m.a, m.b)
     m.pairs = (
-        mt.midpoints(cfg.model, cfg.Bc, cfg.Cb, tol=cfg.tol),
-        mt.midpoints(cfg.model, cfg.Ca, cfg.Ac, tol=cfg.tol),
-        mt.midpoints(cfg.model, cfg.Ab, cfg.Ba, tol=cfg.tol),
+        mt.midpoints(cfg.model, cfg.Bc, cfg.Cb),
+        mt.midpoints(cfg.model, cfg.Ca, cfg.Ac),
+        mt.midpoints(cfg.model, cfg.Ab, cfg.Ba),
     )
     cfg.magic = m
 
@@ -324,7 +328,7 @@ class CentersReport:
 def _classical_centers(cfg: PolarTriangleConfig):
     """Barycenters, circumcenters and incenters for every consistent
     midpoint assignment, with their concurrency residuals."""
-    t = cfg.tol
+    t = get_tol()
     report = CentersReport()
     report.residuals["orthocenter"] = incidence_residual(cfg.hc, cfg.H)
     for bits, (d, e, f) in midpoint_assignments(
@@ -500,13 +504,12 @@ def _nine_point_conic(cfg: PolarTriangleConfig):
     line is checked to be the Pascal line of the hexagon
     HA NB HC NA HB NC.
     """
-    t = cfg.tol
     ps = cfg.pseudo()
     eu = cfg.euler()
     out = NinePointConic()
     res = {}
-    quad = Quadrangle(cfg.A, cfg.B, cfg.C, cfg.H, tol=t)
-    gamma, eleven = cn.eleven_point_conic(quad, cfg.h, tol=t)
+    quad = Quadrangle(cfg.A, cfg.B, cfg.C, cfg.H)
+    gamma, eleven = cn.eleven_point_conic(quad, cfg.h)
     # R-point quadrangles for the harmonic conjugates on the altitudes
     ra = join_points(cfg.A0, cfg.H)
     rb = join_points(cfg.B0, cfg.H)
@@ -574,14 +577,13 @@ def concurrency_graph_residual(cfg: PolarTriangleConfig) -> float:
 
 def experimental_conjectures(cfg: PolarTriangleConfig):
     """The three experimental nine-point claims; reported, never gated."""
-    t = cfg.tol
     phi = cfg.model.absolute
     ps = cfg.pseudo()
     eu = cfg.euler()
     np_ = cfg.nine_point()
     gamma = np_.conic
     report = {}
-    m1, m2 = mt.midpoints(cfg.model, cfg.H, ps.P, tol=t)
+    m1, m2 = mt.midpoints(cfg.model, cfg.H, ps.P)
     e_pole = cn.pole(phi, eu.line)
     # (1) {m1, m2, pole(e)} self-polar for the absolute and for gamma
     def self_polar_residual(conic):
@@ -599,11 +601,11 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
     # (2) e is a symmetry axis of gamma: the harmonic homology with axis e
     # and center pole(e) w.r.t. the absolute maps gamma to itself
     try:
-        samples = cn.sample_conic_points(gamma, 8, tol=t)
+        samples = cn.sample_conic_points(gamma, 8)
         worst = 0.0
         for s in samples:
             worst = max(worst, cn.conic_residual(gamma,
-                        mt.point_symmetry(cfg.model, e_pole, s, tol=t)))
+                        mt.point_symmetry(cfg.model, e_pole, s)))
         report["axis_symmetry"] = worst
     except GeometryError as exc:
         report["axis_symmetry_error"] = repr(exc)
@@ -623,9 +625,9 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
             axis2 = mt.perpendicular_through(cfg.model, eu.line, center)
             pole2 = cn.pole(phi, axis2)
             worst = 0.0
-            for s in cn.sample_conic_points(gamma, 8, tol=t):
+            for s in cn.sample_conic_points(gamma, 8):
                 worst = max(worst, cn.conic_residual(gamma,
-                            mt.point_symmetry(cfg.model, pole2, s, tol=t)))
+                            mt.point_symmetry(cfg.model, pole2, s)))
             report["second_axis_symmetry"] = worst
         except GeometryError as exc:
             report["second_axis_error"] = repr(exc)

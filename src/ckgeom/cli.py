@@ -20,7 +20,14 @@ from .errors import GeometryError, UnknownTheorem
 from .figures import draw_figure
 from .projective import join_points
 from .sceneio import SceneError, builtin_scene, load_scene
-from .tolerance import get_tol
+from .tolerance import checked_tol, get_tol
+
+
+def _tol_arg(text: str) -> float:
+    try:
+        return checked_tol(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
 
 
 def _geometries(arg: str):
@@ -168,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--geometry", default="both",
                     choices=["hyperbolic", "elliptic", "both"])
-    vp.add_argument("--tol", type=float, default=None)
+    vp.add_argument("--tol", type=_tol_arg, default=None)
     vp.add_argument("--report", default=None, help="write a JSON report here")
     vp.set_defaults(func=cmd_verify)
 

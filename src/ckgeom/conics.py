@@ -20,9 +20,8 @@ from .projective import (
     HLine,
     HPoint,
     Quadrangle,
-    _cross_apart,
-    _normalized,
     cross,
+    cross_apart,
     cross_ratio,
     dot,
     harmonic_conjugate,
@@ -32,6 +31,7 @@ from .projective import (
     involution_from_pairs,
     join_points,
     meet_lines,
+    normalized,
     point_gap,
     solve_quadratic,
     triple_eq,
@@ -121,10 +121,9 @@ class Conic:
         """Quadratic form p^T M p (p assumed normalized)."""
         return dot(p, self.apply(p))
 
-    def real_rows(self, tol=None):
+    def real_rows(self):
         """All-real representative rows, or None if not real-representable."""
-        t = get_tol() if tol is None else tol
-        if self._imag <= 1e3 * t:
+        if self._imag <= 1e3 * get_tol():
             return tuple(tuple(c.real for c in r) for r in self.matrix_rows())
         return None
 
@@ -162,33 +161,31 @@ def conic_residual(phi: Conic, p) -> float:
     return abs(phi.value(p))
 
 
-def point_on_conic(phi: Conic, p, tol=None) -> bool:
-    t = get_tol() if tol is None else tol
-    return conic_residual(phi, p) <= 1e3 * t
+def point_on_conic(phi: Conic, p) -> bool:
+    return conic_residual(phi, p) <= 1e3 * get_tol()
 
 
 def polar(phi: Conic, p: HPoint) -> HLine:
     if phi.is_degenerate():
         raise DegenerateConic("polar needs a nondegenerate conic")
     x, y, z = phi.apply(p)
-    return _normalized(HLine, x, y, z)
+    return normalized(HLine, x, y, z)
 
 
 def pole(phi: Conic, line: HLine) -> HPoint:
     if phi.is_degenerate():
         raise DegenerateConic("pole needs a nondegenerate conic")
     adj = phi.adjugate()
-    return _normalized(HPoint, dot(adj[0], line), dot(adj[1], line),
+    return normalized(HPoint, dot(adj[0], line), dot(adj[1], line),
                        dot(adj[2], line))
 
 
-def lines_conjugate(phi: Conic, a: HLine, b: HLine, tol=None) -> bool:
+def lines_conjugate(phi: Conic, a: HLine, b: HLine) -> bool:
     """Conjugacy of lines: pole of one incident with the other."""
-    t = get_tol() if tol is None else tol
     adj = phi.adjugate()
     v = (dot(adj[0], a), dot(adj[1], a), dot(adj[2], a))
     scale = max(abs(c) for c in v)
-    return abs(dot(v, b)) <= 1e3 * t * max(scale, 1e-300)
+    return abs(dot(v, b)) <= 1e3 * get_tol() * max(scale, 1e-300)
 
 
 EXTERIOR = "exterior"
@@ -219,7 +216,7 @@ def _line_basis(line: HLine):
     return hpoint(*p), hpoint(*q)
 
 
-def line_conic_meet(phi: Conic, line: HLine, tol=None) -> LineConicMeet:
+def line_conic_meet(phi: Conic, line: HLine) -> LineConicMeet:
     """Intersect a line with a conic.
 
     The line is parametrized by two generating points P, Q; the quadratic in
@@ -228,7 +225,7 @@ def line_conic_meet(phi: Conic, line: HLine, tol=None) -> LineConicMeet:
     when all data is real, `exterior` whenever fewer than two real
     intersection points exist.
     """
-    t = get_tol() if tol is None else tol
+    t = get_tol()
     if phi.is_degenerate():
         raise DegenerateConic("line_conic_meet needs a nondegenerate conic")
     p, q = _line_basis(line)
@@ -254,7 +251,7 @@ def line_conic_meet(phi: Conic, line: HLine, tol=None) -> LineConicMeet:
         r1, r2 = solve_quadratic(a, b, c)
         for r in (r1, r2):
             pts.append(hpoint(p[0] + r * q[0], p[1] + r * q[1], p[2] + r * q[2]))
-    # real-representable as in `Conic.real_rows(t)`
+    # real-representable as in `Conic.real_rows`
     real_conic = phi._imag <= 1e3 * t
     all_real = (
         max(abs(line[0].imag), abs(line[1].imag), abs(line[2].imag)) <= t
@@ -279,16 +276,15 @@ def line_conic_meet(phi: Conic, line: HLine, tol=None) -> LineConicMeet:
     return LineConicMeet(status, tuple(pts))
 
 
-def tangent_line(phi: Conic, p: HPoint, tol=None) -> HLine:
-    t = get_tol() if tol is None else tol
-    if not point_on_conic(phi, p, t):
+def tangent_line(phi: Conic, p: HPoint) -> HLine:
+    if not point_on_conic(phi, p):
         raise PointNotOnConic(f"{p} is not on the conic")
     return polar(phi, p)
 
 
-def conjugate_point(phi: Conic, q: HPoint, line: HLine, tol=None) -> HPoint:
+def conjugate_point(phi: Conic, q: HPoint, line: HLine) -> HPoint:
     """Q_p = p . polar(Q), the conjugate of Q in the line p."""
-    t = get_tol() if tol is None else tol
+    t = get_tol()
     if incidence_residual(line, q) > 1e3 * t:
         raise PointNotOnLine("conjugate_point needs Q on the line")
     pol = phi.apply(q)
@@ -296,18 +292,17 @@ def conjugate_point(phi: Conic, q: HPoint, line: HLine, tol=None) -> HPoint:
         # polar of Q is the line itself: Q is the contact point of a tangent
         raise TangentLine("line is tangent to the conic at Q")
     x, y, z = cross(line, pol)
-    return _normalized(HPoint, x, y, z)
+    return normalized(HPoint, x, y, z)
 
 
-def conjugate_line(phi: Conic, q: HLine, p: HPoint, tol=None) -> HLine:
+def conjugate_line(phi: Conic, q: HLine, p: HPoint) -> HLine:
     """q_P = join(P, pole(q)), the conjugate of q in the pencil through P."""
-    t = get_tol() if tol is None else tol
-    if incidence_residual(q, p) > 1e3 * t:
+    if incidence_residual(q, p) > 1e3 * get_tol():
         raise PointNotOnLine("conjugate_line needs P on the line q")
-    if point_on_conic(phi, p, t):
+    if point_on_conic(phi, p):
         raise PointOnConic("conjugate_line undefined for P on the conic")
     pl = pole(phi, q)
-    if triple_eq(pl, p, t):
+    if triple_eq(pl, p):
         raise TangentLine("q is the polar of P")
     return join_points(p, pl)
 
@@ -321,86 +316,82 @@ def _veronese_row(p):
     return (x * x, y * y, z * z, 2.0 * y * z, 2.0 * x * z, 2.0 * x * y)
 
 
-def conic_fit(points, tol=None, rank_check=True) -> Conic:
+def conic_fit(points, rank_check=True) -> Conic:
     """Least-squares conic through >= 5 points via the smallest singular
     vector of the Veronese design matrix."""
-    t = get_tol() if tol is None else tol
     if len(points) < 5:
         raise DegenerateInput("need at least five points")
     rows = np.array([_veronese_row(p) for p in points], dtype=complex)
     _, s, vh = np.linalg.svd(rows)
-    if rank_check and len(points) == 5 and s[-1] > 0 and s[-2] <= t * s[0]:
+    if rank_check and len(points) == 5 and s[-1] > 0 and s[-2] <= get_tol() * s[0]:
         raise DegenerateInput("design matrix rank-deficient beyond one")
     v = vh[-1].conj()  # rows = U S V^H, so the null vector is conj(vh[-1])
     m00, m11, m22, d12, d02, d01 = v
     return Conic(m00, m11, m22, d01, d02, d12)
 
 
-def conic_through_five(points, tol=None) -> Conic:
+def conic_through_five(points) -> Conic:
     if len(points) != 5:
         raise DegenerateInput("conic_through_five takes exactly five points")
-    return conic_fit(points, tol=tol)
+    return conic_fit(points)
 
 
-def conic_point(phi: Conic, tol=None) -> HPoint:
+def conic_point(phi: Conic) -> HPoint:
     """Some point on the conic (possibly imaginary)."""
     for probe in ((0j, 1, 0), (1, 0j, 0), (0, 0j, 1), (1, 1, 0.5)):
         try:
             line = hline(*probe)
         except ValueError:
             continue
-        meet = line_conic_meet(phi, line, tol=tol)
+        meet = line_conic_meet(phi, line)
         p = meet.points[0]
         if conic_residual(phi, p) <= 1e-6:
             return p
     raise DegenerateInput("could not locate a conic point")
 
 
-def sample_conic_points(phi: Conic, n: int, tol=None):
+def sample_conic_points(phi: Conic, n: int):
     """Up to n points of the conic: the second traces of n fixed lines
-    through the base point `conic_point`.  Every coincidence test and
-    line-conic meet uses `tol`, the ambient tolerance when None."""
-    t = get_tol() if tol is None else tol
-    base = conic_point(phi, tol=t)
+    through the base point `conic_point`."""
+    base = conic_point(phi)
     pts = []
     for k in range(n):
         ang = 2.0 * math.pi * (k + 0.37) / n
         other = hpoint(math.cos(ang), math.sin(ang), 0.31 + 0.13 * math.sin(3 * ang))
-        if triple_eq(other, base, t):
+        if triple_eq(other, base):
             continue
-        line = join_points(base, other, t)
-        meet = line_conic_meet(phi, line, tol=t)
+        line = join_points(base, other)
+        meet = line_conic_meet(phi, line)
         p1, p2 = meet.points
-        cand = p2 if triple_eq(p1, base, t) else p1
-        if not triple_eq(cand, base, t):
+        cand = p2 if triple_eq(p1, base) else p1
+        if not triple_eq(cand, base):
             pts.append(cand)
     return pts
 
 
-def _pencil_cross_ratio(theta: Conic, quad, k: int, t) -> complex:
+def _pencil_cross_ratio(theta: Conic, quad, k: int) -> complex:
     """Cross ratio of the pencil joining quad[k] to the four conic points:
     the tangent at quad[k] in slot k and for any input coinciding with it."""
     v = quad[k]
+    t = get_tol()
     tangent = polar(theta, v)
     lines = []
     for j, p in enumerate(quad):
-        w = None if j == k else _cross_apart(v, p, t)
-        lines.append(tangent if w is None else _normalized(HLine, w[0], w[1], w[2]))
-    return cross_ratio(*lines, carrier=v, tol=t)
+        w = None if j == k else cross_apart(v, p, t)
+        lines.append(tangent if w is None else normalized(HLine, w[0], w[1], w[2]))
+    return cross_ratio(*lines, carrier=v)
 
 
-def cross_ratio_on_conic(theta: Conic, a, b, c, d, tol=None,
-                         with_check=True) -> complex:
+def cross_ratio_on_conic(theta: Conic, a, b, c, d, with_check=True) -> complex:
     """Cross ratio of four conic points over the conic.
 
     By Steiner's theorem it is the cross ratio of the pencil that joins any
     point of the conic to the four, where a point joined to itself gives
     its tangent.  The pencil is taken at the input farthest from the other
     three (the largest least `point_gap`); an input that coincides with it
-    at `tol` is joined by the tangent too.  With `with_check` the pencil at
-    the second farthest input must give the same value.
+    at the tolerance is joined by the tangent too.  With `with_check` the
+    pencil at the second farthest input must give the same value.
     """
-    t = get_tol() if tol is None else tol
     quad = (a, b, c, d)
     for p in quad:
         if conic_residual(theta, p) > 1e-6:
@@ -412,10 +403,10 @@ def cross_ratio_on_conic(theta: Conic, a, b, c, d, tol=None,
             least[i] = min(least[i], g)
             least[j] = min(least[j], g)
     order = sorted(range(4), key=least.__getitem__, reverse=True)
-    val = _pencil_cross_ratio(theta, quad, order[0], t)
+    val = _pencil_cross_ratio(theta, quad, order[0])
     if with_check:
-        val2 = _pencil_cross_ratio(theta, quad, order[1], t)
-        if abs(val - val2) > 1e4 * t * max(1.0, abs(val)):
+        val2 = _pencil_cross_ratio(theta, quad, order[1])
+        if abs(val - val2) > 1e4 * get_tol() * max(1.0, abs(val)):
             raise DegenerateInput(
                 f"Steiner self-check failed: {val} vs {val2}")
     return val
@@ -425,7 +416,7 @@ def cross_ratio_on_conic(theta: Conic, a, b, c, d, tol=None,
 # the eleven-point conic
 # ---------------------------------------------------------------------------
 
-def eleven_point_conic(q: Quadrangle, line: HLine, tol=None):
+def eleven_point_conic(q: Quadrangle, line: HLine):
     """The conic through the fixed points of the quadrangular involution on
     `line`, the diagonal points of the quadrangle, and the six harmonic
     conjugates of the side traces.
@@ -434,21 +425,19 @@ def eleven_point_conic(q: Quadrangle, line: HLine, tol=None):
     The conic is fitted from the nine members that are real for real input
     (diagonal points and harmonic conjugates); I and J are verified members.
     """
-    t = get_tol() if tol is None else tol
     vs = q.vertices
     for v in vs:
-        if incidence_residual(line, v) <= t:
+        if incidence_residual(line, v) <= get_tol():
             raise LineThroughVertex("eleven-point conic needs l off the vertices")
     # each side and its trace once, opposite sides adjacent
     ends = [e for pair in Quadrangle.OPPOSITE for e in pair]
     sides = [q.side(i, j) for i, j in ends]
     traces = [meet_lines(side, line) for side in sides]
     # the pairs `quadrangular_involution` uses; no vertex lies on the line
-    fixed = involution_from_pairs(line, traces[0:2], traces[2:4],
-                                  tol=t).fixed_points()
+    fixed = involution_from_pairs(line, traces[0:2], traces[2:4]).fixed_points()
     diag = [meet_lines(sides[k], sides[k + 1]) for k in (0, 2, 4)]
-    harmonics = [harmonic_conjugate(vs[i], vs[j], trace, side, tol=t)
+    harmonics = [harmonic_conjugate(vs[i], vs[j], trace, side)
                  for (i, j), side, trace in zip(ends, sides, traces)]
     members = diag + harmonics
-    conic = conic_fit(members, tol=t)
+    conic = conic_fit(members)
     return conic, tuple(list(fixed) + members)

@@ -37,7 +37,7 @@ from .projective import (
     pascal_points,
     point_gap,
 )
-from .tolerance import get_tol
+from .tolerance import get_tol, set_tol
 
 HYPERBOLIC = mt.HYPERBOLIC
 ELLIPTIC = mt.ELLIPTIC
@@ -171,38 +171,38 @@ def _state_key(rng):
             st["uinteger"])
 
 
-def random_triangle_config(rng, geometry, kind="generic", tol=None):
+def random_triangle_config(rng, geometry, kind="generic"):
     """A general-position PolarTriangleConfig of the requested kind.
 
-    Kinds: generic, interior, ext1, ext2, ext3, quadrilateral, hexagon,
-    isosceles, right:<elliptic|hyp-right|lambert|pentagon>.
+    Kinds: generic, ext1, ext2, ext3, quadrilateral, hexagon, isosceles,
+    right:<elliptic|hyp-right|lambert|pentagon>.
 
     Inside the trial driver a draw is looked up by the full generator state
-    at entry, the geometry, the kind and the resolved tol.  A hit returns
-    the config drawn before and leaves `rng` in the state that draw left it
-    in, so the caller sees the same config and the same later numbers as on
-    a miss.  A draw that raises is not stored.  Outside the driver every
-    call draws and builds.
+    at entry, the geometry, the kind and the tolerance in force.  A hit
+    returns the config drawn before and leaves `rng` in the state that draw
+    left it in, so the caller sees the same config and the same later
+    numbers as on a miss.  A draw that raises is not stored.  Outside the
+    driver every call draws and builds.
     """
     if not _in_driver:
-        return _draw_config(rng, geometry, kind, tol)
-    key = (_state_key(rng), geometry, kind, get_tol() if tol is None else tol)
+        return _draw_config(rng, geometry, kind)
+    key = (_state_key(rng), geometry, kind, get_tol())
     hit = _scenes.get(key)
     if hit is not None:
         cfg, state = hit
         rng.bit_generator.state = state
         return cfg
-    cfg = _draw_config(rng, geometry, kind, tol)
+    cfg = _draw_config(rng, geometry, kind)
     if len(_scenes) < SCENE_CACHE_CAP:
         _scenes[key] = (cfg, rng.bit_generator.state)
     return cfg
 
 
-def _draw_config(rng, geometry, kind, tol):
+def _draw_config(rng, geometry, kind):
     model = model_for(geometry)
     for _ in range(RETRY_CAP):
         try:
-            cfg = _try_triangle(rng, model, geometry, kind, tol)
+            cfg = _try_triangle(rng, model, geometry, kind)
         except GeometryError:
             continue
         if cfg is not None:
@@ -221,24 +221,24 @@ def _conditioned(pts) -> bool:
             and abs(collinearity_residual(*pts)) > _SCENE_MARGIN)
 
 
-def _try_triangle(rng, model, geometry, kind, tol):
-    if kind in ("generic", "interior"):
+def _try_triangle(rng, model, geometry, kind):
+    if kind == "generic":
         pts = _sample_points(rng, 3)
         if not _conditioned(pts):
             return None
-        cfg = ce.build_config(model, *pts, tol=tol)
+        cfg = ce.build_config(model, *pts)
         return None if cfg.is_right_angled() else cfg
     if kind in ("ext1", "ext2", "ext3", "quadrilateral", "hexagon"):
         if geometry != HYPERBOLIC:
             raise UnknownTheorem(f"kind {kind} needs the hyperbolic model")
         if kind == "hexagon":
-            return _try_hexagon(rng, model, tol)
+            return _try_hexagon(rng, model)
         n_ext = {"ext1": 1, "ext2": 2, "ext3": 3, "quadrilateral": 1}[kind]
         pts = ([_interior_point(rng) for _ in range(3 - n_ext)]
                + [_exterior_point(rng) for _ in range(n_ext)])
         if not _conditioned(pts):
             return None
-        cfg = ce.build_config(model, *pts, tol=tol)
+        cfg = ce.build_config(model, *pts)
         if cfg.is_right_angled():
             return None
         if kind == "quadrilateral" and \
@@ -259,14 +259,14 @@ def _try_triangle(rng, model, geometry, kind, tol):
         C = affine_point(u1 * e[0] - v1 * f[0], u1 * e[1] - v1 * f[1])
         if not (_well_separated([A, B, C]) and _triangle_margin(A, B, C)):
             return None
-        cfg = ce.build_config(model, A, B, C, tol=tol)
+        cfg = ce.build_config(model, A, B, C)
         return None if cfg.is_right_angled() else cfg
     if kind.startswith("right:"):
-        return _try_right_angled(rng, model, geometry, kind.split(":", 1)[1], tol)
+        return _try_right_angled(rng, model, geometry, kind.split(":", 1)[1])
     raise UnknownTheorem(f"unknown scene kind {kind}")
 
 
-def _try_hexagon(rng, model, tol):
+def _try_hexagon(rng, model):
     ths = _spaced_angles(rng, 6)
     def chord(t1, t2):
         return join_points(affine_point(math.cos(t1), math.sin(t1)),
@@ -279,13 +279,13 @@ def _try_hexagon(rng, model, tol):
     C = meet_lines(a, b)
     if not _well_separated([A, B, C]):
         return None
-    cfg = ce.build_config(model, A, B, C, tol=tol)
+    cfg = ce.build_config(model, A, B, C)
     if cfg.is_right_angled() or tg.classify_generalized(cfg) != tg.HEXAGON:
         return None
     return cfg
 
 
-def _try_right_angled(rng, model, geometry, subkind, tol):
+def _try_right_angled(rng, model, geometry, subkind):
     """Right angle canonically at A: C is placed on the line joining A with
     the pole of AB, at a parameter scanned for the requested figure kind."""
     want = {
@@ -321,7 +321,7 @@ def _try_right_angled(rng, model, geometry, subkind, tol):
                     ci or model.line_status(join_points(B, C)) != cn.SECANT):
                 continue
         try:
-            cfg = ce.build_config(model, A, B, C, tol=tol)
+            cfg = ce.build_config(model, A, B, C)
         except GeometryError:
             continue
         if tg.right_angled_kind(cfg) == want:
@@ -329,10 +329,10 @@ def _try_right_angled(rng, model, geometry, subkind, tol):
     return None
 
 
-def random_scene(spec: SceneSpec, trial: int = 0, tol=None):
+def random_scene(spec: SceneSpec, trial: int = 0):
     """The deterministic scene of a spec: same spec and trial, same scene."""
     rng = trial_rng(spec.seed, trial)
-    return random_triangle_config(rng, spec.geometry, spec.kind, tol=tol)
+    return random_triangle_config(rng, spec.geometry, spec.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +456,13 @@ def _cfg_kind_cycle(geometry, trial_hint=0):
 
 
 def _chk_altitudes(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     ha = join_points(nudge(cfg.A, perturb), cfg.Ap)
     return concurrency_residual(ha, cfg.hb, cfg.hc)
 
 
 def _chk_midpoint_quadrilateral(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     mids_a = (nudge(cfg.mids_a[0], perturb), cfg.mids_a[1])
     return ce.midpoint_quadrilateral_residual(mids_a, cfg.mids_b, cfg.mids_c)
 
@@ -516,9 +516,9 @@ def _chk_midpoint_quadrilateral_tangent(rng, geometry, tol, perturb=0.0):
         return None
     A, B, C = got
     try:
-        mids_a = mt.midpoints(model, B, C, tol=tol)
-        mids_b = mt.midpoints(model, C, A, tol=tol)
-        mids_c = mt.midpoints(model, A, B, tol=tol)
+        mids_a = mt.midpoints(model, B, C)
+        mids_b = mt.midpoints(model, C, A)
+        mids_c = mt.midpoints(model, A, B)
     except GeometryError:
         return None
     mids_a = (nudge(mids_a[0], perturb), mids_a[1])
@@ -527,7 +527,7 @@ def _chk_midpoint_quadrilateral_tangent(rng, geometry, tol, perturb=0.0):
 
 def _center_residual(kind):
     def check(rng, geometry, tol, perturb=0.0):
-        cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+        cfg = random_triangle_config(rng, geometry, "generic")
         rep = cfg.classical()
         if kind == "medians":
             groups = rep.barycenters
@@ -555,7 +555,7 @@ def _center_residual(kind):
 
 
 def _chk_pseudo_spieker(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     dd = join_points(nudge(cfg.D, perturb), cfg.Dp)
     ee = join_points(cfg.E, cfg.Ep)
     ff = join_points(cfg.F, cfg.Fp)
@@ -563,7 +563,7 @@ def _chk_pseudo_spieker(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_pseudomedians(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     ps = cfg.pseudo()
     worst = max(ps.residuals["pseudomedians"], ps.residuals["pseudomedians_dual"],
                 ps.residuals["vertices_midpoints_of_double"],
@@ -575,7 +575,7 @@ def _chk_pseudomedians(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_pseudobisectors(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     ps = cfg.pseudo()
     worst = max(ps.residuals["pseudobisectors"],
                 ps.residuals["pseudobisectors_dual"],
@@ -588,7 +588,7 @@ def _chk_pseudobisectors(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_euler(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     eu = cfg.euler()
     worst = eu.residuals["five_point_collinearity"]
     worst = max(worst, eu.residuals["e_perp_orthic"])
@@ -599,7 +599,7 @@ def _chk_euler(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_orthic_pole(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     eu = cfg.euler()
     worst = max(eu.residuals["orthic_axis_collinear"],
                 eu.residuals["orthic_pole_is_Np"])
@@ -613,7 +613,7 @@ def _chk_orthic_pole(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_nine_point(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     npc = cfg.nine_point()
     worst = max(npc.residuals["nine_on_conic"], npc.residuals["eleven_on_conic"])
     if perturb:
@@ -623,7 +623,7 @@ def _chk_nine_point(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_pascal_hexagon(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     npc = cfg.nine_point()
     worst = npc.residuals["pascal_on_euler"]
     if perturb:
@@ -652,7 +652,7 @@ def _chk_eleven_point(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_six_points(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     conic, res = tg.six_points_conic_check(cfg)
     if perturb:
         res = max(res, cn.conic_residual(conic, nudge(cfg.Cb, perturb)))
@@ -660,7 +660,7 @@ def _chk_six_points(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_complementary_conic(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     conic, fit_res, carnot_res, coll = tg.complementary_midpoints_conic(cfg)
     worst = max(fit_res, carnot_res, coll)
     if perturb:
@@ -670,12 +670,12 @@ def _chk_complementary_conic(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_magic(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     worst = tg.magic_midpoints_agreement(cfg)
     if perturb:
         m = cfg.magic
         pair = (nudge(m.pairs[0][0], perturb), m.pairs[0][1])
-        s_pair = mt.midpoints(cfg.model, m.B, m.C, tol=cfg.tol)
+        s_pair = mt.midpoints(cfg.model, m.B, m.C)
         worst = max(worst, tg.pair_gap(pair, s_pair))
     return worst
 
@@ -689,7 +689,7 @@ def _right_kind_for(geometry, hint):
 def _chk_squared_identity(name):
     def check(rng, geometry, tol, perturb=0.0):
         hint = int(rng.integers(0, 3))
-        cfg = random_triangle_config(rng, geometry, _right_kind_for(geometry, hint), tol=tol)
+        cfg = random_triangle_config(rng, geometry, _right_kind_for(geometry, hint))
         res = tg.squared_identity(name, cfg)
         if perturb:
             c, s, t = mt.squared_trig(cfg.model, nudge(cfg.B, perturb), cfg.C)
@@ -700,21 +700,21 @@ def _chk_squared_identity(name):
 
 def _chk_table51(rng, geometry, tol, perturb=0.0):
     hint = int(rng.integers(0, 3))
-    cfg = random_triangle_config(rng, geometry, _right_kind_for(geometry, hint), tol=tol)
+    cfg = random_triangle_config(rng, geometry, _right_kind_for(geometry, hint))
     rows = tg.table_5_1(cfg)
     return max(r[3] for r in rows)
 
 
 def _chk_law_sines_sq(rng, geometry, tol, perturb=0.0):
     kind = _cfg_kind_cycle(geometry, int(rng.integers(0, 4)))
-    cfg = random_triangle_config(rng, geometry, kind, tol=tol)
+    cfg = random_triangle_config(rng, geometry, kind)
     _, spread = tg.squared_law_of_sines(cfg)
     return spread
 
 
 def _chk_law_cosines_sq(rng, geometry, tol, perturb=0.0):
     kind = _cfg_kind_cycle(geometry, int(rng.integers(0, 4)))
-    cfg = random_triangle_config(rng, geometry, kind, tol=tol)
+    cfg = random_triangle_config(rng, geometry, kind)
     res, matches = tg.squared_law_of_cosines(cfg)
     if matches != 1:
         return 1.0
@@ -759,7 +759,7 @@ def _chk_carnot_projective(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_carnot_hyperbolic(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, HYPERBOLIC, "generic", tol=tol)
+    cfg = random_triangle_config(rng, HYPERBOLIC, "generic")
     if not all(cfg.model.is_interior(v) for v in (cfg.A, cfg.B, cfg.C)):
         return None
     hstar = _interior_point(rng, 0.8)
@@ -793,7 +793,7 @@ def _chk_carnot_hyperbolic(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_carnot_elliptic(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, ELLIPTIC, "generic", tol=tol)
+    cfg = random_triangle_config(rng, ELLIPTIC, "generic")
     def on_side(p, q):
         s = rng.uniform(-1.0, 1.0)
         return hpoint(p[0] + s * q[0], p[1] + s * q[1], p[2] + s * q[2])
@@ -822,7 +822,7 @@ def _chk_carnot_elliptic(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_carnot_hexagon(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, HYPERBOLIC, "hexagon", tol=tol)
+    cfg = random_triangle_config(rng, HYPERBOLIC, "hexagon")
     hstar = _interior_point(rng, 0.75)
     astar, bstar, cstar = tg.concurrent_carnot_points(cfg, hstar)
     if not all(cfg.model.is_interior(p) for p in (astar, bstar, cstar)):
@@ -845,7 +845,7 @@ def _orient_kind_for(rng, geometry):
 
 def _chk_projective_sines(rng, geometry, tol, perturb=0.0):
     kind = _orient_kind_for(rng, geometry)
-    cfg = random_triangle_config(rng, geometry, kind, tol=tol)
+    cfg = random_triangle_config(rng, geometry, kind)
     o = tg.coherent_orientation(cfg)
     _, spread = tg.projective_law_of_sines(o)
     return spread
@@ -853,7 +853,7 @@ def _chk_projective_sines(rng, geometry, tol, perturb=0.0):
 
 def _chk_projective_cosines(rng, geometry, tol, perturb=0.0):
     kind = _orient_kind_for(rng, geometry)
-    cfg = random_triangle_config(rng, geometry, kind, tol=tol)
+    cfg = random_triangle_config(rng, geometry, kind)
     o = tg.coherent_orientation(cfg)
     worst = 0.0
     for side in "abc":
@@ -875,8 +875,7 @@ def _chk_ray_angles(rng, geometry, tol, perturb=0.0):
         ang = ry.angle_between_rays(model, r1, r2)
         c1 = ry.ray_cosine_opposite(model, r1, r2)
         c2 = ry.ray_cosine_conjugate(model, r1, r2)
-        r2b = ry.Ray(r2.origin, r2.carrier,
-                     ry.other_trace(r2, model.absolute, tol or get_tol()))
+        r2b = ry.Ray(r2.origin, r2.carrier, ry.other_trace(r2, model.absolute))
         supp = ry.angle_between_rays(model, r1, r2b)
     except GeometryError:
         return None
@@ -889,7 +888,7 @@ def _chk_ray_angles(rng, geometry, tol, perturb=0.0):
 
 
 def _chk_conjectures(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic", tol=tol)
+    cfg = random_triangle_config(rng, geometry, "generic")
     rep = ce.experimental_conjectures(cfg)
     vals = [v for v in rep.values() if isinstance(v, float)]
     return max(vals) if vals else 0.0
@@ -999,16 +998,22 @@ def verify(theorem_id: str, seed: int = 0, trials: int = 1000,
     """Run `trials` independent scenes of a theorem and certify the worst
     residual.  Scenes that fail their sampling guards are redrawn from the
     next counter value, so the certificate is reproducible from
-    (theorem_id, seed, geometry, trials, tol)."""
+    (theorem_id, seed, geometry, trials, tol).  The run sets the ambient
+    tolerance to `tol` (left as it is when None), which every test of the
+    run reads, and restores the previous value when it ends."""
     geometry, report_only = _entry(theorem_id, geometry)
-    t = get_tol() if tol is None else tol
+    old = set_tol(get_tol() if tol is None else tol)
+    t = get_tol()
     worst = 0.0
     failures = []
     start = time.perf_counter()
-    for counter, res in _trials(theorem_id, seed, trials, geometry, t, 0.0):
-        worst = max(worst, res)
-        if not report_only and res > t:
-            failures.append(counter)
+    try:
+        for counter, res in _trials(theorem_id, seed, trials, geometry, t, 0.0):
+            worst = max(worst, res)
+            if not report_only and res > t:
+                failures.append(counter)
+    finally:
+        set_tol(old)
     wall = time.perf_counter() - start
     return Certificate(theorem_id, geometry, seed, trials, worst, failures,
                        t, wall, report_only)

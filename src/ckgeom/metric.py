@@ -29,12 +29,12 @@ from .errors import (
 from .projective import (
     HLine,
     HPoint,
-    _normalized,
     dot,
     cross_ratio,
     is_real_triple,
     join_points,
     meet_lines,
+    normalized,
     real_triple,
     triple_eq,
 )
@@ -85,8 +85,8 @@ class ModelGeometry:
             + 2 * (r[0][1] * x * y + r[0][2] * x * z + r[1][2] * y * z)
         )
 
-    def side(self, p: HPoint, tol=None) -> str:
-        t = get_tol() if tol is None else tol
+    def side(self, p: HPoint) -> str:
+        t = get_tol()
         if not is_real_triple(p, t):
             return EXTERIOR
         v = self.form(p)
@@ -96,15 +96,14 @@ class ModelGeometry:
             return INTERIOR
         return INTERIOR if v < 0 else EXTERIOR
 
-    def is_interior(self, p: HPoint, tol=None) -> bool:
-        return self.side(p, tol) == INTERIOR
+    def is_interior(self, p: HPoint) -> bool:
+        return self.side(p) == INTERIOR
 
-    def on_absolute(self, p: HPoint, tol=None) -> bool:
-        t = get_tol() if tol is None else tol
-        return cn.conic_residual(self.absolute, p) <= 1e3 * t
+    def on_absolute(self, p: HPoint) -> bool:
+        return cn.conic_residual(self.absolute, p) <= 1e3 * get_tol()
 
-    def line_status(self, line: HLine, tol=None) -> str:
-        return cn.line_conic_meet(self.absolute, line, tol=tol).status
+    def line_status(self, line: HLine) -> str:
+        return cn.line_conic_meet(self.absolute, line).status
 
 
 def hyperbolic_model() -> ModelGeometry:
@@ -115,7 +114,7 @@ def elliptic_model() -> ModelGeometry:
     return ModelGeometry(cn.unit_imaginary_conic())
 
 
-def distance(model: ModelGeometry, a: HPoint, b: HPoint, tol=None) -> float:
+def distance(model: ModelGeometry, a: HPoint, b: HPoint) -> float:
     """Non-euclidean distance, curvature -1 (hyperbolic) or +1 (elliptic).
 
     Half the log of the cross ratio against the absolute trace; the absolute
@@ -123,42 +122,40 @@ def distance(model: ModelGeometry, a: HPoint, b: HPoint, tol=None) -> float:
     case the value is the length of the shorter of the two segments bounded
     by a and b, in [0, pi/2].
     """
-    t = get_tol() if tol is None else tol
     if model.kind == HYPERBOLIC:
-        if not model.is_interior(a, t) or not model.is_interior(b, t):
+        if not model.is_interior(a) or not model.is_interior(b):
             raise PointOutsideModel("distance needs interior points")
-    if triple_eq(a, b, t):
+    if triple_eq(a, b):
         return 0.0
     line = join_points(a, b)
-    u, v = cn.line_conic_meet(model.absolute, line, tol=t).points
-    r = cross_ratio(u, v, a, b, carrier=line, tol=t)
+    u, v = cn.line_conic_meet(model.absolute, line).points
+    r = cross_ratio(u, v, a, b, carrier=line)
     if model.kind == HYPERBOLIC:
         return 0.5 * abs(math.log(abs(r)))
     return 0.5 * abs(cmath.phase(r))
 
 
-def angle_lines(model: ModelGeometry, a: HLine, b: HLine, tol=None) -> float:
+def angle_lines(model: ModelGeometry, a: HLine, b: HLine) -> float:
     """Laguerre angle between two lines meeting inside the model, in [0, pi/2].
 
     An angle between lines cannot be told from its supplement, so the value
     is folded onto the acute branch.
     """
-    t = get_tol() if tol is None else tol
-    if triple_eq(a, b, t):
+    if triple_eq(a, b):
         return 0.0
     p = meet_lines(a, b)
-    if not model.is_interior(p, t):
+    if not model.is_interior(p):
         raise VertexOutsideModel("angle vertex must be inside the model")
     pol = cn.polar(model.absolute, p)
-    u_pt, v_pt = cn.line_conic_meet(model.absolute, pol, tol=t).points
+    u_pt, v_pt = cn.line_conic_meet(model.absolute, pol).points
     u = join_points(p, u_pt)
     v = join_points(p, v_pt)
-    r = cross_ratio(u, v, a, b, carrier=p, tol=t)
+    r = cross_ratio(u, v, a, b, carrier=p)
     return 0.5 * abs(cmath.phase(r))
 
 
-def is_perpendicular(model: ModelGeometry, a: HLine, b: HLine, tol=None) -> bool:
-    return cn.lines_conjugate(model.absolute, a, b, tol=tol)
+def is_perpendicular(model: ModelGeometry, a: HLine, b: HLine) -> bool:
+    return cn.lines_conjugate(model.absolute, a, b)
 
 
 def perpendicular_through(model: ModelGeometry, line: HLine, p: HPoint) -> HLine:
@@ -183,7 +180,7 @@ def sort_point_pair(p: HPoint, q: HPoint):
     return (p, q) if _point_sort_key(p) <= _point_sort_key(q) else (q, p)
 
 
-def midpoints(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
+def midpoints(model: ModelGeometry, a: HPoint, b: HPoint):
     """The two midpoints of the segment ab: the common harmonic pair of
     {a, b} and of the absolute trace of the line ab.
 
@@ -193,7 +190,7 @@ def midpoints(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
     contact point and the other its harmonic conjugate with respect to a, b.
     Output pair is canonically ordered and may be imaginary.
     """
-    t = get_tol() if tol is None else tol
+    t = get_tol()
     phi = model.absolute
     qa = phi.value(a)
     qb = phi.value(b)
@@ -212,31 +209,29 @@ def midpoints(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
     s = ra + rb
     k = dot(phi.apply(d), (a[0] + b[0], a[1] + b[1], a[2] + b[2])) / s
     return sort_point_pair(
-        _normalized(HPoint, s * a[0] + ra * d[0], s * a[1] + ra * d[1],
+        normalized(HPoint, s * a[0] + ra * d[0], s * a[1] + ra * d[1],
                     s * a[2] + ra * d[2]),
-        _normalized(HPoint, k * a[0] - ra * d[0], k * a[1] - ra * d[1],
+        normalized(HPoint, k * a[0] - ra * d[0], k * a[1] - ra * d[1],
                     k * a[2] - ra * d[2]),
     )
 
 
-def complementary_midpoints(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
+def complementary_midpoints(model: ModelGeometry, a: HPoint, b: HPoint):
     """Midpoints of the complementary segment a b_p (b_p the conjugate of b)."""
     line = join_points(a, b)
-    bp = cn.conjugate_point(model.absolute, b, line, tol=tol)
-    return midpoints(model, a, bp, tol=tol)
+    bp = cn.conjugate_point(model.absolute, b, line)
+    return midpoints(model, a, bp)
 
 
-def point_symmetry(model: ModelGeometry, center: HPoint, p: HPoint,
-                   tol=None) -> HPoint:
+def point_symmetry(model: ModelGeometry, center: HPoint, p: HPoint) -> HPoint:
     """Harmonic homology with the given center and its polar as axis."""
-    t = get_tol() if tol is None else tol
-    if model.on_absolute(center, t):
+    if model.on_absolute(center):
         raise CenterOnConic("symmetry center cannot lie on the absolute")
     q = model.absolute.apply(center)  # polar of the center, unnormalized
     qc = dot(q, center)
     qp = dot(q, p)
     lam = 2.0 * qp / qc
-    return _normalized(HPoint, p[0] - lam * center[0], p[1] - lam * center[1],
+    return normalized(HPoint, p[0] - lam * center[0], p[1] - lam * center[1],
                        p[2] - lam * center[2])
 
 
@@ -244,21 +239,20 @@ def point_symmetry(model: ModelGeometry, center: HPoint, p: HPoint,
 # squared trigonometric ratios
 # ---------------------------------------------------------------------------
 
-def squared_trig(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
+def squared_trig(model: ModelGeometry, a: HPoint, b: HPoint):
     """The projective trigonometric ratios (C, S, T) of the segment ab.
 
     C = (AB B_p A_p), S = 1 - C, T = S/C; a right segment (B conjugate to A)
     yields (0, 1, inf).
     """
-    t = get_tol() if tol is None else tol
-    if model.on_absolute(a, t) or model.on_absolute(b, t):
+    if model.on_absolute(a) or model.on_absolute(b):
         raise EndpointOnConic("squared_trig needs endpoints off the absolute")
     line = join_points(a, b)
-    ap = cn.conjugate_point(model.absolute, a, line, tol=t)
-    bp = cn.conjugate_point(model.absolute, b, line, tol=t)
-    if triple_eq(bp, a, t) or triple_eq(ap, b, t):
+    ap = cn.conjugate_point(model.absolute, a, line)
+    bp = cn.conjugate_point(model.absolute, b, line)
+    if triple_eq(bp, a) or triple_eq(ap, b):
         return 0.0j, 1.0 + 0j, complex(math.inf)
-    c = cross_ratio(a, b, bp, ap, carrier=line, tol=t)
+    c = cross_ratio(a, b, bp, ap, carrier=line)
     s = 1.0 - c
     tt = s / c if c != 0 else complex(math.inf)
     return c, s, tt
@@ -308,7 +302,7 @@ class TrigValue:
         return r
 
 
-def segment_measure(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
+def segment_measure(model: ModelGeometry, a: HPoint, b: HPoint):
     """Geometric magnitude attached to a projective segment per the
     translation table, (tag, value); each row ends with its tag's family.
 
@@ -319,28 +313,27 @@ def segment_measure(model: ModelGeometry, a: HPoint, b: HPoint, tol=None):
       secant line          -> ||a_p b_p||                               H
     hyp exterior line      -> angle between the polars                  C
     """
-    t = get_tol() if tol is None else tol
     if model.kind == ELLIPTIC:
-        return TAG_ELLIPTIC, distance(model, a, b, tol=t)
+        return TAG_ELLIPTIC, distance(model, a, b)
     line = join_points(a, b)
-    status = model.line_status(line, tol=t)
-    sa = model.side(a, t)
-    sb = model.side(b, t)
+    status = model.line_status(line)
+    sa = model.side(a)
+    sb = model.side(b)
     if status == cn.EXTERIOR:
         pa = cn.polar(model.absolute, a)
         pb = cn.polar(model.absolute, b)
-        return TAG_HYP_EXT_LINE, angle_lines(model, pa, pb, tol=t)
+        return TAG_HYP_EXT_LINE, angle_lines(model, pa, pb)
     if sa == INTERIOR and sb == INTERIOR:
-        return TAG_HYP_INT_INT, distance(model, a, b, tol=t)
+        return TAG_HYP_INT_INT, distance(model, a, b)
     if sa == INTERIOR and sb == EXTERIOR:
-        bp = cn.conjugate_point(model.absolute, b, line, tol=t)
-        return TAG_HYP_MIXED, distance(model, a, bp, tol=t)
+        bp = cn.conjugate_point(model.absolute, b, line)
+        return TAG_HYP_MIXED, distance(model, a, bp)
     if sa == EXTERIOR and sb == INTERIOR:
-        ap = cn.conjugate_point(model.absolute, a, line, tol=t)
-        return TAG_HYP_MIXED, distance(model, ap, b, tol=t)
-    ap = cn.conjugate_point(model.absolute, a, line, tol=t)
-    bp = cn.conjugate_point(model.absolute, b, line, tol=t)
-    return TAG_HYP_EXT_EXT, distance(model, ap, bp, tol=t)
+        ap = cn.conjugate_point(model.absolute, a, line)
+        return TAG_HYP_MIXED, distance(model, ap, b)
+    ap = cn.conjugate_point(model.absolute, a, line)
+    bp = cn.conjugate_point(model.absolute, b, line)
+    return TAG_HYP_EXT_EXT, distance(model, ap, bp)
 
 
 def _predict(tag, v):
@@ -357,11 +350,11 @@ def _predict(tag, v):
     return complex(cc(v) ** 2), complex(sign * ss(v) ** 2), complex(t)
 
 
-def translate_trig(model: ModelGeometry, a: HPoint, b: HPoint, tol=None) -> TrigValue:
+def translate_trig(model: ModelGeometry, a: HPoint, b: HPoint) -> TrigValue:
     """Tag the squared ratios of a segment with their non-euclidean reading
     and cross-check them against the independently measured magnitude."""
-    c, s, t = squared_trig(model, a, b, tol=tol)
-    tag, v = segment_measure(model, a, b, tol=tol)
+    c, s, t = squared_trig(model, a, b)
+    tag, v = segment_measure(model, a, b)
     return TrigValue(c, s, t, tag, v, _predict(tag, v))
 
 
@@ -380,14 +373,13 @@ class OrientedSegment:
 
     __slots__ = ("model", "a", "b", "line", "ap", "bp", "mid", "comp")
 
-    def __init__(self, model, a, b, mid, comp, tol=None):
-        t = get_tol() if tol is None else tol
+    def __init__(self, model, a, b, mid, comp):
         self.model = model
         self.a = a
         self.b = b
         self.line = join_points(a, b)
-        self.ap = cn.conjugate_point(model.absolute, a, self.line, tol=t)
-        self.bp = cn.conjugate_point(model.absolute, b, self.line, tol=t)
+        self.ap = cn.conjugate_point(model.absolute, a, self.line)
+        self.bp = cn.conjugate_point(model.absolute, b, self.line)
         self.mid = mid
         self.comp = comp
 
@@ -407,14 +399,12 @@ class OrientedSegment:
 
 
 def orient_segment(model: ModelGeometry, a: HPoint, b: HPoint,
-                   mid_choice: int = 0, comp_choice: int = 0,
-                   tol=None) -> OrientedSegment:
+                   mid_choice: int = 0, comp_choice: int = 0) -> OrientedSegment:
     """Deterministic orientation: midpoints and complementary midpoints are
     canonically sorted and picked by index."""
-    mids = midpoints(model, a, b, tol=tol)
-    comps = complementary_midpoints(model, a, b, tol=tol)
-    return OrientedSegment(model, a, b, mids[mid_choice], comps[comp_choice],
-                           tol=tol)
+    mids = midpoints(model, a, b)
+    comps = complementary_midpoints(model, a, b)
+    return OrientedSegment(model, a, b, mids[mid_choice], comps[comp_choice])
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ class HLine(NamedTuple):
     w: complex
 
 
-def _normalized(cls, x, y, z):
+def normalized(cls, x, y, z):
     """cls(x, y, z) divided by its largest-modulus component; no namedtuple
     constructor call."""
     ax, ay, az = abs(x), abs(y), abs(z)
@@ -63,11 +63,11 @@ def _normalized(cls, x, y, z):
 
 
 def hpoint(x, y, z) -> HPoint:
-    return _normalized(HPoint, complex(x), complex(y), complex(z))
+    return normalized(HPoint, complex(x), complex(y), complex(z))
 
 
 def hline(u, v, w) -> HLine:
-    return _normalized(HLine, complex(u), complex(v), complex(w))
+    return normalized(HLine, complex(u), complex(v), complex(w))
 
 
 def affine_point(x, y) -> HPoint:
@@ -87,7 +87,7 @@ def dot(a, b) -> complex:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross_apart(a, b, t):
+def cross_apart(a, b, t):
     """a x b, or None when a and b coincide: |a x b| <= t |a| |b|.
 
     The test compares squares, |a x b|^2 <= t^2 |a|^2 |b|^2, so it takes no
@@ -109,7 +109,7 @@ def _cross_apart(a, b, t):
 def triple_eq(a, b, tol=None) -> bool:
     """Projective equality of two homogeneous triples."""
     t = get_tol() if tol is None else tol
-    return _cross_apart(a, b, t) is None
+    return cross_apart(a, b, t) is None
 
 
 points_equal = triple_eq
@@ -137,18 +137,18 @@ def real_triple(a):
     return (a[0].real, a[1].real, a[2].real)
 
 
-def join_points(p: HPoint, q: HPoint, tol=None) -> HLine:
-    c = _cross_apart(p, q, get_tol() if tol is None else tol)
+def join_points(p: HPoint, q: HPoint) -> HLine:
+    c = cross_apart(p, q, get_tol())
     if c is None:
         raise CoincidentPoints(f"join of coincident points {p} and {q}")
-    return _normalized(HLine, c[0], c[1], c[2])
+    return normalized(HLine, c[0], c[1], c[2])
 
 
-def meet_lines(a: HLine, b: HLine, tol=None) -> HPoint:
-    c = _cross_apart(a, b, get_tol() if tol is None else tol)
+def meet_lines(a: HLine, b: HLine) -> HPoint:
+    c = cross_apart(a, b, get_tol())
     if c is None:
         raise CoincidentLines(f"meet of coincident lines {a} and {b}")
-    return _normalized(HPoint, c[0], c[1], c[2])
+    return normalized(HPoint, c[0], c[1], c[2])
 
 
 def det3(a, b, c) -> complex:
@@ -174,7 +174,7 @@ def incidence_residual(line, point) -> float:
 # charts on a line and cross ratios
 # ---------------------------------------------------------------------------
 
-def line_through(a, b, c, d, tol):
+def line_through(a, b, c, d):
     """The carrier of four collinear points (dually: the vertex of four
     concurrent lines), its chart axes and the inputs' incidence residual.
 
@@ -204,7 +204,8 @@ def line_through(a, b, c, d, tol):
         u0, u1, u2, n2, m0, m1, m2, e, f = q0, q1, q2, nq2, qm0, qm1, qm2, b, d
     else:
         u0, u1, u2, n2, m0, m1, m2, e, f = r0, r1, r2, nr2, rm0, rm1, rm2, b, c
-    if not n2 > tol * tol:
+    t = get_tol()
+    if not n2 > t * t:
         raise DegenerateTriple("points do not span a line")
     if m0 >= m1 and m0 >= m2:
         axes, m = (1, 2), m0
@@ -232,7 +233,7 @@ def chart_axes(carrier):
     return 0, 1
 
 
-def cross_ratio(a, b, c, d, carrier=None, tol=None):
+def cross_ratio(a, b, c, d, carrier=None):
     """Cross ratio (ABCD) of four collinear points (or concurrent lines).
 
     `carrier` is the common line (resp. point); a given carrier is trusted,
@@ -249,7 +250,7 @@ def cross_ratio(a, b, c, d, carrier=None, tol=None):
     as -(A x C)_1 would flip the sign of a zero.  So the value equals the
     chart evaluation bit for bit.
     """
-    t = get_tol() if tol is None else tol
+    t = get_tol()
     if carrier is None:
         # `line_through` inlined: the same carrier, tie order and residual
         a0, a1, a2 = a
@@ -304,19 +305,17 @@ def cross_ratio(a, b, c, d, carrier=None, tol=None):
 cross_ratio_points = cross_ratio
 
 
-def cross_ratio_lines(a: HLine, b: HLine, c: HLine, d: HLine, tol=None):
-    t = get_tol() if tol is None else tol
-    vertex, _, rmax = line_through(a, b, c, d, t)  # dual: common point of the pencil
-    if rmax > 1e3 * t:
+def cross_ratio_lines(a: HLine, b: HLine, c: HLine, d: HLine):
+    vertex, _, rmax = line_through(a, b, c, d)  # dual: common point of the pencil
+    if rmax > 1e3 * get_tol():
         raise NotConcurrent(f"lines not concurrent (residual {rmax:.3g})")
-    return cross_ratio(a, b, c, d, carrier=vertex, tol=t)
+    return cross_ratio(a, b, c, d, carrier=vertex)
 
 
-def harmonic_conjugate(a: HPoint, b: HPoint, c: HPoint, carrier: HLine,
-                       tol=None) -> HPoint:
+def harmonic_conjugate(a: HPoint, b: HPoint, c: HPoint, carrier: HLine) -> HPoint:
     """The point D with (ABCD) = -1.  `carrier` is the line AB, trusted as in
     `cross_ratio`; C must lie on it to 1e3 * tol, or NotCollinear is raised."""
-    t = get_tol() if tol is None else tol
+    t = get_tol()
     if triple_eq(a, b, t):
         raise DegenerateTriple("harmonic conjugate needs A != B")
     if triple_eq(c, a, t) or triple_eq(c, b, t):
@@ -327,11 +326,11 @@ def harmonic_conjugate(a: HPoint, b: HPoint, c: HPoint, carrier: HLine,
     d_ac = a[i] * c[j] - a[j] * c[i]
     d_bc = b[i] * c[j] - b[j] * c[i]
     # solve (ABCD) = -1, linear in D:  D = [AC]*B + [BC]*A
-    return _normalized(HPoint, d_ac * b[0] + d_bc * a[0],
+    return normalized(HPoint, d_ac * b[0] + d_bc * a[0],
                        d_ac * b[1] + d_bc * a[1], d_ac * b[2] + d_bc * a[2])
 
 
-def separates(a: HPoint, b: HPoint, c: HPoint, d: HPoint, tol=None) -> bool:
+def separates(a: HPoint, b: HPoint, c: HPoint, d: HPoint) -> bool:
     """Whether the real pair {A,B} separates {C,D} on their common line.
 
     The inputs must be real (imaginary parts within tol of 0, as in
@@ -339,11 +338,11 @@ def separates(a: HPoint, b: HPoint, c: HPoint, d: HPoint, tol=None) -> bool:
     longest of A x B, A x C and A x D to 1e3 * tol relative to its largest
     component.
     """
-    t = get_tol() if tol is None else tol
+    t = get_tol()
     for p0, p1, p2 in (a, b, c, d):
         if abs(p0.imag) > t or abs(p1.imag) > t or abs(p2.imag) > t:
             raise NonRealInput("separation test requires real points")
-    r = cross_ratio(a, b, c, d, tol=t)
+    r = cross_ratio(a, b, c, d)
     if r == INF:
         return False
     if abs(r.imag) > 1e3 * t * max(1.0, abs(r)):
@@ -385,7 +384,7 @@ class LineInvolution:
         coords[i] = alpha
         coords[j] = beta
         coords[k] = -(self.line[i] * alpha + self.line[j] * beta) / self.line[k]
-        return _normalized(HPoint, coords[0], coords[1], coords[2])
+        return normalized(HPoint, coords[0], coords[1], coords[2])
 
     def apply(self, p: HPoint) -> HPoint:
         a, b, c = self.form
@@ -436,7 +435,7 @@ def solve_quadratic(a, b, c):
     return (q / a, c / q)
 
 
-def involution_from_pairs(line: HLine, pair1, pair2, tol=None) -> LineInvolution:
+def involution_from_pairs(line: HLine, pair1, pair2) -> LineInvolution:
     """The involution of `line` swapping pair1 = (P, P') and pair2 = (Q, Q').
 
     B(P, P') = 0 and B(Q, Q') = 0 are two linear conditions on the form
@@ -444,13 +443,12 @@ def involution_from_pairs(line: HLine, pair1, pair2, tol=None) -> LineInvolution
     (F, F) makes F a fixed point.  ChartDegenerate is raised when the rows
     are parallel to tol, as for the same pair given twice.
     """
-    t = get_tol() if tol is None else tol
     i, j = chart_axes(line)
     rows = []
     for p, p2 in (pair1, pair2):
         x0, x1, y0, y1 = p[i], p[j], p2[i], p2[j]
         rows.append((x0 * y0, x0 * y1 + x1 * y0, x1 * y1))
-    form = _cross_apart(rows[0], rows[1], t)
+    form = cross_apart(rows[0], rows[1], get_tol())
     if form is None:
         raise ChartDegenerate("the two pairs do not determine an involution")
     return LineInvolution(line, form)
@@ -473,8 +471,8 @@ class Quadrangle:
 
     OPPOSITE = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
-    def __init__(self, p1, p2, p3, p4, tol=None):
-        t = get_tol() if tol is None else tol
+    def __init__(self, p1, p2, p3, p4):
+        t = get_tol()
         vs = (p1, p2, p3, p4)
         for a in range(4):
             for b in range(a + 1, 4):
@@ -512,7 +510,7 @@ def pascal_points(hexagon):
     return meets
 
 
-def quadrangular_involution(q: Quadrangle, line: HLine, tol=None) -> LineInvolution:
+def quadrangular_involution(q: Quadrangle, line: HLine) -> LineInvolution:
     """The involution the three pairs of opposite sides of `q` cut on `line`,
     fixed by the first two pairs.
 
@@ -521,7 +519,7 @@ def quadrangular_involution(q: Quadrangle, line: HLine, tol=None) -> LineInvolut
     (v_j x0 - v_i x1)(v_j y0 - v_i y1) in the chart (i, j), so the matrix is
     rank one with both image and kernel at v.
     """
-    t = get_tol() if tol is None else tol
+    t = get_tol()
     for v in q.vertices:
         if incidence_residual(line, v) <= t:
             i, j = chart_axes(line)
@@ -530,4 +528,4 @@ def quadrangular_involution(q: Quadrangle, line: HLine, tol=None) -> LineInvolut
                                   degenerate=True)
     pair1, pair2 = ((meet_lines(q.side(*e1), line), meet_lines(q.side(*e2), line))
                     for e1, e2 in q.OPPOSITE[:2])
-    return involution_from_pairs(line, pair1, pair2, tol=t)
+    return involution_from_pairs(line, pair1, pair2)

@@ -44,20 +44,19 @@ class Ray:
         return f"Ray(origin={self.origin}, endpoint={self.endpoint})"
 
 
-def split_rays(model, p: HPoint, line: HLine, tol=None):
+def split_rays(model, p: HPoint, line: HLine):
     """The two rays into which p divides the line, ordered canonically by
     their endpoints on the absolute."""
-    t = get_tol() if tol is None else tol
-    if not model.is_interior(p, t):
+    if not model.is_interior(p):
         raise PointNotInterior("ray origin must be interior to the model")
-    if incidence_residual(line, p) > 1e3 * t:
+    if incidence_residual(line, p) > 1e3 * get_tol():
         raise LineNotThroughPoint("ray carrier must pass through the origin")
-    u, v = cn.line_conic_meet(model.absolute, line, tol=t).points
+    u, v = cn.line_conic_meet(model.absolute, line).points
     u, v = mt.sort_point_pair(u, v)
     return Ray(p, line, u), Ray(p, line, v)
 
 
-def ray_towards(model, origin: HPoint, target: HPoint, tol=None) -> Ray:
+def ray_towards(model, origin: HPoint, target: HPoint) -> Ray:
     """The ray from `origin` through `target`: its endpoint is the absolute's
     trace on the target's side of the origin.
 
@@ -66,9 +65,8 @@ def ray_towards(model, origin: HPoint, target: HPoint, tol=None) -> Ray:
     the model's absolute) are finite in the standard chart, so the side test
     is the sign of the chart direction product.
     """
-    t = get_tol() if tol is None else tol
     line = join_points(origin, target)
-    u, v = cn.line_conic_meet(model.absolute, line, tol=t).points
+    u, v = cn.line_conic_meet(model.absolute, line).points
     ox, oy, oz = real_triple(origin)
     tx, ty, tz = real_triple(target)
     dx, dy = tx / tz - ox / oz, ty / tz - oy / oz
@@ -84,14 +82,14 @@ def ray_towards(model, origin: HPoint, target: HPoint, tol=None) -> Ray:
     return Ray(origin, line, best[1])
 
 
-def other_trace(ray: Ray, conic, tol) -> HPoint:
+def other_trace(ray: Ray, conic) -> HPoint:
     """The trace of the ray's carrier on the conic that is not its endpoint:
     the endpoint of the opposite ray."""
-    u, v = cn.line_conic_meet(conic, ray.carrier, tol=tol).points
+    u, v = cn.line_conic_meet(conic, ray.carrier).points
     return v if triple_eq(u, ray.endpoint, 1e-6) else u
 
 
-def angle_between_rays(model, r1: Ray, r2: Ray, tol=None) -> float:
+def angle_between_rays(model, r1: Ray, r2: Ray) -> float:
     """Undirected angle between two rays with the same origin, in [0, pi].
 
     Computed as |arg| of the cross ratio over the absolute of the contact
@@ -99,44 +97,41 @@ def angle_between_rays(model, r1: Ray, r2: Ray, tol=None) -> float:
     endpoints.  With this branch the supplement relation
     angle(a1,b1) + angle(a1,b2) = pi is exact.
     """
-    t = get_tol() if tol is None else tol
     conic = model.absolute
     if not points_equal(r1.origin, r2.origin, 1e-6):
         raise DifferentOrigins("rays must share their origin")
     if triple_eq(r1.endpoint, r2.endpoint, 1e-6):
         return 0.0
     pol = cn.polar(conic, r1.origin)
-    u, v = cn.line_conic_meet(conic, pol, tol=t).points
+    u, v = cn.line_conic_meet(conic, pol).points
     val = cn.cross_ratio_on_conic(conic, u, v, r1.endpoint, r2.endpoint,
-                                  tol=t, with_check=False)
+                                  with_check=False)
     return abs(cmath.phase(val))
 
 
-def ray_cosine_opposite(model, r1: Ray, r2: Ray, tol=None) -> complex:
+def ray_cosine_opposite(model, r1: Ray, r2: Ray) -> complex:
     """cos of the ray angle via 2 (A1 B1 B2 A2)_Phi - 1, using the opposite
     ray endpoints A2, B2."""
-    t = get_tol() if tol is None else tol
     conic = model.absolute
-    a2 = other_trace(r1, conic, t)
-    b2 = other_trace(r2, conic, t)
+    a2 = other_trace(r1, conic)
+    b2 = other_trace(r2, conic)
     val = cn.cross_ratio_on_conic(conic, r1.endpoint, r2.endpoint, b2, a2,
-                                  tol=t, with_check=False)
+                                  with_check=False)
     return 2.0 * val - 1.0
 
 
-def ray_cosine_conjugate(model, r1: Ray, r2: Ray, tol=None) -> complex:
+def ray_cosine_conjugate(model, r1: Ray, r2: Ray) -> complex:
     """cos of the ray angle via (A1 B1 B1' A1')_Phi, where A1', B1' are
     endpoints of the conjugate lines at the origin, labeled so that the
     lines A1 B2, B1 A2, A1'B1', A2'B2' are concurrent."""
-    t = get_tol() if tol is None else tol
     conic = model.absolute
     p = r1.origin
-    a2 = other_trace(r1, conic, t)
-    b2 = other_trace(r2, conic, t)
-    ap = cn.conjugate_line(conic, r1.carrier, p, tol=t)
-    bp = cn.conjugate_line(conic, r2.carrier, p, tol=t)
-    a_pr = cn.line_conic_meet(conic, ap, tol=t).points
-    b_pr = cn.line_conic_meet(conic, bp, tol=t).points
+    a2 = other_trace(r1, conic)
+    b2 = other_trace(r2, conic)
+    ap = cn.conjugate_line(conic, r1.carrier, p)
+    bp = cn.conjugate_line(conic, r2.carrier, p)
+    a_pr = cn.line_conic_meet(conic, ap).points
+    b_pr = cn.line_conic_meet(conic, bp).points
     z = meet_lines(join_points(r1.endpoint, b2), join_points(r2.endpoint, a2))
     # choose the labeling with A1'B1' (and then A2'B2') through z
     best = None
@@ -148,14 +143,14 @@ def ray_cosine_conjugate(model, r1: Ray, r2: Ray, tol=None) -> complex:
                 best = (r, a1p, b1p)
     _, a1p, b1p = best
     return cn.cross_ratio_on_conic(conic, r1.endpoint, r2.endpoint, b1p, a1p,
-                                   tol=t, with_check=False)
+                                   with_check=False)
 
 
-def vertex_angle(model, vertex: HPoint, p: HPoint, q: HPoint, tol=None) -> float:
+def vertex_angle(model, vertex: HPoint, p: HPoint, q: HPoint) -> float:
     """Interior angle at `vertex` between the rays toward p and q, in
     [0, pi]; the points p, q must be interior."""
-    r1 = ray_towards(model, vertex, p, tol=tol)
-    r2 = ray_towards(model, vertex, q, tol=tol)
-    c = ray_cosine_opposite(model, r1, r2, tol=tol)
+    r1 = ray_towards(model, vertex, p)
+    r2 = ray_towards(model, vertex, q)
+    c = ray_cosine_opposite(model, r1, r2)
     cr = c.real
     return math.acos(max(-1.0, min(1.0, cr)))

@@ -65,8 +65,8 @@ class MenelausConfig:
     __slots__ = ("x", "y", "z", "s",
                  "X", "Y", "Z", "X0", "Y0", "Z0", "X1", "Y1", "Z1")
 
-    def __init__(self, x, y, z, r, s, tol=None):
-        t = get_tol() if tol is None else tol
+    def __init__(self, x, y, z, r, s):
+        t = get_tol()
         lines = (x, y, z, r, s)
         for i in range(5):
             for j in range(i + 1, 5):
@@ -98,13 +98,12 @@ def menelaus_residual(cfg: MenelausConfig) -> float:
     return abs(menelaus_product(cfg) - 1.0)
 
 
-def ceva_product(X, Y, Z, X1, Y1, Z1, r: HLine, tol=None) -> complex:
+def ceva_product(X, Y, Z, X1, Y1, Z1, r: HLine) -> complex:
     """(XYZ1Z0)(YZX1X0)(ZXY1Y0) for cevian feet X1, Y1, Z1 against a
     reference line r missing the vertices; equals -1 iff the cevians
     concur."""
-    t = get_tol() if tol is None else tol
     for v in (X, Y, Z):
-        if incidence_residual(r, v) <= t:
+        if incidence_residual(r, v) <= get_tol():
             raise DegenerateInput("reference line passes through a vertex")
     x = join_points(Y, Z)
     y = join_points(Z, X)
@@ -117,26 +116,24 @@ def ceva_product(X, Y, Z, X1, Y1, Z1, r: HLine, tol=None) -> complex:
     )
 
 
-def ceva_residual(X, Y, Z, X1, Y1, Z1, r, tol=None) -> float:
-    return abs(ceva_product(X, Y, Z, X1, Y1, Z1, r, tol=tol) + 1.0)
+def ceva_residual(X, Y, Z, X1, Y1, Z1, r) -> float:
+    return abs(ceva_product(X, Y, Z, X1, Y1, Z1, r) + 1.0)
 
 
-def van_aubel(X, Y, Z, X1, Y1, Z1, r: HLine, tol=None):
+def van_aubel(X, Y, Z, X1, Y1, Z1, r: HLine):
     """Both sides of (X X1 Q X2) = (X Y Z1 Z0) + (X Z Y1 Y0) for concurrent
     cevians with concurrency point Q and X2 = r . XX1."""
-    t = get_tol() if tol is None else tol
     cx = join_points(X, X1)
     cy = join_points(Y, Y1)
     cz = join_points(Z, Z1)
     q = meet_lines(cx, cy)
-    if incidence_residual(cz, q) > 1e3 * t:
+    if incidence_residual(cz, q) > 1e3 * get_tol():
         raise NonConcurrentCevians("cevians do not concur")
     X2 = meet_lines(r, cx)
     Z0 = meet_lines(r, join_points(X, Y))
     Y0 = meet_lines(r, join_points(X, Z))
     lhs = cross_ratio(X, X1, q, X2, carrier=cx)
-    rhs = (cross_ratio_points(X, Y, Z1, Z0, tol=t)
-           + cross_ratio_points(X, Z, Y1, Y0, tol=t))
+    rhs = cross_ratio_points(X, Y, Z1, Z0) + cross_ratio_points(X, Z, Y1, Y0)
     return lhs, rhs
 
 
@@ -184,7 +181,7 @@ def right_angled_kind(cfg: PolarTriangleConfig) -> str:
 
 
 def _cst(cfg, p, q):
-    return mt.squared_trig(cfg.model, p, q, tol=cfg.tol)
+    return mt.squared_trig(cfg.model, p, q)
 
 
 # The sides of T and T' by name.  Every hyperbolic figure length is the
@@ -245,14 +242,13 @@ def _spread(r) -> float:
 
 
 def _swap_bc(cfg: PolarTriangleConfig) -> PolarTriangleConfig:
-    return PolarTriangleConfig(cfg.model, cfg.A, cfg.C, cfg.B, tol=cfg.tol)
+    return PolarTriangleConfig(cfg.model, cfg.A, cfg.C, cfg.B)
 
 
 def _lengths(cfg: PolarTriangleConfig, sides):
     """Root families (one letter each) and magnitudes of the named sides of
     T and T', read through the translation table."""
-    read = [mt.segment_measure(cfg.model, *_SIDES[side](cfg), tol=cfg.tol)
-            for side in sides]
+    read = [mt.segment_measure(cfg.model, *_SIDES[side](cfg)) for side in sides]
     return "".join(mt.FAMILY[tag] for tag, _ in read), tuple(v for _, v in read)
 
 
@@ -312,7 +308,7 @@ def squared_law_of_sines(cfg: PolarTriangleConfig):
     return ratios, _spread(ratios)
 
 
-def _sqrt_branches(u: complex, v: complex, target: complex, tol: float):
+def _sqrt_branches(u: complex, v: complex, target: complex):
     """Residuals of (sqrt(u) +/- sqrt(v))^2 against target; returns
     (best_residual, n_matching) over the two essentially different branch
     combinations."""
@@ -320,7 +316,7 @@ def _sqrt_branches(u: complex, v: complex, target: complex, tol: float):
     sv = cmath.sqrt(v)
     r1 = _rel((su + sv) ** 2, target)
     r2 = _rel((su - sv) ** 2, target)
-    matches = sum(1 for r in (r1, r2) if r <= 1e3 * tol)
+    matches = sum(1 for r in (r1, r2) if r <= 1e3 * get_tol())
     return min(r1, r2), matches
 
 
@@ -332,7 +328,7 @@ def squared_law_of_cosines(cfg: PolarTriangleConfig):
     """
     (ca, sa, _), (cb, sb, _), (cc, _, _), (ccp, _, _) = (
         _cst(cfg, *_SIDES[side](cfg)) for side in ("a", "b", "c", "c'"))
-    return _sqrt_branches(ca * cb, sa * sb * ccp, cc, cfg.tol)
+    return _sqrt_branches(ca * cb, sa * sb * ccp, cc)
 
 
 def cosine_split_lemma(cfg: PolarTriangleConfig, x: HPoint | None = None):
@@ -341,13 +337,12 @@ def cosine_split_lemma(cfg: PolarTriangleConfig, x: HPoint | None = None):
     for segments a1 = BX, a2 = CX.  Any X on a not on the absolute works.
     """
     X = cfg.HA if x is None else x
-    t = cfg.tol
     r = cross_ratio(cfg.B, X, cfg.C, cfg.Ca, carrier=cfg.a)
     ca, sa, ta = _cst(cfg, cfg.B, cfg.C)
-    ca1, sa1, _ = mt.squared_trig(cfg.model, cfg.B, X, tol=t)
-    ca2, sa2, ta2 = mt.squared_trig(cfg.model, cfg.C, X, tol=t)
+    ca1, sa1, _ = _cst(cfg, cfg.B, X)
+    ca2, sa2, ta2 = _cst(cfg, cfg.C, X)
     res1 = _rel(r * r, ta / ta2)
-    res2, matches = _sqrt_branches(ca * ca2, sa * sa2, ca1, t)
+    res2, matches = _sqrt_branches(ca * ca2, sa * sa2, ca1)
     return res1, res2, matches
 
 
@@ -370,18 +365,16 @@ def carnot_product(X, Y, Z, X0, Y0, Z0, X1, X2, Y1, Y2, Z1, Z2) -> complex:
     )
 
 
-def carnot_projective_residual(X, Y, Z, conic: cn.Conic, transversal: HLine,
-                               tol=None):
+def carnot_projective_residual(X, Y, Z, conic: cn.Conic, transversal: HLine):
     """Carnot product against the six conic traces on the sides of the
     triangle; returns (residual, six points).  The conic membership of the
     six side intersections is fit-verified."""
-    t = get_tol() if tol is None else tol
     x = join_points(Y, Z)
     y = join_points(Z, X)
     z = join_points(X, Y)
-    X1, X2 = cn.line_conic_meet(conic, x, tol=t).points
-    Y1, Y2 = cn.line_conic_meet(conic, y, tol=t).points
-    Z1, Z2 = cn.line_conic_meet(conic, z, tol=t).points
+    X1, X2 = cn.line_conic_meet(conic, x).points
+    Y1, Y2 = cn.line_conic_meet(conic, y).points
+    Z1, Z2 = cn.line_conic_meet(conic, z).points
     for p in (X1, X2, Y1, Y2, Z1, Z2):
         if cn.conic_residual(conic, p) > 1e-6:
             raise PointsNotConconic("side trace drifted off the conic")
@@ -392,13 +385,12 @@ def carnot_projective_residual(X, Y, Z, conic: cn.Conic, transversal: HLine,
     return abs(prod - 1.0), (X1, X2, Y1, Y2, Z1, Z2)
 
 
-def carnot_conjugate(model, X: HPoint, Y: HPoint, w: HPoint, tol=None) -> HPoint:
+def carnot_conjugate(model, X: HPoint, Y: HPoint, w: HPoint) -> HPoint:
     """zeta_XY(w) = rho_z(tau_XY(rho_z(w))) on the line z = XY."""
-    t = get_tol() if tol is None else tol
     z = join_points(X, Y)
-    w1 = cn.conjugate_point(model.absolute, w, z, tol=t)
-    w2 = harmonic_conjugate(X, Y, w1, z, tol=t)
-    return cn.conjugate_point(model.absolute, w2, z, tol=t)
+    w1 = cn.conjugate_point(model.absolute, w, z)
+    w2 = harmonic_conjugate(X, Y, w1, z)
+    return cn.conjugate_point(model.absolute, w2, z)
 
 
 class CarnotCosines:
@@ -406,7 +398,7 @@ class CarnotCosines:
                  "classification")
 
 
-def carnot_cosines(cfg: PolarTriangleConfig, Astar, Bstar, Cstar, tol=None):
+def carnot_cosines(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     """The squared-cosine Carnot identity for perpendicular lines through
     three side points, together with the converse classification.
 
@@ -415,7 +407,6 @@ def carnot_cosines(cfg: PolarTriangleConfig, Astar, Bstar, Cstar, tol=None):
     locates A* at D* or at its Carnot conjugate zeta_BC(D*), where D* is cut
     on a by the perpendicular from A' through b*.c*.
     """
-    t = cfg.tol if tol is None else tol
     out = CarnotCosines()
     astar = join_points(Astar, cfg.Ap)
     bstar = join_points(Bstar, cfg.Bp)
@@ -429,7 +420,7 @@ def carnot_cosines(cfg: PolarTriangleConfig, Astar, Bstar, Cstar, tol=None):
     if points_equal(Astar, dstar, 1e-6):
         out.classification = "concurrent"
     else:
-        zeta = carnot_conjugate(cfg.model, cfg.B, cfg.C, dstar, tol=t)
+        zeta = carnot_conjugate(cfg.model, cfg.B, cfg.C, dstar)
         if points_equal(Astar, zeta, 1e-6):
             out.classification = "fake"
         else:
@@ -445,15 +436,14 @@ def concurrent_carnot_points(cfg: PolarTriangleConfig, hstar: HPoint):
     return Astar, Bstar, Cstar
 
 
-def fake_carnot_points(cfg: PolarTriangleConfig, Bstar, Cstar, tol=None):
+def fake_carnot_points(cfg: PolarTriangleConfig, Bstar, Cstar):
     """Replace the concurrent A* by its Carnot conjugate: the identity still
     holds but the perpendiculars no longer concur (elliptic phenomenon)."""
-    t = cfg.tol if tol is None else tol
     bstar = join_points(Bstar, cfg.Bp)
     cstar = join_points(Cstar, cfg.Cp)
     hstar = meet_lines(bstar, cstar)
     dstar = meet_lines(cfg.a, join_points(cfg.Ap, hstar))
-    fake = carnot_conjugate(cfg.model, cfg.B, cfg.C, dstar, tol=t)
+    fake = carnot_conjugate(cfg.model, cfg.B, cfg.C, dstar)
     return fake, dstar
 
 
@@ -474,7 +464,7 @@ def carnot_hyperbolic_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     for p in (cfg.A, cfg.B, cfg.C, Astar, Bstar, Cstar):
         if not model.is_interior(p):
             raise PointOutsideModel("hyperbolic Carnot needs interior data")
-    seg = lambda p, q: math.cosh(mt.distance(cfg.model, p, q, tol=cfg.tol))
+    seg = lambda p, q: math.cosh(mt.distance(cfg.model, p, q))
     return _carnot_products(seg, ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)),
                             (Astar, Bstar, Cstar))
 
@@ -483,7 +473,7 @@ def carnot_elliptic_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     """Measured cos products (elliptic).  Elliptic distances live in
     [0, pi/2] (a full line has length pi), so every cosine is nonnegative
     and the product identity is exact, not just up to sign."""
-    seg = lambda p, q: math.cos(mt.distance(cfg.model, p, q, tol=cfg.tol))
+    seg = lambda p, q: math.cos(mt.distance(cfg.model, p, q))
     return _carnot_products(seg, ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)),
                             (Astar, Bstar, Cstar))
 
@@ -491,7 +481,7 @@ def carnot_elliptic_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
 def carnot_hexagon_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     """Measured sinh products on a right-angled hexagon: the hexagon vertices
     on side a are the conjugate points B_a, C_a (dually for b, c)."""
-    seg = lambda p, q: math.sinh(mt.distance(cfg.model, p, q, tol=cfg.tol))
+    seg = lambda p, q: math.sinh(mt.distance(cfg.model, p, q))
     return _carnot_products(seg, ((cfg.Ca, cfg.Ab, cfg.Bc), (cfg.Ba, cfg.Cb, cfg.Ac)),
                             (Astar, Bstar, Cstar))
 
@@ -501,7 +491,7 @@ def six_points_conic_check(cfg: PolarTriangleConfig):
     residual of the sixth; right-angled configurations give a degenerate
     (line-pair) conic."""
     pts = (cfg.Ab, cfg.Ac, cfg.Ba, cfg.Bc, cfg.Ca, cfg.Cb)
-    conic = cn.conic_fit(pts[:5], tol=cfg.tol, rank_check=False)
+    conic = cn.conic_fit(pts[:5], rank_check=False)
     return conic, cn.conic_residual(conic, pts[5])
 
 
@@ -515,7 +505,7 @@ def complementary_midpoints_conic(cfg: PolarTriangleConfig):
     against the collinear unchosen midpoints equals one)."""
     (g, ga), (h, hb), (i, ic) = cfg.complementary
     pts = (g, ga, h, hb, i, ic)
-    conic = cn.conic_fit(pts[:5], tol=cfg.tol, rank_check=False)
+    conic = cn.conic_fit(pts[:5], rank_check=False)
     fit_residual = cn.conic_residual(conic, pts[5])
     prod = (
         cross_ratio(cfg.B, cfg.C, cfg.Da, g, carrier=cfg.a)
@@ -570,7 +560,7 @@ def magic_midpoints_agreement(cfg: PolarTriangleConfig) -> float:
         r2 = meet_lines(join_points(d1[0], d2[1]), join_points(d1[1], d2[0]))
         worst = max(worst, pair_gap(pair, (r1, r2)))
         # III: midpoints of the magic triangle side
-        s_pair = mt.midpoints(cfg.model, mverts[0], mverts[1], tol=cfg.tol)
+        s_pair = mt.midpoints(cfg.model, mverts[0], mverts[1])
         worst = max(worst, pair_gap(pair, s_pair))
         # IVa: ordinary-midpoint quadrangle, away from the isosceles case
         if not iso:
@@ -631,7 +621,7 @@ def coherent_orientation(cfg: PolarTriangleConfig) -> OrientedTriangleConfig:
     choices putting the magic midpoints on HI/IG/GH and primed versions."""
     if cfg.is_right_angled():
         raise NoCoherentAssignment("coherent orientation needs a non-right-angled triangle")
-    t = cfg.tol
+    t = get_tol()
     m = cfg.magic
     avoid = (cfg.A0, cfg.B0, cfg.C0)
     primal = midpoint_assignments((cfg.mids_a, cfg.mids_b, cfg.mids_c), t, avoid)
@@ -759,9 +749,9 @@ def _exterior_at_c(cfg: PolarTriangleConfig) -> PolarTriangleConfig:
     model = cfg.model
     if model.is_interior(cfg.C):
         if not model.is_interior(cfg.A):
-            return PolarTriangleConfig(model, cfg.B, cfg.C, cfg.A, tol=cfg.tol)
+            return PolarTriangleConfig(model, cfg.B, cfg.C, cfg.A)
         if not model.is_interior(cfg.B):
-            return PolarTriangleConfig(model, cfg.C, cfg.A, cfg.B, tol=cfg.tol)
+            return PolarTriangleConfig(model, cfg.C, cfg.A, cfg.B)
     return cfg
 
 
@@ -842,11 +832,10 @@ def hyperbolic_triangle_laws(cfg: PolarTriangleConfig):
     translation table, angles through the ray construction so obtuse angles
     keep their sign."""
     model = cfg.model
-    t = cfg.tol
     families, (a, b, c) = _lengths(cfg, ("a", "b", "c"))
-    al = ry.vertex_angle(model, cfg.A, cfg.B, cfg.C, tol=t)
-    be = ry.vertex_angle(model, cfg.B, cfg.C, cfg.A, tol=t)
-    ga = ry.vertex_angle(model, cfg.C, cfg.A, cfg.B, tol=t)
+    al = ry.vertex_angle(model, cfg.A, cfg.B, cfg.C)
+    be = ry.vertex_angle(model, cfg.B, cfg.C, cfg.A)
+    ga = ry.vertex_angle(model, cfg.C, cfg.A, cfg.B)
     return _laws("hyperbolic", families + "CCC", (a, b, c, al, be, ga))
 
 
@@ -864,12 +853,11 @@ def quadrilateral_laws(cfg: PolarTriangleConfig):
     translation table; angles alpha at A, beta at B."""
     cfg = _exterior_at_c(cfg)
     model = cfg.model
-    t = cfg.tol
     if not (model.is_interior(cfg.A) and model.is_interior(cfg.B)) \
             or model.is_interior(cfg.C):
         raise KindMismatch("quadrilateral laws need A, B interior and C exterior")
     families, (a, b, c, ga) = _lengths(cfg, ("a", "b", "c", "c'"))
-    al = ry.vertex_angle(model, cfg.A, cfg.B, cfg.Cb, tol=t)
-    be = ry.vertex_angle(model, cfg.B, cfg.A, cfg.Ca, tol=t)
+    al = ry.vertex_angle(model, cfg.A, cfg.B, cfg.Cb)
+    be = ry.vertex_angle(model, cfg.B, cfg.A, cfg.Ca)
     return _laws("quadrilateral", families[:3] + "CC" + families[3],
                  (a, b, c, al, be, ga))

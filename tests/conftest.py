@@ -1,10 +1,12 @@
 import math
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from ckgeom import metric as mt
 from ckgeom.projective import affine_point
+from ckgeom.tolerance import set_tol
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +36,20 @@ def exterior_point(rng, rmin=1.15, rmax=2.8):
     ang = rng.uniform(0, 2 * math.pi)
     r = rng.uniform(rmin, rmax)
     return affine_point(r * math.cos(ang), r * math.sin(ang))
+
+
+def cert_fields(cert):
+    """A certificate's report fields but its wall time."""
+    d = cert.to_dict()
+    del d["wall_time"]
+    return d
+
+
+@contextmanager
+def ambient_tol(value):
+    """Run the block under the ambient tolerance `value`, then restore it."""
+    old = set_tol(value)
+    try:
+        yield
+    finally:
+        set_tol(old)

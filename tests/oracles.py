@@ -8,7 +8,7 @@ from ckgeom.errors import ChartDegenerate
 from ckgeom.tolerance import get_tol
 
 
-def oracle_cross_ratio(a, b, c, d, tol=None):
+def oracle_cross_ratio(a, b, c, d):
     """Affine-chart evaluation of the cross ratio, an oracle against the
     bracket form of `ckgeom.projective.cross_ratio`.
 
@@ -16,7 +16,7 @@ def oracle_cross_ratio(a, b, c, d, tol=None):
     four points; a point at chart infinity falls back to the harmonic-ratio
     form (ABCD) = [AC]/[BC].
     """
-    t = get_tol() if tol is None else tol
+    t = get_tol()
     pts = (a, b, c, d)
     # prefer a chart where no point is at infinity; allow exactly one (it
     # must be D, where the harmonic-ratio form applies)
@@ -64,9 +64,9 @@ def hand_figure_lengths(cfg, figure):
     the quadrilateral relabeled so C is exterior; its angles alpha and beta
     are vertex angles, read outside the translation table).
     """
-    c, model, t = cfg, cfg.model, cfg.tol
-    d = lambda p, q: mt.distance(model, p, q, tol=t)
-    angle = lambda x, y: mt.angle_lines(model, x, y, tol=t)
+    c, model = cfg, cfg.model
+    d = lambda p, q: mt.distance(model, p, q)
+    angle = lambda x, y: mt.angle_lines(model, x, y)
     if figure == tg.LAMBERT and model.is_interior(c.B):
         c = tg._swap_bc(c)
     if figure == "quadrilateral":
@@ -90,6 +90,6 @@ def hand_figure_lengths(cfg, figure):
         return "HHHHHH", (d(c.Ba, c.Ca), d(c.Cb, c.Ab), d(c.Ac, c.Bc),
                           d(c.Ab, c.Ac), d(c.Bc, c.Ba), d(c.Ca, c.Cb))
     return "MMHCCH", (d(c.B, c.Ca), d(c.A, c.Cb), d(c.A, c.B),
-                      ry.vertex_angle(model, c.A, c.B, c.Cb, tol=t),
-                      ry.vertex_angle(model, c.B, c.A, c.Ca, tol=t),
+                      ry.vertex_angle(model, c.A, c.B, c.Cb),
+                      ry.vertex_angle(model, c.B, c.A, c.Ca),
                       d(c.Ca, c.Cb))

@@ -347,7 +347,7 @@ def test_criterion_8_ray_angles():
             ang = ry.angle_between_rays(hyp, r1, r2)
             c1 = ry.ray_cosine_opposite(hyp, r1, r2)
             c2 = ry.ray_cosine_conjugate(hyp, r1, r2)
-            other = ry.other_trace(r2, hyp.absolute, 1e-9)
+            other = ry.other_trace(r2, hyp.absolute)
             supp = ry.angle_between_rays(hyp, r1, ry.Ray(o, r2.carrier, other))
         except errors.GeometryError:
             continue

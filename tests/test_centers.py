@@ -8,7 +8,8 @@ from ckgeom import errors
 from ckgeom import metric as mt
 from ckgeom import projective as pj
 from ckgeom.projective import affine_point, hpoint, join_points, points_equal
-from conftest import exterior_point, interior_point
+from ckgeom.tolerance import get_tol
+from conftest import ambient_tol, exterior_point, interior_point
 
 
 def random_cfg(model, rng, radius=0.85):
@@ -90,7 +91,7 @@ def test_midpoint_assignments(geometry, kind):
     from ckgeom import lab
     for n in range(8):
         cfg = lab.random_triangle_config(lab.trial_rng(23, n), geometry, kind)
-        t = cfg.tol
+        t = get_tol()
         avoid = (cfg.A0, cfg.B0, cfg.C0)
         for pairs, chosen in (
             ((cfg.mids_a, cfg.mids_b, cfg.mids_c),
@@ -259,7 +260,7 @@ def test_medial_shadow(hyp, ell, rng):
 
 
 # the slots a config builds eagerly
-_EAGER = ("model", "tol", "A", "B", "C", "a", "b", "c", "ap", "bp", "cp",
+_EAGER = ("model", "A", "B", "C", "a", "b", "c", "ap", "bp", "cp",
           "Ap", "Bp", "Cp", "conjugate_side_pairs")
 # the five incidence groups a config derives on first read, group by group
 _LAZY_GROUPS = (
@@ -386,8 +387,8 @@ def test_lazy_slots_never_reject_a_drawn_scene():
     from ckgeom import lab
     for kind, geometry in _SCENE_PAIRS:
         for i in range(300):
-            tol = 1e-8 if i % 2 else 1e-9
-            cfg = lab.random_triangle_config(lab.trial_rng(2026, i), geometry,
-                                             kind, tol=tol)
-            for name in _LAZY:
-                getattr(cfg, name)
+            with ambient_tol(1e-8 if i % 2 else 1e-9):
+                cfg = lab.random_triangle_config(lab.trial_rng(2026, i),
+                                                 geometry, kind)
+                for name in _LAZY:
+                    getattr(cfg, name)

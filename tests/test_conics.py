@@ -18,7 +18,7 @@ from ckgeom.projective import (
     points_equal,
 )
 from ckgeom.tolerance import get_tol
-from conftest import interior_point
+from conftest import ambient_tol, interior_point
 
 
 @pytest.fixture(scope="module")
@@ -244,18 +244,19 @@ def test_real_rows_matches_entrywise_imaginary_test():
     seen = set()
     for phi in conics:
         for t in (get_tol(), 1e-6, 1e-12):
-            assert (phi.real_rows(t) is not None) == _list_real(phi, t)
+            with ambient_tol(t):
+                assert (phi.real_rows() is not None) == _list_real(phi, t)
         real = _list_real(phi, get_tol())
         seen.add(real)
         assert (phi.real_rows() is not None) == real
         if phi.klass == cn.IMAGINARY:
             continue
-        # line_conic_meet reads real-representability at the tol it is
-        # given, as real_rows does; non-real conics count as generic
-        for t in (None, 1e-6, 1e-12):
-            status = cn.line_conic_meet(phi, exterior, tol=t).status
-            real_t = _list_real(phi, get_tol() if t is None else t)
-            assert status == (cn.EXTERIOR if real_t else cn.SECANT)
+        # line_conic_meet reads real-representability at the ambient
+        # tolerance, as real_rows does; non-real conics count as generic
+        for t in (get_tol(), 1e-6, 1e-12):
+            with ambient_tol(t):
+                status = cn.line_conic_meet(phi, exterior).status
+            assert status == (cn.EXTERIOR if _list_real(phi, t) else cn.SECANT)
     assert seen == {True, False}
 
 
@@ -290,8 +291,8 @@ def _ray_quadruples(hyp, rng, n):
             r1 = ry.ray_towards(hyp, o, p)
             r2 = ry.ray_towards(hyp, o, q)
             u, v = cn.line_conic_meet(absolute, cn.polar(absolute, o)).points
-            a2 = ry.other_trace(r1, absolute, 1e-9)
-            b2 = ry.other_trace(r2, absolute, 1e-9)
+            a2 = ry.other_trace(r1, absolute)
+            b2 = ry.other_trace(r2, absolute)
         except errors.GeometryError:
             continue
         a1, b1 = r1.endpoint, r2.endpoint

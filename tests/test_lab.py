@@ -6,6 +6,7 @@ from ckgeom import centers as ce
 from ckgeom import errors, lab
 from ckgeom import projective as pj
 from ckgeom.projective import affine_point, hpoint
+from conftest import cert_fields
 from oracles import oracle_cross_ratio
 
 
@@ -136,8 +137,8 @@ def test_lazy_isosceles_flags():
                 object.__getattribute__(cfg, "iso_flags")
             flags = cfg.iso_flags
             assert object.__getattribute__(cfg, "iso_flags") is flags
-            assert flags == ce.build_config(cfg.model, cfg.A, cfg.B, cfg.C,
-                                            tol=cfg.tol).iso_flags
+            assert flags == ce.build_config(cfg.model, cfg.A, cfg.B,
+                                            cfg.C).iso_flags
             if kind == "isosceles":
                 assert any(flags)
 
@@ -173,12 +174,6 @@ def test_carnot_projective_guard_pivots_about_farther_point():
     assert res > 1e-7
 
 
-def _cert_fields(cert):
-    d = cert.to_dict()
-    del d["wall_time"]
-    return d
-
-
 def test_scene_cache_cold_equals_warm():
     seed, trials = 21, 4
     entries = [(tid, g) for tid, (_, geoms, _) in lab.THEOREMS.items()
@@ -191,9 +186,9 @@ def test_scene_cache_cold_equals_warm():
              for tid, g in entries]
     for (tid, g), c1, c2 in zip(entries, first, again):
         lab._scenes.clear()
-        cold = _cert_fields(lab.verify(tid, seed=seed, trials=trials,
+        cold = cert_fields(lab.verify(tid, seed=seed, trials=trials,
                                        geometry=g))
-        assert _cert_fields(c1) == cold and _cert_fields(c2) == cold, (tid, g)
+        assert cert_fields(c1) == cold and cert_fields(c2) == cold, (tid, g)
 
 
 def test_scene_cache_restores_post_draw_state(monkeypatch):
@@ -214,7 +209,7 @@ def test_scene_cache_restores_post_draw_state(monkeypatch):
         builds.clear()
         warm = lab.verify(tid, seed=seed, trials=trials, geometry=g)
         assert len(builds) < cold_builds  # the run did hit the cache
-        assert _cert_fields(warm) == _cert_fields(cold), (tid, g)
+        assert cert_fields(warm) == cert_fields(cold), (tid, g)
 
 
 def test_scene_cache_keys_on_full_generator_state(monkeypatch):
@@ -228,7 +223,7 @@ def test_scene_cache_keys_on_full_generator_state(monkeypatch):
     def check_drawing(n, seen):
         def check(rng, geometry, tol, perturb=0.0):
             cfg = lab.random_triangle_config(pre_draw(rng, n), geometry,
-                                             "generic", tol=tol)
+                                             "generic")
             seen.append((cfg.A, int(rng.integers(0, 1 << 30))))
             return 0.0
         return check

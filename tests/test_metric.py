@@ -15,7 +15,7 @@ from ckgeom.projective import (
     join_points,
     points_equal,
 )
-from conftest import exterior_point, interior_point
+from conftest import ambient_tol, exterior_point, interior_point
 
 
 def test_distance_artanh_oracle(hyp):
@@ -181,14 +181,15 @@ def test_midpoints_degenerate_endpoints(hyp, ell):
 
 
 def test_midpoints_coincidence_at_given_tol(hyp, ell):
-    # 1e-7 apart: coincident at tol 1e-6, distinct at the ambient 1e-9
+    # 1e-7 apart: coincident at tol 1e-6, distinct at 1e-9
     a = affine_point(0.3, -0.2)
     b = affine_point(0.3 + 1e-7, -0.2)
     assert pj.points_equal(a, b, 1e-6) and not pj.points_equal(a, b, 1e-9)
     for model in (hyp, ell):
-        mt.midpoints(model, a, b, tol=1e-9)
-        with pytest.raises(errors.CoincidentPoints):
-            mt.midpoints(model, a, b, tol=1e-6)
+        with ambient_tol(1e-9):
+            mt.midpoints(model, a, b)
+        with ambient_tol(1e-6), pytest.raises(errors.CoincidentPoints):
+            mt.midpoints(model, a, b)
 
 
 def test_midpoint_polars_are_angle_bisectors(hyp, rng):

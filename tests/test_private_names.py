@@ -1,10 +1,12 @@
-"""No module under src/ckgeom reads a private name of another ckgeom module
-through its module alias.
+"""No module under src/ckgeom reads a private name of another ckgeom module,
+through its module alias or by importing the name.
 
 A module reaches another through an alias (`from . import trig as tg`,
-`from . import lab`).  An attribute of that alias with a leading underscore
-(`tg._x`) is the other module's private name: it gets a public name with
-only the parameters it reads, or stays inside its module.
+`from . import lab`) or imports names from it (`from .projective import
+hpoint`).  An attribute of that alias with a leading underscore (`tg._x`),
+or an imported name with one (`from .projective import _x`), is the other
+module's private name: it gets a public name with only the parameters it
+reads, or stays inside its module.
 """
 
 import ast
@@ -27,19 +29,28 @@ def _module_aliases(tree):
     return aliases
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def private_reads(src=SRC):
     """(file, line, alias.name) of every private name that a module under
-    `src` reads through the alias of another ckgeom module."""
+    `src` reads through the alias of another ckgeom module, and (file, line,
+    module.name) of every private name it imports from one."""
     out = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         aliases = _module_aliases(tree)
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute)
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.level == 1 or node.module.startswith("ckgeom.")):
+                module = node.module.rsplit(".", 1)[-1]
+                out.extend((path.name, node.lineno, f"{module}.{a.name}")
+                           for a in node.names if _private(a.name))
+            elif (isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name)
                     and node.value.id in aliases
-                    and node.attr.startswith("_")
-                    and not node.attr.startswith("__")):
+                    and _private(node.attr)):
                 out.append((path.name, node.lineno,
                             f"{node.value.id}.{node.attr}"))
     return out
@@ -55,7 +66,9 @@ def test_aliases_are_found(tmp_path):
     (tmp_path / "a.py").write_text(
         "from . import trig as tg\nfrom . import lab\n"
         "from ckgeom import rays as ry\nimport ckgeom.metric as mt\n"
-        "from .projective import join_points\n"
+        "from .projective import join_points, _f, __version__\n"
+        "from ckgeom.conics import _g\n"
+        "from numpy import _h\n"
         "x = tg._a(lab._b, ry._c, mt._d, mt.__name__, join_points._e)\n")
-    assert [name for _, _, name in private_reads(tmp_path)] == [
-        "tg._a", "lab._b", "ry._c", "mt._d"]
+    assert sorted(name for _, _, name in private_reads(tmp_path)) == [
+        "conics._g", "lab._b", "mt._d", "projective._f", "ry._c", "tg._a"]

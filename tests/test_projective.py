@@ -29,7 +29,7 @@ from ckgeom.projective import (
     quadrangular_involution,
     separates,
 )
-from ckgeom.tolerance import get_tol
+from conftest import ambient_tol
 
 X_AXIS = hline(0, 1, 0)
 
@@ -79,16 +79,17 @@ def _sqrt_coincident(a, b, t):
 
 def _coincidence_decisions(a, b, t):
     eq = pj.triple_eq(a, b, t)
-    try:
-        join_points(pj.HPoint(*a), pj.HPoint(*b), t)
-        joined = False
-    except errors.CoincidentPoints:
-        joined = True
-    try:
-        meet_lines(pj.HLine(*a), pj.HLine(*b), t)
-        met = False
-    except errors.CoincidentLines:
-        met = True
+    with ambient_tol(t):
+        try:
+            join_points(pj.HPoint(*a), pj.HPoint(*b))
+            joined = False
+        except errors.CoincidentPoints:
+            joined = True
+        try:
+            meet_lines(pj.HLine(*a), pj.HLine(*b))
+            met = False
+        except errors.CoincidentLines:
+            met = True
     return eq, joined, met
 
 
@@ -219,7 +220,7 @@ def test_carrierless_cross_ratio_matches_explicit_carrier(rng, complex_coords):
             r = pj.cross_ratio(a, b, c, d)
         except errors.GeometryError:
             continue
-        carrier = pj.line_through(a, b, c, d, get_tol())[0]
+        carrier = pj.line_through(a, b, c, d)[0]
         for explicit in (carrier, join_points(a, b), join_points(c, d)):
             assert _bits(r) == _bits(pj.cross_ratio(a, b, c, d, carrier=explicit))
         dropped.add(3 - sum(pj.chart_axes(carrier)))
@@ -235,7 +236,7 @@ def test_carrierless_cross_ratio_matches_explicit_carrier(rng, complex_coords):
     ((x_pt(0), hpoint(1, 0, 0), x_pt(0.5), affine_point(0.2, 0.1)), X_AXIS),
 ])
 def test_cross_ratio_not_collinear_off_carrier(pts, carrier):
-    got, _, _ = pj.line_through(*pts, 1e-9)
+    got, _, _ = pj.line_through(*pts)
     assert pj.lines_equal(got, carrier)
     with pytest.raises(errors.NotCollinear):
         cross_ratio_points(*pts)

@@ -68,7 +68,7 @@ def test_supplement_relation(hyp, rng):
         q = interior_point(rng, 0.8)
         r1 = ry.ray_towards(hyp, o, p)
         r2 = ry.ray_towards(hyp, o, q)
-        other = ry.other_trace(r2, hyp.absolute, 1e-9)
+        other = ry.other_trace(r2, hyp.absolute)
         r2b = ry.Ray(r2.origin, r2.carrier, other)
         a1 = ry.angle_between_rays(hyp, r1, r2)
         a2 = ry.angle_between_rays(hyp, r1, r2b)
@@ -143,8 +143,8 @@ def test_ray_angle_cross_ratios_rescaling_invariant(hyp, rng):
             r1 = ry.ray_towards(hyp, o, interior_point(rng, 0.8))
             r2 = ry.ray_towards(hyp, o, interior_point(rng, 0.8))
             u, v = cn.line_conic_meet(absolute, cn.polar(absolute, o)).points
-            a2 = ry.other_trace(r1, absolute, 1e-9)
-            b2 = ry.other_trace(r2, absolute, 1e-9)
+            a2 = ry.other_trace(r1, absolute)
+            b2 = ry.other_trace(r2, absolute)
             quads = ((u, v, r1.endpoint, r2.endpoint),
                      (r1.endpoint, r2.endpoint, b2, a2))
             values = [cn.cross_ratio_on_conic(absolute, *q, with_check=False)
