@@ -155,10 +155,11 @@ def build_config(model, A, B, C) -> PolarTriangleConfig:
     return PolarTriangleConfig(model, A, B, C)
 
 
-def midpoint_assignments(pairs, t, avoid=None):
+def midpoint_assignments(pairs, avoid=None):
     """The noncollinear choices of one midpoint per side, in (i, j, k) bit
     order: yields ((i, j, k), (da[i], db[j], dc[k])).  A midpoint equal to
     its side's `avoid` point (when given) is never chosen."""
+    t = get_tol()
     da, db, dc = pairs
     for i in range(2):
         if avoid and points_equal(da[i], avoid[0], t):
@@ -174,14 +175,14 @@ def midpoint_assignments(pairs, t, avoid=None):
                     yield (i, j, k), trip
 
 
-def _choose_midpoints(pairs, avoid, t):
+def _choose_midpoints(pairs, avoid):
     """First assignment of one midpoint per side that avoids the prescribed
     points and is noncollinear; paper's selection procedure.
 
     Returns (D, E, F, Da, Eb, Fc) with Da/Eb/Fc the unchosen partners.
     """
     da, db, dc = pairs
-    for (i, j, k), trip in midpoint_assignments(pairs, t, avoid):
+    for (i, j, k), trip in midpoint_assignments(pairs, avoid):
         return (*trip, da[1 - i], db[1 - j], dc[1 - k])
     raise GeneralPositionViolation("no valid midpoint assignment found")
 
@@ -240,11 +241,11 @@ def _polar_side_midpoints(cfg):
 
 
 def _midpoint_choice(cfg):
-    avoid, t = (cfg.A0, cfg.B0, cfg.C0), get_tol()
+    avoid = (cfg.A0, cfg.B0, cfg.C0)
     cfg.D, cfg.E, cfg.F, cfg.Da, cfg.Eb, cfg.Fc = _choose_midpoints(
-        (cfg.mids_a, cfg.mids_b, cfg.mids_c), avoid, t)
+        (cfg.mids_a, cfg.mids_b, cfg.mids_c), avoid)
     cfg.Dp, cfg.Ep, cfg.Fp, cfg.Dap, cfg.Ebp, cfg.Fcp = _choose_midpoints(
-        (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), avoid, t)
+        (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), avoid)
 
 
 def _isosceles_flags(cfg):
@@ -328,11 +329,10 @@ class CentersReport:
 def _classical_centers(cfg: PolarTriangleConfig):
     """Barycenters, circumcenters and incenters for every consistent
     midpoint assignment, with their concurrency residuals."""
-    t = get_tol()
     report = CentersReport()
     report.residuals["orthocenter"] = incidence_residual(cfg.hc, cfg.H)
     for bits, (d, e, f) in midpoint_assignments(
-            (cfg.mids_a, cfg.mids_b, cfg.mids_c), t):
+            (cfg.mids_a, cfg.mids_b, cfg.mids_c)):
         med_a = join_points(cfg.A, d)
         med_b = join_points(cfg.B, e)
         med_c = join_points(cfg.C, f)
@@ -344,7 +344,7 @@ def _classical_centers(cfg: PolarTriangleConfig):
         o = meet_lines(bis_a, bis_b)
         report.circumcenters.append((bits, o, incidence_residual(bis_c, o)))
     for bits, (d, e, f) in midpoint_assignments(
-            (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), t):
+            (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp)):
         ang_a = join_points(cfg.A, d)
         ang_b = join_points(cfg.B, e)
         ang_c = join_points(cfg.C, f)
@@ -414,16 +414,12 @@ def _pseudo_centers(cfg: PolarTriangleConfig):
         cfg, cfg.Ap, cfg.Bp, cfg.Cp, cfg.ap, cfg.bp, cfg.cp,
         cfg.A, cfg.B, cfg.C)
     # A A1, B B1, C C1 pass through P; primed versions through P'
-    res["AA1_through_P"] = max(
-        incidence_residual(join_points(cfg.A, cfg.A1), out.P),
-        incidence_residual(join_points(cfg.B, cfg.B1), out.P),
-        incidence_residual(join_points(cfg.C, cfg.C1), out.P),
-    )
-    res["ApA1_through_Pp"] = max(
-        incidence_residual(join_points(cfg.Ap, cfg.A1), out.Pp),
-        incidence_residual(join_points(cfg.Bp, cfg.B1), out.Pp),
-        incidence_residual(join_points(cfg.Cp, cfg.C1), out.Pp),
-    )
+    ones = (cfg.A1, cfg.B1, cfg.C1)
+    for name, verts, p in (
+            ("AA1_through_P", (cfg.A, cfg.B, cfg.C), out.P),
+            ("ApA1_through_Pp", (cfg.Ap, cfg.Bp, cfg.Cp), out.Pp)):
+        res[name] = max(incidence_residual(join_points(v, v1), p)
+                        for v, v1 in zip(verts, ones))
     # A, A0 are the midpoints of B''C'' (harmonic against the double side)
     res["vertices_midpoints_of_double"] = max(
         abs(cross_ratio_points(out.Bpp, out.Cpp, cfg.A, cfg.A0) + 1.0),
@@ -436,18 +432,16 @@ def _pseudo_centers(cfg: PolarTriangleConfig):
         collinearity_residual(cfg.Bp, out.Bpp, cfg.B1),
         collinearity_residual(cfg.Cp, out.Cpp, cfg.C1),
     )
-    # altitudes orthogonal to the pseudomedial triangle and to A1B1C1
+    # each altitude is conjugate to the opposite side of the pseudomedial
+    # triangle and of A1B1C1
     phi = cfg.model.absolute
-    res["ha_conj_NBNC"] = max(
-        0.0 if cn.lines_conjugate(phi, cfg.ha, join_points(out.NB, out.NC)) else 1.0,
-        0.0 if cn.lines_conjugate(phi, cfg.hb, join_points(out.NC, out.NA)) else 1.0,
-        0.0 if cn.lines_conjugate(phi, cfg.hc, join_points(out.NA, out.NB)) else 1.0,
-    )
-    res["ha_conj_B1C1"] = max(
-        0.0 if cn.lines_conjugate(phi, cfg.ha, join_points(cfg.B1, cfg.C1)) else 1.0,
-        0.0 if cn.lines_conjugate(phi, cfg.hb, join_points(cfg.C1, cfg.A1)) else 1.0,
-        0.0 if cn.lines_conjugate(phi, cfg.hc, join_points(cfg.A1, cfg.B1)) else 1.0,
-    )
+    alts = (cfg.ha, cfg.hb, cfg.hc)
+    for name, tri in (("ha_conj_NBNC", (out.NA, out.NB, out.NC)),
+                      ("ha_conj_B1C1", ones)):
+        res[name] = max(
+            0.0 if cn.lines_conjugate(phi, alts[k], join_points(
+                tri[(k + 1) % 3], tri[(k + 2) % 3])) else 1.0
+            for k in range(3))
     out.residuals = res
     cfg._pseudo = out
 
@@ -600,13 +594,15 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
         report["self_polar_error"] = repr(exc)
     # (2) e is a symmetry axis of gamma: the harmonic homology with axis e
     # and center pole(e) w.r.t. the absolute maps gamma to itself
-    try:
-        samples = cn.sample_conic_points(gamma, 8)
+    def axis_symmetry(center):
+        # gamma against its image under the symmetry, at 8 sample points
         worst = 0.0
-        for s in samples:
+        for s in cn.sample_conic_points(gamma, 8):
             worst = max(worst, cn.conic_residual(gamma,
-                        mt.point_symmetry(cfg.model, e_pole, s)))
-        report["axis_symmetry"] = worst
+                        mt.point_symmetry(cfg.model, center, s)))
+        return worst
+    try:
+        report["axis_symmetry"] = axis_symmetry(e_pole)
     except GeometryError as exc:
         report["axis_symmetry_error"] = repr(exc)
     # (3) ellipse case: center of gamma is a midpoint of HP, and the
@@ -623,12 +619,7 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
             point_gap(center, m1), point_gap(center, m2))
         try:
             axis2 = mt.perpendicular_through(cfg.model, eu.line, center)
-            pole2 = cn.pole(phi, axis2)
-            worst = 0.0
-            for s in cn.sample_conic_points(gamma, 8):
-                worst = max(worst, cn.conic_residual(gamma,
-                            mt.point_symmetry(cfg.model, pole2, s)))
-            report["second_axis_symmetry"] = worst
+            report["second_axis_symmetry"] = axis_symmetry(cn.pole(phi, axis2))
         except GeometryError as exc:
             report["second_axis_error"] = repr(exc)
     return report

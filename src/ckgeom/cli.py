@@ -23,11 +23,14 @@ from .sceneio import SceneError, builtin_scene, load_scene
 from .tolerance import checked_tol, get_tol
 
 
-def _tol_arg(text: str) -> float:
-    try:
-        return checked_tol(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(exc) from None
+def _checked(rule):
+    """An argparse type applying `rule`; its ValueError is a usage error."""
+    def parse(text: str):
+        try:
+            return rule(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
+    return parse
 
 
 def _geometries(arg: str):
@@ -48,9 +51,10 @@ def cmd_verify(args) -> int:
     failed = False
     for tid in ids:
         _, geoms, report_only = lab.THEOREMS[tid]
-        for geometry in _geometries(args.geometry):
-            if geometry not in geoms:
-                continue
+        models = [g for g in _geometries(args.geometry) if g in geoms]
+        if not models and args.theorem != "all":
+            models = [args.geometry]  # lab.verify names the id's models
+        for geometry in models:
             cert = lab.verify(tid, seed=args.seed, trials=args.trials,
                               geometry=geometry, tol=tol)
             certs.append(cert)
@@ -171,11 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="run randomized theorem certificates")
     vp.add_argument("--theorem", default="all",
                     help="theorem id or 'all' (default all)")
-    vp.add_argument("--trials", type=int, default=1000)
+    vp.add_argument("--trials", default=1000,
+                    type=_checked(lambda text: lab.checked_trials(int(text))))
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--geometry", default="both",
                     choices=["hyperbolic", "elliptic", "both"])
-    vp.add_argument("--tol", type=_tol_arg, default=None)
+    vp.add_argument("--tol", type=_checked(checked_tol), default=None)
     vp.add_argument("--report", default=None, help="write a JSON report here")
     vp.set_defaults(func=cmd_verify)
 

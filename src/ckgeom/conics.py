@@ -20,6 +20,7 @@ from .projective import (
     HLine,
     HPoint,
     Quadrangle,
+    chart_axes,
     cross,
     cross_apart,
     cross_ratio,
@@ -131,13 +132,15 @@ class Conic:
         # Entries are normalized to unit max modulus, so the determinant of a
         # nondegenerate conic is O(1) and of a numerically degenerate one is
         # at noise level; a single relative tolerance separates them.
-        if abs(self.det()) < get_tol():
+        det = self.det()
+        if abs(det) < get_tol():
             return DEGENERATE
-        rows = self.real_rows()
-        if rows is None:
+        r = self.real_rows()
+        if r is None:
             return REAL  # not real-representable; treated as a generic conic
-        eig = np.linalg.eigvalsh(np.array(rows, dtype=float))
-        if all(e > 0 for e in eig) or all(e < 0 for e in eig):
+        # Sylvester's criterion, for either sign: definite iff the leading
+        # 2x2 minor is positive and the determinant has the sign of m00
+        if r[0][0] * r[1][1] - r[0][1] ** 2 > 0 and r[0][0] * det.real > 0:
             return IMAGINARY
         return REAL
 
@@ -202,11 +205,11 @@ class LineConicMeet:
 
 
 def _line_basis(line: HLine):
-    """Two well separated generating points of a line."""
+    """Two well separated generating points of a line: the unit points of
+    its chart (`chart_axes`) lifted onto it."""
     u = line
-    au = (abs(u[0]), abs(u[1]), abs(u[2]))
-    k = au.index(max(au))
-    i, j = [s for s in range(3) if s != k]
+    i, j = chart_axes(u)
+    k = 3 - i - j
     p = [0j, 0j, 0j]
     p[i] = 1.0 + 0j
     p[k] = -u[i] / u[k]

@@ -147,12 +147,6 @@ def nudge(p: HPoint, eps: float) -> HPoint:
     return hpoint(p[0] + eps * p[2], p[1] + 0.5 * eps * p[2], p[2])
 
 
-def _sample_points(rng, n):
-    """n points in the disk of radius 0.9: interior for hyperbolic, and
-    model points for elliptic too (the whole plane is the model)."""
-    return [_interior_point(rng, 0.9) for _ in range(n)]
-
-
 # Scene cache of the trial driver.  Checks of different theorems that draw
 # the same scene from the same generator state share one config, and with it
 # the center reports cached on it.  Only `_trials` turns it on, around each
@@ -221,19 +215,18 @@ def _conditioned(pts) -> bool:
             and abs(collinearity_residual(*pts)) > _SCENE_MARGIN)
 
 
+# The kinds drawn as points, by their number of exterior vertices; interior
+# points lie in the disk of radius 0.9, inside both models.
+_EXTERIOR = {"generic": 0, "ext1": 1, "ext2": 2, "ext3": 3, "quadrilateral": 1}
+
+
 def _try_triangle(rng, model, geometry, kind):
-    if kind == "generic":
-        pts = _sample_points(rng, 3)
-        if not _conditioned(pts):
-            return None
-        cfg = ce.build_config(model, *pts)
-        return None if cfg.is_right_angled() else cfg
-    if kind in ("ext1", "ext2", "ext3", "quadrilateral", "hexagon"):
-        if geometry != HYPERBOLIC:
-            raise UnknownTheorem(f"kind {kind} needs the hyperbolic model")
-        if kind == "hexagon":
-            return _try_hexagon(rng, model)
-        n_ext = {"ext1": 1, "ext2": 2, "ext3": 3, "quadrilateral": 1}[kind]
+    n_ext = _EXTERIOR.get(kind)
+    if (n_ext or kind == "hexagon") and geometry != HYPERBOLIC:
+        raise UnknownTheorem(f"kind {kind} needs the hyperbolic model")
+    if kind == "hexagon":
+        return _try_hexagon(rng, model)
+    if n_ext is not None:
         pts = ([_interior_point(rng) for _ in range(3 - n_ext)]
                + [_exterior_point(rng) for _ in range(n_ext)])
         if not _conditioned(pts):
@@ -984,13 +977,25 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
             yield counter - 1, res
 
 
-def _entry(theorem_id, geometry):
-    """(geometry, report_only) of a theorem, in its first model if not in
-    the one asked for."""
+def checked_trials(trials: int) -> int:
+    """`trials` if it is at least 1, else ValueError: a run of no scenes
+    would pass without certifying anything."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return trials
+
+
+def _entry(theorem_id, geometry, trials):
+    """report_only of a run of `trials` scenes of a theorem in `geometry`;
+    UnknownTheorem if the id has no certificate in that model."""
     if theorem_id not in THEOREMS:
         raise UnknownTheorem(theorem_id)
     _, geoms, report_only = THEOREMS[theorem_id]
-    return (geometry if geometry in geoms else geoms[0]), report_only
+    if geometry not in geoms:
+        raise UnknownTheorem(f"{theorem_id} has no certificate in the "
+                             f"{geometry} model, only in {', '.join(geoms)}")
+    checked_trials(trials)
+    return report_only
 
 
 def verify(theorem_id: str, seed: int = 0, trials: int = 1000,
@@ -1001,7 +1006,7 @@ def verify(theorem_id: str, seed: int = 0, trials: int = 1000,
     (theorem_id, seed, geometry, trials, tol).  The run sets the ambient
     tolerance to `tol` (left as it is when None), which every test of the
     run reads, and restores the previous value when it ends."""
-    geometry, report_only = _entry(theorem_id, geometry)
+    report_only = _entry(theorem_id, geometry, trials)
     old = set_tol(get_tol() if tol is None else tol)
     t = get_tol()
     worst = 0.0
@@ -1023,7 +1028,7 @@ def perturbation_guard(theorem_id: str, seed: int = 0, trials: int = 200,
                        geometry: str = HYPERBOLIC, eps: float = 1e-3,
                        threshold: float = 1e-7) -> float:
     """Fraction of trials where the perturbed check exceeds the threshold."""
-    geometry, _ = _entry(theorem_id, geometry)
+    _entry(theorem_id, geometry, trials)
     hits = sum(1 for _, res in
                _trials(theorem_id, seed, trials, geometry, get_tol(), eps)
                if res > threshold)

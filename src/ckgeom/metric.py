@@ -15,8 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from . import conics as cn
 from .errors import (
     CenterOnConic,
@@ -69,9 +67,8 @@ class ModelGeometry:
                 rows = tuple(tuple(-c for c in r) for r in rows)
         else:
             self.kind = HYPERBOLIC
-            eig = np.linalg.eigvalsh(np.array(rows, dtype=float))
-            pos = sum(1 for e in eig if e > 0)
-            if pos == 1:  # flip to (+,+,-)
+            # an indefinite matrix has one positive eigenvalue iff det > 0
+            if absolute.det().real > 0:  # flip to (+,+,-)
                 rows = tuple(tuple(-c for c in r) for r in rows)
         self.absolute = absolute
         self.real_rows = rows

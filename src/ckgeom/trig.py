@@ -393,6 +393,11 @@ def carnot_conjugate(model, X: HPoint, Y: HPoint, w: HPoint) -> HPoint:
     return cn.conjugate_point(model.absolute, w2, z)
 
 
+def _carnot_foot(cfg: PolarTriangleConfig, bstar, cstar) -> HPoint:
+    """D*: the cut on a by the perpendicular from A' through b*.c*."""
+    return meet_lines(cfg.a, join_points(cfg.Ap, meet_lines(bstar, cstar)))
+
+
 class CarnotCosines:
     __slots__ = ("identity_residual", "concurrency_residual",
                  "classification")
@@ -415,8 +420,7 @@ def carnot_cosines(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     out.identity_residual = _rel(*_carnot_products(
         lambda p, q: _cst(cfg, p, q)[0],
         ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)), (Astar, Bstar, Cstar)))
-    hstar = meet_lines(bstar, cstar)
-    dstar = meet_lines(cfg.a, join_points(cfg.Ap, hstar))
+    dstar = _carnot_foot(cfg, bstar, cstar)
     if points_equal(Astar, dstar, 1e-6):
         out.classification = "concurrent"
     else:
@@ -441,8 +445,7 @@ def fake_carnot_points(cfg: PolarTriangleConfig, Bstar, Cstar):
     holds but the perpendiculars no longer concur (elliptic phenomenon)."""
     bstar = join_points(Bstar, cfg.Bp)
     cstar = join_points(Cstar, cfg.Cp)
-    hstar = meet_lines(bstar, cstar)
-    dstar = meet_lines(cfg.a, join_points(cfg.Ap, hstar))
+    dstar = _carnot_foot(cfg, bstar, cstar)
     fake = carnot_conjugate(cfg.model, cfg.B, cfg.C, dstar)
     return fake, dstar
 
@@ -531,6 +534,13 @@ def pair_gap(pair1, pair2) -> float:
     )
 
 
+def _diagonal_points(p, q):
+    """The diagonal points p0q0.p1q1 and p0q1.p1q0 of the quadrangle of the
+    point pairs p and q."""
+    return (meet_lines(join_points(p[0], q[0]), join_points(p[1], q[1])),
+            meet_lines(join_points(p[0], q[1]), join_points(p[1], q[0])))
+
+
 def magic_midpoints_agreement(cfg: PolarTriangleConfig) -> float:
     """Fourfold characterization of the magic midpoints: direct midpoints of
     the magic sides vs the complementary-midpoint diagonal construction, its
@@ -539,36 +549,22 @@ def magic_midpoints_agreement(cfg: PolarTriangleConfig) -> float:
     m = cfg.magic
     comp = cfg.complementary
     compd = cfg.complementary_dual
+    iso = cfg.iso_flags
+    verts = (m.A, m.B, m.C)
+    mids = (cfg.mids_a, cfg.mids_b, cfg.mids_c)
+    midsp = (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp)
     worst = 0.0
-    per_side = (
-        # (magic pair, comp pair 1, comp pair 2, magic vertices, iso flag,
-        #  ordinary pairs primal/dual)
-        (m.pairs[0], comp[1], comp[2], (m.B, m.C), cfg.iso_flags[0],
-         cfg.mids_a, cfg.mids_ap, compd[1], compd[2]),
-        (m.pairs[1], comp[2], comp[0], (m.C, m.A), cfg.iso_flags[1],
-         cfg.mids_b, cfg.mids_bp, compd[2], compd[0]),
-        (m.pairs[2], comp[0], comp[1], (m.A, m.B), cfg.iso_flags[2],
-         cfg.mids_c, cfg.mids_cp, compd[0], compd[1]),
-    )
-    for (pair, c1, c2, mverts, iso, mids, midsp, d1, d2) in per_side:
-        # I: diagonal points of the complementary-midpoint quadrangle
-        q1 = meet_lines(join_points(c1[0], c2[0]), join_points(c1[1], c2[1]))
-        q2 = meet_lines(join_points(c1[0], c2[1]), join_points(c1[1], c2[0]))
-        worst = max(worst, pair_gap(pair, (q1, q2)))
-        # II: primed complementary quadrangle
-        r1 = meet_lines(join_points(d1[0], d2[0]), join_points(d1[1], d2[1]))
-        r2 = meet_lines(join_points(d1[0], d2[1]), join_points(d1[1], d2[0]))
-        worst = max(worst, pair_gap(pair, (r1, r2)))
+    for k, pair in enumerate(m.pairs):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        # I: complementary-midpoint quadrangle; II: its primed version;
         # III: midpoints of the magic triangle side
-        s_pair = mt.midpoints(cfg.model, mverts[0], mverts[1])
-        worst = max(worst, pair_gap(pair, s_pair))
+        found = [_diagonal_points(comp[i], comp[j]),
+                 _diagonal_points(compd[i], compd[j]),
+                 mt.midpoints(cfg.model, verts[i], verts[j])]
         # IVa: ordinary-midpoint quadrangle, away from the isosceles case
-        if not iso:
-            u1 = meet_lines(join_points(mids[0], midsp[0]),
-                            join_points(mids[1], midsp[1]))
-            u2 = meet_lines(join_points(mids[0], midsp[1]),
-                            join_points(mids[1], midsp[0]))
-            worst = max(worst, pair_gap(pair, (u1, u2)))
+        if not iso[k]:
+            found.append(_diagonal_points(mids[k], midsp[k]))
+        worst = max(worst, *(pair_gap(pair, f) for f in found))
     return worst
 
 
@@ -589,7 +585,8 @@ class OrientedTriangleConfig:
         self.magic = magic
 
 
-def _pick_on_line(pair, line, t):
+def _pick_on_line(pair, line):
+    t = get_tol()
     r0 = incidence_residual(line, pair[0])
     r1 = incidence_residual(line, pair[1])
     if min(r0, r1) > 1e-6:
@@ -621,36 +618,30 @@ def coherent_orientation(cfg: PolarTriangleConfig) -> OrientedTriangleConfig:
     choices putting the magic midpoints on HI/IG/GH and primed versions."""
     if cfg.is_right_angled():
         raise NoCoherentAssignment("coherent orientation needs a non-right-angled triangle")
-    t = get_tol()
     m = cfg.magic
     avoid = (cfg.A0, cfg.B0, cfg.C0)
-    primal = midpoint_assignments((cfg.mids_a, cfg.mids_b, cfg.mids_c), t, avoid)
+    primal = midpoint_assignments((cfg.mids_a, cfg.mids_b, cfg.mids_c), avoid)
     dual = [trip for _, trip in midpoint_assignments(
-        (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), t, avoid)]
+        (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), avoid)]
     comp = cfg.complementary
     compd = cfg.complementary_dual
     for _, (D, E, F) in primal:
         for (Dp, Ep, Fp) in dual:
-            mD = _pick_on_line(m.pairs[0], join_points(D, Dp), t)
-            mE = _pick_on_line(m.pairs[1], join_points(E, Ep), t)
-            mF = _pick_on_line(m.pairs[2], join_points(F, Fp), t)
+            mD = _pick_on_line(m.pairs[0], join_points(D, Dp))
+            mE = _pick_on_line(m.pairs[1], join_points(E, Ep))
+            mF = _pick_on_line(m.pairs[2], join_points(F, Fp))
             if mD is None or mE is None or mF is None:
                 continue
-            if collinearity_residual(mD, mE, mF) <= 1e3 * t:
+            if collinearity_residual(mD, mE, mF) <= 1e3 * get_tol():
                 continue
-            sol = _solve_complementary((comp[0], comp[1], comp[2]),
-                                       (mD, mE, mF))
+            sol = _solve_complementary(comp, (mD, mE, mF))
             if sol is None:
                 continue
-            sol_d = _solve_complementary((compd[0], compd[1], compd[2]),
-                                         (mD, mE, mF))
+            sol_d = _solve_complementary(compd, (mD, mE, mF))
             if sol_d is None:
                 continue
-            return OrientedTriangleConfig(
-                cfg, D, E, F, Dp, Ep, Fp,
-                sol[0], sol[1], sol[2], sol_d[0], sol_d[1], sol_d[2],
-                (mD, mE, mF),
-            )
+            return OrientedTriangleConfig(cfg, D, E, F, Dp, Ep, Fp,
+                                          *sol, *sol_d, (mD, mE, mF))
     raise NoCoherentAssignment("no coherent orientation found")
 
 
@@ -658,43 +649,40 @@ def coherent_orientation(cfg: PolarTriangleConfig) -> OrientedTriangleConfig:
 # unsquared projective ratios of an oriented triangle
 # ---------------------------------------------------------------------------
 
+# The cyclic sides XY of T and T': X, Y, the conjugate point Y_p of Y on XY
+# and the side itself on the config, then the preferred midpoint D and the
+# preferred complementary midpoint G of the side on the orientation.
+_CYCLIC = {
+    "AB": attrgetter("cfg.A", "cfg.B", "cfg.Bc", "cfg.c", "F", "I"),
+    "BC": attrgetter("cfg.B", "cfg.C", "cfg.Ca", "cfg.a", "D", "G"),
+    "CA": attrgetter("cfg.C", "cfg.A", "cfg.Ab", "cfg.b", "E", "H"),
+    "A'B'": attrgetter("cfg.Ap", "cfg.Bp", "cfg.Cb", "cfg.cp", "Fp", "Ip"),
+    "B'C'": attrgetter("cfg.Bp", "cfg.Cp", "cfg.Ac", "cfg.ap", "Dp", "Gp"),
+    "C'A'": attrgetter("cfg.Cp", "cfg.Ap", "cfg.Ba", "cfg.bp", "Ep", "Hp"),
+}
+
+# the cyclic side of the other triangle with the same letters
+_PRIMED = {"AB": "A'B'", "BC": "B'C'", "CA": "C'A'",
+           "A'B'": "AB", "B'C'": "BC", "C'A'": "CA"}
+
+
 def side_cc(o: OrientedTriangleConfig, side: str) -> complex:
     """cc of the cyclic side: (X Y Y_p D) with the preferred midpoint."""
-    c = o.cfg
-    table = {
-        "AB": (c.A, c.B, c.Bc, o.F, c.c),
-        "BC": (c.B, c.C, c.Ca, o.D, c.a),
-        "CA": (c.C, c.A, c.Ab, o.E, c.b),
-        "A'B'": (c.Ap, c.Bp, c.Cb, o.Fp, c.cp),
-        "B'C'": (c.Bp, c.Cp, c.Ac, o.Dp, c.ap),
-        "C'A'": (c.Cp, c.Ap, c.Ba, o.Ep, c.bp),
-    }
-    x, y, yp, d, carrier = table[side]
+    x, y, yp, carrier, d, _ = _CYCLIC[side](o)
     return cross_ratio(x, y, yp, d, carrier=carrier)
 
 
 def side_ss(o: OrientedTriangleConfig, side: str) -> complex:
     """ss of the cyclic side: (X Y_p Y G) with the preferred complementary
     midpoint."""
-    c = o.cfg
-    table = {
-        "AB": (c.A, c.Bc, c.B, o.I, c.c),
-        "BC": (c.B, c.Ca, c.C, o.G, c.a),
-        "CA": (c.C, c.Ab, c.A, o.H, c.b),
-        "A'B'": (c.Ap, c.Cb, c.Bp, o.Ip, c.cp),
-        "B'C'": (c.Bp, c.Ac, c.Cp, o.Gp, c.ap),
-        "C'A'": (c.Cp, c.Ba, c.Ap, o.Hp, c.bp),
-    }
-    x, yp, y, g, carrier = table[side]
+    x, y, yp, carrier, _, g = _CYCLIC[side](o)
     return cross_ratio(x, yp, y, g, carrier=carrier)
 
 
 def projective_law_of_sines(o: OrientedTriangleConfig):
     """Ratios ss(XY)/ss(X'Y') over the three cyclic sides and their spread."""
-    ratios = tuple(
-        side_ss(o, s) / side_ss(o, sp)
-        for s, sp in (("AB", "A'B'"), ("BC", "B'C'"), ("CA", "C'A'"))
-    )
+    ratios = tuple(side_ss(o, s) / side_ss(o, _PRIMED[s])
+                   for s in ("AB", "BC", "CA"))
     return ratios, _spread(ratios)
 
 
@@ -710,11 +698,8 @@ def projective_law_of_cosines(o: OrientedTriangleConfig, side: str = "a",
                               dual: bool = False) -> float:
     """Residual of cc(YZ) = -ss(XY) ss(ZX) cc(Y'Z') - cc(XY) cc(ZX) (or the
     primed dual) for the requested side."""
-    tgt, s1, s2, opp = _COSINE_SIDES[side]
-    if dual:
-        swap = {"AB": "A'B'", "BC": "B'C'", "CA": "C'A'",
-                "A'B'": "AB", "B'C'": "BC", "C'A'": "CA"}
-        tgt, s1, s2, opp = swap[tgt], swap[s1], swap[s2], swap[opp]
+    sides = _COSINE_SIDES[side]
+    tgt, s1, s2, opp = (_PRIMED[s] for s in sides) if dual else sides
     lhs = side_cc(o, tgt)
     rhs = (-side_ss(o, s1) * side_ss(o, s2) * side_cc(o, opp)
            - side_cc(o, s1) * side_cc(o, s2))

@@ -99,7 +99,7 @@ def test_midpoint_assignments(geometry, kind):
             ((cfg.mids_ap, cfg.mids_bp, cfg.mids_cp),
              (cfg.Dp, cfg.Ep, cfg.Fp, cfg.Dap, cfg.Ebp, cfg.Fcp)),
         ):
-            got = list(ce.midpoint_assignments(pairs, t, avoid))
+            got = list(ce.midpoint_assignments(pairs, avoid))
             bits = [b for b, _ in got]
             assert bits == sorted(set(bits))
             for (i, j, k), trip in got:
@@ -112,12 +112,12 @@ def test_midpoint_assignments(geometry, kind):
                                   pairs[2][1 - k])
             # avoiding one midpoint of side a keeps exactly the choices of
             # its partner, in the same order (a vertex is never a midpoint)
-            free = list(ce.midpoint_assignments(pairs, t))
+            free = list(ce.midpoint_assignments(pairs))
             only_a1 = list(ce.midpoint_assignments(
-                pairs, t, (pairs[0][0], cfg.A, cfg.A)))
+                pairs, (pairs[0][0], cfg.A, cfg.A)))
             assert only_a1 == [g for g in free if g[0][0] == 1]
         free = [b for b, _ in ce.midpoint_assignments(
-            (cfg.mids_a, cfg.mids_b, cfg.mids_c), t)]
+            (cfg.mids_a, cfg.mids_b, cfg.mids_c))]
         assert [b for b, _, _ in cfg.classical().barycenters] == free
 
 

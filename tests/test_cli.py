@@ -27,6 +27,28 @@ def test_verify_unknown_theorem(capsys):
     assert run_cli(["verify", "--theorem", "not_a_theorem"]) == 2
 
 
+@pytest.mark.parametrize("trials", ("0", "-3"))
+def test_verify_rejects_runs_of_no_scenes(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--theorem", "pascal", "--geometry", "hyperbolic",
+                 "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials: trials must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_id_without_the_requested_model(capsys):
+    # ray_angles has a certificate in the hyperbolic model only
+    assert run_cli(["verify", "--theorem", "ray_angles",
+                    "--geometry", "elliptic", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "only in hyperbolic" in captured.err
+    # with both models asked for, the one it has is run
+    assert run_cli(["verify", "--theorem", "ray_angles",
+                    "--trials", "1"]) == 0
+    assert "ray_angles" in capsys.readouterr().out
+
+
 def test_compute_distance(capsys):
     code = run_cli(["compute", "--scene", "builtin:unit-circle",
                     "--op", "distance", "A", "B"])

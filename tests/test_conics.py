@@ -1,10 +1,12 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 
 from ckgeom import conics as cn
 from ckgeom import errors
+from ckgeom import metric as mt
 from ckgeom import projective as pj
 from ckgeom import rays as ry
 from ckgeom.projective import (
@@ -170,6 +172,29 @@ def test_conic_through_five_collinear_degenerate():
 def test_conic_fit_classification():
     assert cn.unit_imaginary_conic().klass == cn.IMAGINARY
     assert cn.unit_circle().klass == cn.REAL
+
+
+def test_closed_form_classification_matches_eigenvalues():
+    # the eigenvalue tests that Conic._classify and ModelGeometry replaced
+    # are the reference: definite iff all eigenvalues share a sign, and the
+    # hyperbolic absolute is scaled to two positive eigenvalues
+    rng = np.random.default_rng(20)
+    mats = [np.diag(s) for s in ((1, 1, 1), (-1, -2, -3), (1, 1, -1),
+                                 (-0.5, -0.5, 1), (2, -1, -1), (-1, 3, 1))]
+    mats += [m + m.T for m in rng.normal(size=(3000, 3, 3))]
+    seen = {cn.REAL: 0, cn.IMAGINARY: 0}
+    for m in mats:
+        conic = cn.Conic.from_matrix(m.astype(complex))
+        if conic.is_degenerate():
+            continue
+        eig = np.linalg.eigvalsh(np.array(conic.real_rows()))
+        definite = all(eig > 0) or all(eig < 0)
+        assert (conic.klass == cn.IMAGINARY) == definite
+        seen[conic.klass] += 1
+        if not definite:
+            rows = mt.ModelGeometry(conic).real_rows
+            assert sum(np.linalg.eigvalsh(np.array(rows)) > 0) == 2
+    assert min(seen.values()) > 100
 
 
 def test_cross_ratio_on_conic(circle):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -44,6 +45,46 @@ def test_verify_certificate():
     assert d["theorem"] == "desargues" and d["passed"]
     with pytest.raises(errors.UnknownTheorem):
         lab.verify("nope", trials=1)
+
+
+@pytest.mark.parametrize("trials", (0, -3))
+def test_runs_of_no_scenes_are_rejected(trials):
+    # a certificate of no scenes would pass without certifying anything
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        lab.verify("pascal", trials=trials)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        lab.perturbation_guard("altitudes", trials=trials)
+
+
+def test_a_model_without_a_certificate_is_rejected():
+    # ray_angles is certified in the hyperbolic model only; asking for the
+    # elliptic one must not certify the hyperbolic one instead
+    for run in (lab.verify, lab.perturbation_guard):
+        with pytest.raises(errors.UnknownTheorem, match="only in hyperbolic"):
+            run("ray_angles", trials=1, geometry="elliptic")
+
+
+# sha256 of (id, model, max_residual.hex(), failures) over the 70 certificates
+# of every id in each of its models, seed 20, 100 trials, tol 1e-9.  The
+# certificates are a pure function of the code, so a refactor must leave
+# this digest as it is.  A change that means to move the numbers records the
+# new digest here and says in CHANGES.md why the numbers moved.
+CERTIFICATES_DIGEST = (
+    "dbf9f034fea708a43030269315c41624abe299b9206d2b8925ee07de698f79c2")
+
+
+def test_certificates_match_the_recorded_digest():
+    h = hashlib.sha256()
+    n = 0
+    for tid in lab.theorem_ids():
+        for geometry in lab.THEOREMS[tid][1]:
+            cert = lab.verify(tid, seed=20, trials=100, geometry=geometry,
+                              tol=1e-9)
+            h.update(repr((tid, geometry, cert.max_residual.hex(),
+                           list(cert.failures))).encode())
+            n += 1
+    assert n == 70
+    assert h.hexdigest() == CERTIFICATES_DIGEST
 
 
 def test_verify_reproducible():

@@ -1,9 +1,10 @@
 """Every `__slots__` entry of a class in src/ckgeom is read somewhere.
 
 A slot that is set and never read costs memory on every object and keeps
-what it holds alive.  "Read" means loaded as an attribute (`obj.name`), or
-read by `getattr` with a constant name, anywhere under src/, tests/ or
-bench/.
+what it holds alive.  "Read" means loaded as an attribute (`obj.name`),
+read by `getattr` with a constant name, or named in a constant argument of
+`attrgetter` (each part of a dotted path is read), anywhere under src/,
+tests/ or bench/.
 """
 
 import ast
@@ -34,10 +35,14 @@ def _reads(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "getattr" and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant)):
-            yield node.args[1].value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if (node.func.id == "getattr" and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)):
+                yield node.args[1].value
+            elif node.func.id == "attrgetter":
+                for arg in node.args:
+                    if isinstance(arg, ast.Constant):
+                        yield from arg.value.split(".")
 
 
 def test_every_slot_is_read():
@@ -49,3 +54,8 @@ def test_every_slot_is_read():
     assert slots
     unread = [f"{f}: {cls}.{name}" for f, cls, name in slots if name not in read]
     assert not unread, "slots never read: " + ", ".join(unread)
+
+
+def test_attrgetter_names_count_as_reads():
+    tree = ast.parse('get = attrgetter("cfg.A", "F")\ngetattr(o, "G")')
+    assert set(_reads(tree)) == {"cfg", "A", "F", "G"}
