@@ -21,6 +21,12 @@ it early or late gives the same floats.  Two contracts:
   and `nine_point()`) may raise `GeometryError`.  A raise leaves the slot
   unset, so the next read raises again.
 
+The polar triangle T' is read, never rebuilt: `cfg.dual` reads and writes
+the slots of the config through the swap A<->A', a<->a', A_b<->B_a,
+A_c<->C_a, B_c<->C_b, mids_a<->mids_a', D<->D', D_a<->D_a' (and cyclically)
+and complementary<->complementary_dual, fixing model and A0, B0, C0
+(`_SWAP`).  Each group of T' is its group of T run on that view.
+
 A config holds no tolerance: its build and every derived group read the
 ambient one (`get_tol`), so a config is to be read under the tolerance it
 was built under.  Inside the trial driver this holds: `lab.verify` runs
@@ -31,6 +37,8 @@ tolerance in force.
 from __future__ import annotations
 
 import math
+from itertools import combinations
+from operator import attrgetter
 
 from . import conics as cn
 from . import metric as mt
@@ -150,6 +158,42 @@ class PolarTriangleConfig:
     def nine_point(self) -> NinePointConic:
         return self._nine_point
 
+    @property
+    def dual(self) -> _Dual:
+        """This config read as the config of the polar triangle T'."""
+        return _Dual(self)
+
+
+# The swap T <-> T': each name the dual view maps, and the slot it reads.
+_PAIRS = (("A", "Ap"), ("B", "Bp"), ("C", "Cp"), ("a", "ap"), ("b", "bp"),
+          ("c", "cp"), ("Ab", "Ba"), ("Ac", "Ca"), ("Bc", "Cb"),
+          ("mids_a", "mids_ap"), ("mids_b", "mids_bp"), ("mids_c", "mids_cp"),
+          ("D", "Dp"), ("E", "Ep"), ("F", "Fp"),
+          ("Da", "Dap"), ("Eb", "Ebp"), ("Fc", "Fcp"),
+          ("complementary", "complementary_dual"))
+_SWAP = {"model": "model", "A0": "A0", "B0": "B0", "C0": "C0",
+         **dict(_PAIRS), **{q: p for p, q in _PAIRS}}
+
+
+class _Dual:
+    """The config `dual` read and written through `_SWAP`: one property per
+    mapped name, so a name the swap does not map is no attribute."""
+
+    __slots__ = ("dual",)
+
+    def __init__(self, cfg):
+        self.dual = cfg
+
+
+def _swapped(name):
+    def write(view, value):
+        setattr(view.dual, name, value)
+    return property(attrgetter("dual." + name), write)
+
+
+for _name, _partner in _SWAP.items():
+    setattr(_Dual, _name, _swapped(_partner))
+
 
 def build_config(model, A, B, C) -> PolarTriangleConfig:
     return PolarTriangleConfig(model, A, B, C)
@@ -233,19 +277,10 @@ def _side_midpoints(cfg):
     cfg.mids_c = mt.midpoints(model, cfg.A, cfg.B)
 
 
-def _polar_side_midpoints(cfg):
-    model = cfg.model
-    cfg.mids_ap = mt.midpoints(model, cfg.Bp, cfg.Cp)
-    cfg.mids_bp = mt.midpoints(model, cfg.Cp, cfg.Ap)
-    cfg.mids_cp = mt.midpoints(model, cfg.Ap, cfg.Bp)
-
-
 def _midpoint_choice(cfg):
     avoid = (cfg.A0, cfg.B0, cfg.C0)
     cfg.D, cfg.E, cfg.F, cfg.Da, cfg.Eb, cfg.Fc = _choose_midpoints(
         (cfg.mids_a, cfg.mids_b, cfg.mids_c), avoid)
-    cfg.Dp, cfg.Ep, cfg.Fp, cfg.Dap, cfg.Ebp, cfg.Fcp = _choose_midpoints(
-        (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), avoid)
 
 
 def _isosceles_flags(cfg):
@@ -278,15 +313,6 @@ def _complementary(cfg):
         mt.midpoints(model, cfg.B, cfg.Ca),
         mt.midpoints(model, cfg.C, cfg.Ab),
         mt.midpoints(model, cfg.A, cfg.Bc),
-    )
-
-
-def _complementary_dual(cfg):
-    model = cfg.model
-    cfg.complementary_dual = (
-        mt.midpoints(model, cfg.Bp, cfg.Ac),
-        mt.midpoints(model, cfg.Cp, cfg.Ba),
-        mt.midpoints(model, cfg.Ap, cfg.Cb),
     )
 
 
@@ -328,36 +354,30 @@ class CentersReport:
 
 def _classical_centers(cfg: PolarTriangleConfig):
     """Barycenters, circumcenters and incenters for every consistent
-    midpoint assignment, with their concurrency residuals."""
+    midpoint assignment, with their concurrency residuals; the incenters of
+    T are the circumcenters of T'."""
     report = CentersReport()
     report.residuals["orthocenter"] = incidence_residual(cfg.hc, cfg.H)
-    for bits, (d, e, f) in midpoint_assignments(
-            (cfg.mids_a, cfg.mids_b, cfg.mids_c)):
-        med_a = join_points(cfg.A, d)
-        med_b = join_points(cfg.B, e)
-        med_c = join_points(cfg.C, f)
-        g = meet_lines(med_a, med_b)
-        report.barycenters.append((bits, g, incidence_residual(med_c, g)))
-        bis_a = join_points(cfg.Ap, d)
-        bis_b = join_points(cfg.Bp, e)
-        bis_c = join_points(cfg.Cp, f)
-        o = meet_lines(bis_a, bis_b)
-        report.circumcenters.append((bits, o, incidence_residual(bis_c, o)))
-    for bits, (d, e, f) in midpoint_assignments(
-            (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp)):
-        ang_a = join_points(cfg.A, d)
-        ang_b = join_points(cfg.B, e)
-        ang_c = join_points(cfg.C, f)
-        i = meet_lines(ang_a, ang_b)
-        report.incenters.append((bits, i, incidence_residual(ang_c, i)))
+    d = cfg.dual
+    for tri, families in (
+            (cfg, ((report.barycenters, (cfg.A, cfg.B, cfg.C)),
+                   (report.circumcenters, (cfg.Ap, cfg.Bp, cfg.Cp)))),
+            (d, ((report.incenters, (d.Ap, d.Bp, d.Cp)),))):
+        for bits, mids in midpoint_assignments(
+                (tri.mids_a, tri.mids_b, tri.mids_c)):
+            for out, verts in families:
+                la, lb, lc = (join_points(v, m) for v, m in zip(verts, mids))
+                p = meet_lines(la, lb)
+                out.append((bits, p, incidence_residual(lc, p)))
     cfg._classical = report
 
 
 def pseudo_spieker(cfg: PolarTriangleConfig):
     """Concurrency point of DD', EE', FF' with its residual."""
-    dd = join_points(cfg.D, cfg.Dp)
-    ee = join_points(cfg.E, cfg.Ep)
-    ff = join_points(cfg.F, cfg.Fp)
+    d = cfg.dual
+    dd = join_points(cfg.D, d.D)
+    ee = join_points(cfg.E, d.E)
+    ff = join_points(cfg.F, d.F)
     s = meet_lines(dd, ee)
     return s, incidence_residual(ff, s)
 
@@ -374,12 +394,13 @@ class PseudoCenters:
     )
 
 
-def _pseudo_chain(cfg, A, B, C, a, b, c, poleA, poleB, poleC):
+def _pseudo_chain(cfg):
     """Double triangle, pseudomedians, pseudomidpoints and pseudobisectors
-    for the triangle (A, B, C); poleX is the pole of the side x.
+    of the triangle of `cfg` (T' on `cfg.dual`).
 
-    Returns (A'', B'', C'', N, N_A, N_B, N_C, P, residuals dict).
+    Returns (A'', B'', C'', N, N_A, N_B, N_C, P, res_n, res_p).
     """
+    A, B, C = cfg.A, cfg.B, cfg.C
     app = join_points(cfg.A0, A)
     bpp = join_points(cfg.B0, B)
     cpp = join_points(cfg.C0, C)
@@ -391,12 +412,12 @@ def _pseudo_chain(cfg, A, B, C, a, b, c, poleA, poleB, poleC):
     nc = join_points(C, Cpp)
     N = meet_lines(na, nb)
     res_n = incidence_residual(nc, N)
-    NA = meet_lines(na, a)
-    NB = meet_lines(nb, b)
-    NC = meet_lines(nc, c)
-    pa = join_points(NA, poleA)
-    pb = join_points(NB, poleB)
-    pc = join_points(NC, poleC)
+    NA = meet_lines(na, cfg.a)
+    NB = meet_lines(nb, cfg.b)
+    NC = meet_lines(nc, cfg.c)
+    pa = join_points(NA, cfg.Ap)
+    pb = join_points(NB, cfg.Bp)
+    pc = join_points(NC, cfg.Cp)
     P = meet_lines(pa, pb)
     res_p = incidence_residual(pc, P)
     return App, Bpp, Cpp, N, NA, NB, NC, P, res_n, res_p
@@ -406,13 +427,10 @@ def _pseudo_centers(cfg: PolarTriangleConfig):
     out = PseudoCenters()
     res = {}
     (out.App, out.Bpp, out.Cpp, out.N, out.NA, out.NB, out.NC, out.P,
-     res["pseudomedians"], res["pseudobisectors"]) = _pseudo_chain(
-        cfg, cfg.A, cfg.B, cfg.C, cfg.a, cfg.b, cfg.c,
-        cfg.Ap, cfg.Bp, cfg.Cp)
+     res["pseudomedians"], res["pseudobisectors"]) = _pseudo_chain(cfg)
     (_, _, _, out.Np, _, _, _, out.Pp,
      res["pseudomedians_dual"], res["pseudobisectors_dual"]) = _pseudo_chain(
-        cfg, cfg.Ap, cfg.Bp, cfg.Cp, cfg.ap, cfg.bp, cfg.cp,
-        cfg.A, cfg.B, cfg.C)
+        cfg.dual)
     # A A1, B B1, C C1 pass through P; primed versions through P'
     ones = (cfg.A1, cfg.B1, cfg.C1)
     for name, verts, p in (
@@ -552,21 +570,11 @@ def midpoint_quadrilateral_residual(mids_a, mids_b, mids_c) -> float:
 
 def concurrency_graph_residual(cfg: PolarTriangleConfig) -> float:
     """All six pairwise perspectivities of T, T', (1/2)T, (1/2)T'."""
-    pairs = (
-        ((cfg.A, cfg.B, cfg.C), (cfg.Ap, cfg.Bp, cfg.Cp)),
-        ((cfg.A, cfg.B, cfg.C), (cfg.D, cfg.E, cfg.F)),
-        ((cfg.Ap, cfg.Bp, cfg.Cp), (cfg.Dp, cfg.Ep, cfg.Fp)),
-        ((cfg.D, cfg.E, cfg.F), (cfg.Dp, cfg.Ep, cfg.Fp)),
-        ((cfg.A, cfg.B, cfg.C), (cfg.Dp, cfg.Ep, cfg.Fp)),
-        ((cfg.Ap, cfg.Bp, cfg.Cp), (cfg.D, cfg.E, cfg.F)),
-    )
-    worst = 0.0
-    for (u1, u2, u3), (v1, v2, v3) in pairs:
-        l1 = join_points(u1, v1)
-        l2 = join_points(u2, v2)
-        l3 = join_points(u3, v3)
-        worst = max(worst, concurrency_residual(l1, l2, l3))
-    return worst
+    d = cfg.dual
+    tris = ((cfg.A, cfg.B, cfg.C), (d.A, d.B, d.C),
+            (cfg.D, cfg.E, cfg.F), (d.D, d.E, d.F))
+    return max(concurrency_residual(*(join_points(u, v) for u, v in zip(us, vs)))
+               for us, vs in combinations(tris, 2))
 
 
 def experimental_conjectures(cfg: PolarTriangleConfig):
@@ -627,19 +635,24 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
 
 # -- the slots derived on first read, by the group that fills them ----------
 
+def _on_dual(group):
+    """The group of T' that `group` is of T: `group` run on the dual view."""
+    return lambda cfg: group(cfg.dual)
+
+
 _DERIVED = {name: group for group, names in (
     (_conjugate_points, ("Ab", "Ac", "Bc", "Ba", "Ca", "Cb")),
     (_orthic, ("aB", "aC", "bC", "bA", "cA", "cB", "A0", "B0", "C0",
                "ha", "hb", "hc", "H", "h", "HA", "HB", "HC",
                "A1", "B1", "C1")),
     (_side_midpoints, ("mids_a", "mids_b", "mids_c")),
-    (_polar_side_midpoints, ("mids_ap", "mids_bp", "mids_cp")),
-    (_midpoint_choice, ("D", "E", "F", "Da", "Eb", "Fc",
-                        "Dp", "Ep", "Fp", "Dap", "Ebp", "Fcp")),
+    (_on_dual(_side_midpoints), ("mids_ap", "mids_bp", "mids_cp")),
+    (_midpoint_choice, ("D", "E", "F", "Da", "Eb", "Fc")),
+    (_on_dual(_midpoint_choice), ("Dp", "Ep", "Fp", "Dap", "Ebp", "Fcp")),
     # these may raise GeometryError and leave their slots unset
     (_isosceles_flags, ("iso_flags",)),
     (_complementary, ("complementary",)),
-    (_complementary_dual, ("complementary_dual",)),
+    (_on_dual(_complementary), ("complementary_dual",)),
     (_magic, ("magic",)),
     (_classical_centers, ("_classical",)),
     (_pseudo_centers, ("_pseudo",)),

@@ -14,6 +14,7 @@ which guards the whole suite against vacuous checks.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 
 import numpy as np
@@ -522,26 +523,19 @@ def _center_residual(kind):
     def check(rng, geometry, tol, perturb=0.0):
         cfg = random_triangle_config(rng, geometry, "generic")
         rep = cfg.classical()
-        if kind == "medians":
-            groups = rep.barycenters
-            lines = lambda d, e, f: (join_points(cfg.A, d), join_points(cfg.B, e),
-                                     join_points(cfg.C, f))
-            pairs = (cfg.mids_a, cfg.mids_b, cfg.mids_c)
-        elif kind == "side_bisectors":
-            groups = rep.circumcenters
-            lines = lambda d, e, f: (join_points(cfg.Ap, d), join_points(cfg.Bp, e),
-                                     join_points(cfg.Cp, f))
-            pairs = (cfg.mids_a, cfg.mids_b, cfg.mids_c)
-        else:
-            groups = rep.incenters
-            lines = lambda d, e, f: (join_points(cfg.A, d), join_points(cfg.B, e),
-                                     join_points(cfg.C, f))
-            pairs = (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp)
+        # the angle bisectors of T are the side bisectors of T'
+        tri = cfg.dual if kind == "angle_bisectors" else cfg
+        groups = {"medians": rep.barycenters, "side_bisectors": rep.circumcenters,
+                  "angle_bisectors": rep.incenters}[kind]
+        verts = ((tri.A, tri.B, tri.C) if kind == "medians"
+                 else (tri.Ap, tri.Bp, tri.Cp))
         worst = max(g[2] for g in groups)
         if perturb:
             bits = groups[0][0]
-            d = nudge(pairs[0][bits[0]], perturb)
-            l1, l2, l3 = lines(d, pairs[1][bits[1]], pairs[2][bits[2]])
+            pairs = (tri.mids_a, tri.mids_b, tri.mids_c)
+            mids = [pair[i] for pair, i in zip(pairs, bits)]
+            mids[0] = nudge(mids[0], perturb)
+            l1, l2, l3 = (join_points(v, m) for v, m in zip(verts, mids))
             worst = max(worst, concurrency_residual(l1, l2, l3))
         return worst
     return check
@@ -549,9 +543,10 @@ def _center_residual(kind):
 
 def _chk_pseudo_spieker(rng, geometry, tol, perturb=0.0):
     cfg = random_triangle_config(rng, geometry, "generic")
-    dd = join_points(nudge(cfg.D, perturb), cfg.Dp)
-    ee = join_points(cfg.E, cfg.Ep)
-    ff = join_points(cfg.F, cfg.Fp)
+    d = cfg.dual
+    dd = join_points(nudge(cfg.D, perturb), d.D)
+    ee = join_points(cfg.E, d.E)
+    ff = join_points(cfg.F, d.F)
     return concurrency_residual(dd, ee, ff)
 
 
@@ -850,8 +845,8 @@ def _chk_projective_cosines(rng, geometry, tol, perturb=0.0):
     o = tg.coherent_orientation(cfg)
     worst = 0.0
     for side in "abc":
-        for dual in (False, True):
-            worst = max(worst, tg.projective_law_of_cosines(o, side, dual))
+        for oriented in (o, o.dual):
+            worst = max(worst, tg.projective_law_of_cosines(oriented, side))
     return worst
 
 
@@ -978,8 +973,11 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
 
 
 def checked_trials(trials: int) -> int:
-    """`trials` if it is at least 1, else ValueError: a run of no scenes
-    would pass without certifying anything."""
+    """`trials` if it is an integer of at least 1, else ValueError: a run of
+    no scenes would pass without certifying anything, and a fractional one
+    would run more scenes than it reports."""
+    if not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     return trials

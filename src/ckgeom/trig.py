@@ -547,12 +547,12 @@ def magic_midpoints_agreement(cfg: PolarTriangleConfig) -> float:
     primed version, the midpoints of the magic triangle's own sides, and
     (when not isosceles) the ordinary-midpoint diagonal construction."""
     m = cfg.magic
-    comp = cfg.complementary
-    compd = cfg.complementary_dual
+    d = cfg.dual
+    comp, compd = cfg.complementary, d.complementary
     iso = cfg.iso_flags
     verts = (m.A, m.B, m.C)
     mids = (cfg.mids_a, cfg.mids_b, cfg.mids_c)
-    midsp = (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp)
+    midsp = (d.mids_a, d.mids_b, d.mids_c)
     worst = 0.0
     for k, pair in enumerate(m.pairs):
         i, j = (k + 1) % 3, (k + 2) % 3
@@ -569,19 +569,17 @@ def magic_midpoints_agreement(cfg: PolarTriangleConfig) -> float:
 
 
 class OrientedTriangleConfig:
-    """A coherently oriented configuration: preferred midpoints D, E, F and
-    D', E', F', preferred complementary midpoints G, H, I and G', H', I',
-    and the noncollinear magic midpoints tied to them."""
+    """A coherently oriented configuration: preferred midpoints D, E, F,
+    preferred complementary midpoints G, H, I, and the noncollinear magic
+    midpoints tied to them.  `dual` is the same orientation on `cfg.dual`,
+    whose D, E, F and G, H, I are D', E', F' and G', H', I'."""
 
-    __slots__ = ("cfg", "D", "E", "F", "Dp", "Ep", "Fp",
-                 "G", "H", "I", "Gp", "Hp", "Ip", "magic")
+    __slots__ = ("cfg", "D", "E", "F", "G", "H", "I", "magic", "dual")
 
-    def __init__(self, cfg, D, E, F, Dp, Ep, Fp, G, H, I, Gp, Hp, Ip, magic):
+    def __init__(self, cfg, mids, comps, magic):
         self.cfg = cfg
-        self.D, self.E, self.F = D, E, F
-        self.Dp, self.Ep, self.Fp = Dp, Ep, Fp
-        self.G, self.H, self.I = G, H, I
-        self.Gp, self.Hp, self.Ip = Gp, Hp, Ip
+        self.D, self.E, self.F = mids
+        self.G, self.H, self.I = comps
         self.magic = magic
 
 
@@ -619,14 +617,14 @@ def coherent_orientation(cfg: PolarTriangleConfig) -> OrientedTriangleConfig:
     if cfg.is_right_angled():
         raise NoCoherentAssignment("coherent orientation needs a non-right-angled triangle")
     m = cfg.magic
+    dual = cfg.dual
     avoid = (cfg.A0, cfg.B0, cfg.C0)
     primal = midpoint_assignments((cfg.mids_a, cfg.mids_b, cfg.mids_c), avoid)
-    dual = [trip for _, trip in midpoint_assignments(
-        (cfg.mids_ap, cfg.mids_bp, cfg.mids_cp), avoid)]
-    comp = cfg.complementary
-    compd = cfg.complementary_dual
+    primed = [trip for _, trip in midpoint_assignments(
+        (dual.mids_a, dual.mids_b, dual.mids_c), avoid)]
+    comp, compd = cfg.complementary, dual.complementary
     for _, (D, E, F) in primal:
-        for (Dp, Ep, Fp) in dual:
+        for Dp, Ep, Fp in primed:
             mD = _pick_on_line(m.pairs[0], join_points(D, Dp))
             mE = _pick_on_line(m.pairs[1], join_points(E, Ep))
             mF = _pick_on_line(m.pairs[2], join_points(F, Fp))
@@ -640,8 +638,10 @@ def coherent_orientation(cfg: PolarTriangleConfig) -> OrientedTriangleConfig:
             sol_d = _solve_complementary(compd, (mD, mE, mF))
             if sol_d is None:
                 continue
-            return OrientedTriangleConfig(cfg, D, E, F, Dp, Ep, Fp,
-                                          *sol, *sol_d, (mD, mE, mF))
+            o = OrientedTriangleConfig(cfg, (D, E, F), sol, (mD, mE, mF))
+            o.dual = OrientedTriangleConfig(dual, (Dp, Ep, Fp), sol_d, o.magic)
+            o.dual.dual = o
+            return o
     raise NoCoherentAssignment("no coherent orientation found")
 
 
@@ -649,21 +649,15 @@ def coherent_orientation(cfg: PolarTriangleConfig) -> OrientedTriangleConfig:
 # unsquared projective ratios of an oriented triangle
 # ---------------------------------------------------------------------------
 
-# The cyclic sides XY of T and T': X, Y, the conjugate point Y_p of Y on XY
-# and the side itself on the config, then the preferred midpoint D and the
-# preferred complementary midpoint G of the side on the orientation.
+# The cyclic sides XY of T (of T' on `o.dual`): X, Y, the conjugate point
+# Y_p of Y on XY and the side itself on the config, then the preferred
+# midpoint D and the preferred complementary midpoint G of the side on the
+# orientation.
 _CYCLIC = {
     "AB": attrgetter("cfg.A", "cfg.B", "cfg.Bc", "cfg.c", "F", "I"),
     "BC": attrgetter("cfg.B", "cfg.C", "cfg.Ca", "cfg.a", "D", "G"),
     "CA": attrgetter("cfg.C", "cfg.A", "cfg.Ab", "cfg.b", "E", "H"),
-    "A'B'": attrgetter("cfg.Ap", "cfg.Bp", "cfg.Cb", "cfg.cp", "Fp", "Ip"),
-    "B'C'": attrgetter("cfg.Bp", "cfg.Cp", "cfg.Ac", "cfg.ap", "Dp", "Gp"),
-    "C'A'": attrgetter("cfg.Cp", "cfg.Ap", "cfg.Ba", "cfg.bp", "Ep", "Hp"),
 }
-
-# the cyclic side of the other triangle with the same letters
-_PRIMED = {"AB": "A'B'", "BC": "B'C'", "CA": "C'A'",
-           "A'B'": "AB", "B'C'": "BC", "C'A'": "CA"}
 
 
 def side_cc(o: OrientedTriangleConfig, side: str) -> complex:
@@ -681,27 +675,21 @@ def side_ss(o: OrientedTriangleConfig, side: str) -> complex:
 
 def projective_law_of_sines(o: OrientedTriangleConfig):
     """Ratios ss(XY)/ss(X'Y') over the three cyclic sides and their spread."""
-    ratios = tuple(side_ss(o, s) / side_ss(o, _PRIMED[s])
-                   for s in ("AB", "BC", "CA"))
+    ratios = tuple(side_ss(o, s) / side_ss(o.dual, s) for s in _CYCLIC)
     return ratios, _spread(ratios)
 
 
-_COSINE_SIDES = {
-    # target YZ, the sides XY and ZX, the opposite primed side Y'Z'
-    "a": ("BC", "AB", "CA", "B'C'"),
-    "b": ("CA", "BC", "AB", "C'A'"),
-    "c": ("AB", "CA", "BC", "A'B'"),
-}
+# target YZ and the sides XY and ZX; the opposite side Y'Z' is YZ on o.dual
+_COSINE_SIDES = {"a": ("BC", "AB", "CA"), "b": ("CA", "BC", "AB"),
+                 "c": ("AB", "CA", "BC")}
 
 
-def projective_law_of_cosines(o: OrientedTriangleConfig, side: str = "a",
-                              dual: bool = False) -> float:
-    """Residual of cc(YZ) = -ss(XY) ss(ZX) cc(Y'Z') - cc(XY) cc(ZX) (or the
-    primed dual) for the requested side."""
-    sides = _COSINE_SIDES[side]
-    tgt, s1, s2, opp = (_PRIMED[s] for s in sides) if dual else sides
+def projective_law_of_cosines(o: OrientedTriangleConfig, side: str = "a") -> float:
+    """Residual of cc(YZ) = -ss(XY) ss(ZX) cc(Y'Z') - cc(XY) cc(ZX) for the
+    requested side; the primed law is this law on `o.dual`."""
+    tgt, s1, s2 = _COSINE_SIDES[side]
     lhs = side_cc(o, tgt)
-    rhs = (-side_ss(o, s1) * side_ss(o, s2) * side_cc(o, opp)
+    rhs = (-side_ss(o, s1) * side_ss(o, s2) * side_cc(o.dual, tgt)
            - side_cc(o, s1) * side_cc(o, s2))
     return _rel(lhs, rhs)
 

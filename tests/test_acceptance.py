@@ -308,9 +308,9 @@ def test_criterion_7_unsquared_laws():
             _, spread = tg.projective_law_of_sines(o)
             worst_law = max(worst_law, spread)
             for side in "abc":
-                for dual in (False, True):
+                for half in (o, o.dual):
                     worst_law = max(worst_law,
-                                    tg.projective_law_of_cosines(o, side, dual))
+                                    tg.projective_law_of_cosines(half, side))
             if kind == "generic" and geometry == lab.ELLIPTIC:
                 geo = tg.elliptic_triangle_laws(cfg)
             elif kind == "generic":

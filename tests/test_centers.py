@@ -93,12 +93,9 @@ def test_midpoint_assignments(geometry, kind):
         cfg = lab.random_triangle_config(lab.trial_rng(23, n), geometry, kind)
         t = get_tol()
         avoid = (cfg.A0, cfg.B0, cfg.C0)
-        for pairs, chosen in (
-            ((cfg.mids_a, cfg.mids_b, cfg.mids_c),
-             (cfg.D, cfg.E, cfg.F, cfg.Da, cfg.Eb, cfg.Fc)),
-            ((cfg.mids_ap, cfg.mids_bp, cfg.mids_cp),
-             (cfg.Dp, cfg.Ep, cfg.Fp, cfg.Dap, cfg.Ebp, cfg.Fcp)),
-        ):
+        for tri in (cfg, cfg.dual):
+            pairs = (tri.mids_a, tri.mids_b, tri.mids_c)
+            chosen = (tri.D, tri.E, tri.F, tri.Da, tri.Eb, tri.Fc)
             got = list(ce.midpoint_assignments(pairs, avoid))
             bits = [b for b, _ in got]
             assert bits == sorted(set(bits))
@@ -262,21 +259,22 @@ def test_medial_shadow(hyp, ell, rng):
 # the slots a config builds eagerly
 _EAGER = ("model", "A", "B", "C", "a", "b", "c", "ap", "bp", "cp",
           "Ap", "Bp", "Cp", "conjugate_side_pairs")
-# the five incidence groups a config derives on first read, group by group
+# the six incidence groups a config derives on first read, group by group
 _LAZY_GROUPS = (
     ("Ab", "Ac", "Bc", "Ba", "Ca", "Cb"),
     ("aB", "aC", "bC", "bA", "cA", "cB", "A0", "B0", "C0",
      "ha", "hb", "hc", "H", "h", "HA", "HB", "HC", "A1", "B1", "C1"),
     ("mids_a", "mids_b", "mids_c"),
     ("mids_ap", "mids_bp", "mids_cp"),
-    ("D", "E", "F", "Da", "Eb", "Fc", "Dp", "Ep", "Fp", "Dap", "Ebp", "Fcp"),
+    ("D", "E", "F", "Da", "Eb", "Fc"),
+    ("Dp", "Ep", "Fp", "Dap", "Ebp", "Fcp"),
 )
 _LAZY = tuple(name for group in _LAZY_GROUPS for name in group)
 # the slots derived on first read that may raise, and how callers read them
 _REPORTS = {
     "iso_flags": lambda cfg: cfg.iso_flags,
     "complementary": lambda cfg: cfg.complementary,
-    "complementary_dual": lambda cfg: cfg.complementary_dual,
+    "complementary_dual": lambda cfg: cfg.dual.complementary,
     "magic": lambda cfg: cfg.magic,
     "_classical": lambda cfg: cfg.classical(),
     "_pseudo": lambda cfg: cfg.pseudo(),
@@ -323,13 +321,15 @@ def test_lazy_slots_derive_on_first_read(monkeypatch, geometry):
     assert set(ce.PolarTriangleConfig.__slots__) == eager.union(_LAZY, _REPORTS)
     assert _filled(cfg) == eager
     assert cfg.D is cfg.D
-    assert len(calls) == 6
-    assert {"A0", "mids_a", "mids_ap", "D"} <= _filled(cfg)
+    assert len(calls) == 3
+    assert {"A0", "mids_a", "D"} <= _filled(cfg)
+    assert not {"mids_ap", "Dp"} & _filled(cfg)
     with pytest.raises(AttributeError):
         cfg.no_such_slot
     # one read fills the slot's group and the groups it reads, no other:
-    # the midpoint choice reads A0 and both midpoint groups
-    reads = {4: (1, 2, 3)}
+    # the midpoint choice of T reads A0 and the midpoints of T, that of T'
+    # A0 and the midpoints of T'
+    reads = {4: (1, 2), 5: (1, 3)}
     for g, group in enumerate(_LAZY_GROUPS):
         want = set(group).union(*(_LAZY_GROUPS[r] for r in reads.get(g, ())))
         for name in group:
@@ -392,3 +392,78 @@ def test_lazy_slots_never_reject_a_drawn_scene():
                                                  geometry, kind)
                 for name in _LAZY:
                     getattr(cfg, name)
+
+
+def test_dual_view_swaps_the_slots_of_t_and_its_polar_triangle(hyp, rng,
+                                                               monkeypatch):
+    swap = ce._SWAP
+    assert all(swap[swap[name]] == name for name in swap)
+    assert set(swap) <= set(ce.PolarTriangleConfig.__slots__)
+    cfg = random_cfg(hyp, rng)
+    fresh = ce.build_config(hyp, cfg.A, cfg.B, cfg.C)
+    # T' is read, never rebuilt
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a config was built")
+
+    monkeypatch.setattr(ce.PolarTriangleConfig, "__init__", rebuilt)
+    d = cfg.dual
+    assert d.dual is cfg
+    # every read the swap maps, by hand: the view's name and the slot it reads
+    same = [
+        (d.model, cfg.model), (d.A0, cfg.A0), (d.B0, cfg.B0), (d.C0, cfg.C0),
+        (d.A, cfg.Ap), (d.B, cfg.Bp), (d.C, cfg.Cp),
+        (d.Ap, cfg.A), (d.Bp, cfg.B), (d.Cp, cfg.C),
+        (d.a, cfg.ap), (d.b, cfg.bp), (d.c, cfg.cp),
+        (d.ap, cfg.a), (d.bp, cfg.b), (d.cp, cfg.c),
+        (d.Ab, cfg.Ba), (d.Ba, cfg.Ab), (d.Ac, cfg.Ca), (d.Ca, cfg.Ac),
+        (d.Bc, cfg.Cb), (d.Cb, cfg.Bc),
+        (d.mids_a, cfg.mids_ap), (d.mids_b, cfg.mids_bp),
+        (d.mids_c, cfg.mids_cp), (d.mids_ap, cfg.mids_a),
+        (d.mids_bp, cfg.mids_b), (d.mids_cp, cfg.mids_c),
+        (d.D, cfg.Dp), (d.E, cfg.Ep), (d.F, cfg.Fp),
+        (d.Dp, cfg.D), (d.Ep, cfg.E), (d.Fp, cfg.F),
+        (d.Da, cfg.Dap), (d.Eb, cfg.Ebp), (d.Fc, cfg.Fcp),
+        (d.Dap, cfg.Da), (d.Ebp, cfg.Eb), (d.Fcp, cfg.Fc),
+        (d.complementary, cfg.complementary_dual),
+        (d.complementary_dual, cfg.complementary),
+    ]
+    assert len(same) == len(swap)
+    assert all(got is want for got, want in same)
+    cfg.classical(), cfg.pseudo(), cfg.euler(), ce.pseudo_spieker(cfg)
+    # a name the swap does not map is no attribute of the view: the foot HA
+    # of T, say, is not the foot on a' of T'
+    for name in ("HA", "H", "magic", "iso_flags", "classical", "no_such"):
+        assert not hasattr(d, name)
+    # a write through the view lands in the primed slot
+    fresh.dual.D = cfg.Dp
+    assert object.__getattribute__(fresh, "Dp") is cfg.Dp
+    assert "D" not in _filled(fresh)
+
+
+def _gap(x, y):
+    """Gap between two slot values: points and lines by `point_gap`, a
+    midpoint pair under the better matching, other tuples entrywise."""
+    if isinstance(x, (pj.HPoint, pj.HLine)):
+        return pj.point_gap(x, y)
+    if len(x) == 2:
+        return min(max(_gap(x[0], y[0]), _gap(x[1], y[1])),
+                   max(_gap(x[0], y[1]), _gap(x[1], y[0])))
+    return max(_gap(u, v) for u, v in zip(x, y))
+
+
+@pytest.mark.parametrize("geometry,kind", [
+    ("hyperbolic", "generic"), ("elliptic", "generic"),
+    ("hyperbolic", "ext1"), ("hyperbolic", "hexagon"),
+])
+def test_dual_view_is_the_config_of_the_polar_triangle(geometry, kind):
+    # the config built on T' = A'B'C' holds, slot by slot, what the view
+    # reads from the config of T (T'' = T)
+    from ckgeom import lab
+    for n in range(80):
+        cfg = lab.random_triangle_config(lab.trial_rng(7, n), geometry, kind)
+        polar = ce.build_config(cfg.model, cfg.Ap, cfg.Bp, cfg.Cp)
+        d = cfg.dual
+        assert polar.model is d.model
+        for name in set(ce._SWAP) - {"model"}:
+            assert _gap(getattr(polar, name), getattr(d, name)) <= 1e-12, (
+                n, name)

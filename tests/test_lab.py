@@ -56,6 +56,15 @@ def test_runs_of_no_scenes_are_rejected(trials):
         lab.perturbation_guard("altitudes", trials=trials)
 
 
+@pytest.mark.parametrize("trials", (2.5, 3.0, "3"))
+def test_runs_of_a_non_integer_count_are_rejected(trials):
+    # 2.5 trials ran 3 scenes and reported trials=2.5
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        lab.verify("pascal", trials=trials)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        lab.perturbation_guard("altitudes", trials=trials)
+
+
 def test_a_model_without_a_certificate_is_rejected():
     # ray_angles is certified in the hyperbolic model only; asking for the
     # elliptic one must not certify the hyperbolic one instead

@@ -393,7 +393,7 @@ def test_magic_midpoints_isosceles():
     hit = points_equal(d1, cfg.A0, 1e-7) or points_equal(d2, cfg.A0, 1e-7)
     assert hit
     other = d2 if points_equal(d1, cfg.A0, 1e-7) else d1
-    assert pj.collinearity_residual(other, cfg.D, cfg.Dp) < 1e-8
+    assert pj.collinearity_residual(other, cfg.D, cfg.dual.D) < 1e-8
 
 
 def test_magic_side_segment_lemma():
@@ -416,21 +416,26 @@ def test_coherent_orientation_and_laws():
             assert pj.collinearity_residual(o.D, o.E, o.F) > 1e-6
             assert pj.collinearity_residual(*o.magic) > 1e-6
             mD, mE, mF = o.magic
-            assert pj.incidence_residual(join_points(o.D, o.Dp), mD) < 1e-8
+            assert o.dual.dual is o and o.dual.cfg.dual is cfg
+            assert o.dual.magic is o.magic
+            assert pj.incidence_residual(join_points(o.D, o.dual.D), mD) < 1e-8
             assert pj.incidence_residual(join_points(o.H, o.I), mD) < 1e-8
-            assert pj.incidence_residual(join_points(o.Hp, o.Ip), mD) < 1e-8
-            # cc/ss square to the projective ratios on every side
-            for side, seg in (("BC", (cfg.B, cfg.C)), ("A'B'", (cfg.Ap, cfg.Bp))):
-                c2 = tg.side_cc(o, side) ** 2
-                s2 = tg.side_ss(o, side) ** 2
+            assert pj.incidence_residual(join_points(o.dual.H, o.dual.I),
+                                         mD) < 1e-8
+            # cc/ss square to the projective ratios on every side: BC of T,
+            # and A'B' of T' (AB on o.dual)
+            for oriented, side, seg in ((o, "BC", (cfg.B, cfg.C)),
+                                        (o.dual, "AB", (cfg.Ap, cfg.Bp))):
+                c2 = tg.side_cc(oriented, side) ** 2
+                s2 = tg.side_ss(oriented, side) ** 2
                 cc_, ss_, _ = mt.squared_trig(cfg.model, *seg)
                 assert abs(c2 - cc_) < 1e-9 * max(1, abs(cc_))
                 assert abs(s2 - ss_) < 1e-9 * max(1, abs(ss_))
             _, spread = tg.projective_law_of_sines(o)
             assert spread < 1e-8
             for side in "abc":
-                for dual in (False, True):
-                    assert tg.projective_law_of_cosines(o, side, dual) < 1e-8
+                for oriented in (o, o.dual):
+                    assert tg.projective_law_of_cosines(oriented, side) < 1e-8
 
 
 def test_coherent_orientation_rejects_right_angled():
@@ -458,7 +463,7 @@ def test_pappus_line_of_complementary_hexagon():
         s1 = join_points(hexagon[k], hexagon[(k + 1) % 6])
         s2 = join_points(hexagon[(k + 3) % 6], hexagon[(k + 4) % 6])
         meets.append(meet_lines(s1, s2))
-    dd = join_points(o.D, o.Dp)
+    dd = join_points(o.D, o.dual.D)
     assert max(pj.incidence_residual(dd, m) for m in meets) < 1e-7
 
 
@@ -470,7 +475,7 @@ def test_hyperbolic_sine_ratio_sign_structure():
         pytest.skip("needs an interior triangle")
     o = tg.coherent_orientation(cfg)
     vals = [tg.side_ss(o, s) for s in ("AB", "BC", "CA")]
-    duals = [tg.side_ss(o, s) for s in ("A'B'", "B'C'", "C'A'")]
+    duals = [tg.side_ss(o.dual, s) for s in ("AB", "BC", "CA")]
     # primal sines are pure imaginary, dual ones real: the ratios are real
     assert all(abs(v.real) < 1e-9 * abs(v) for v in vals)
     assert all(abs(v.imag) < 1e-9 * abs(v) for v in duals)
