@@ -30,8 +30,8 @@ and complementary<->complementary_dual, fixing model and A0, B0, C0
 A config holds no tolerance: its build and every derived group read the
 ambient one (`get_tol`), so a config is to be read under the tolerance it
 was built under.  Inside the trial driver this holds: `lab.verify` runs
-under its own tolerance, and the scene cache keys each config on the
-tolerance in force.
+under its own tolerance, and the driver shares a config only among runs at
+the tolerance it was drawn under.
 """
 
 from __future__ import annotations

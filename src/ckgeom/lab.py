@@ -1,10 +1,15 @@
 """Randomized theorem-certification harness.
 
-Every theorem in the library is registered here as a residual function over
+Every theorem in the library is registered here as a check over
 reproducible random scenes.  Scene streams come from the Philox-4x64-10
 counter-based generator: trial i of a run keyed by `seed` draws from
 Philox(key=seed, counter=[0,0,0,i]), so certificates are reproducible
 cross-platform (and cross-language, given the same Philox variant).
+
+A theorem about a triangle is a scene plus a residual: a sampler of
+`SAMPLERS` draws the trial's config, and the residual `f(scene, rng,
+perturb)` only reads it (`_on_scene`).  The trial driver draws a sampler's
+scene once per trial and shares it among the theorems of that sampler.
 
 Each check accepts a `perturb` displacement: a designated hypothesis point
 is nudged by that amount in the chart before the final residual is taken,
@@ -37,6 +42,8 @@ from .projective import (
     affine_point,
     pascal_points,
     point_gap,
+    points_equal,
+    quadrangular_involution,
 )
 from .tolerance import get_tol, set_tol
 
@@ -148,52 +155,13 @@ def nudge(p: HPoint, eps: float) -> HPoint:
     return hpoint(p[0] + eps * p[2], p[1] + 0.5 * eps * p[2], p[2])
 
 
-# Scene cache of the trial driver.  Checks of different theorems that draw
-# the same scene from the same generator state share one config, and with it
-# the center reports cached on it.  Only `_trials` turns it on, around each
-# check; it holds the scenes of one seed, at most SCENE_CACHE_CAP of them.
-SCENE_CACHE_CAP = 2500
-_scenes = {}  # (state at entry, geometry, kind, tol) -> (config, state after)
-_scene_seed = None
-_in_driver = False
-
-
-def _state_key(rng):
-    st = rng.bit_generator.state
-    philox = st["state"]
-    return (philox["counter"].tobytes(), philox["key"].tobytes(),
-            st["buffer"].tobytes(), st["buffer_pos"], st["has_uint32"],
-            st["uinteger"])
-
-
 def random_triangle_config(rng, geometry, kind="generic"):
     """A general-position PolarTriangleConfig of the requested kind.
 
     Kinds: generic, ext1, ext2, ext3, quadrilateral, hexagon, isosceles,
-    right:<elliptic|hyp-right|lambert|pentagon>.
-
-    Inside the trial driver a draw is looked up by the full generator state
-    at entry, the geometry, the kind and the tolerance in force.  A hit
-    returns the config drawn before and leaves `rng` in the state that draw
-    left it in, so the caller sees the same config and the same later
-    numbers as on a miss.  A draw that raises is not stored.  Outside the
-    driver every call draws and builds.
+    right:<elliptic|hyp-right|lambert|pentagon>.  Every call draws and
+    builds; the trial driver shares scenes by sampler (`_scene`).
     """
-    if not _in_driver:
-        return _draw_config(rng, geometry, kind)
-    key = (_state_key(rng), geometry, kind, get_tol())
-    hit = _scenes.get(key)
-    if hit is not None:
-        cfg, state = hit
-        rng.bit_generator.state = state
-        return cfg
-    cfg = _draw_config(rng, geometry, kind)
-    if len(_scenes) < SCENE_CACHE_CAP:
-        _scenes[key] = (cfg, rng.bit_generator.state)
-    return cfg
-
-
-def _draw_config(rng, geometry, kind):
     model = model_for(geometry)
     for _ in range(RETRY_CAP):
         try:
@@ -330,6 +298,56 @@ def random_scene(spec: SceneSpec, trial: int = 0):
 
 
 # ---------------------------------------------------------------------------
+# scene samplers: the named draws that theorem residuals read
+# ---------------------------------------------------------------------------
+
+def _generic(rng, geometry):
+    return random_triangle_config(rng, geometry, "generic")
+
+
+def _hexagon(rng, geometry):
+    return random_triangle_config(rng, geometry, "hexagon")
+
+
+def _hinted(kinds, elliptic):
+    """The sampler that draws a hint, then a scene of the kind it picks among
+    `kinds` in the hyperbolic model, or of the kind `elliptic`.  Both models
+    draw the hint, so the Philox streams read as when each check drew it."""
+    def draw(rng, geometry):
+        kind = kinds[int(rng.integers(0, len(kinds)))]
+        return random_triangle_config(
+            rng, geometry, kind if geometry == HYPERBOLIC else elliptic)
+    return draw
+
+
+SAMPLERS = {
+    "generic": _generic,
+    "right": _hinted(("right:hyp-right", "right:lambert", "right:pentagon"),
+                     "right:elliptic"),
+    "cycle": _hinted(("generic", "ext1", "ext2", "ext3"), "generic"),
+    # no elliptic kind: checks of `orient` draw `generic` there (`_on_scene`)
+    "orient": _hinted(("generic", "quadrilateral", "hexagon"), None),
+    "hexagon": _hexagon,
+}
+
+
+def _on_scene(sampler, residual):
+    """The 4-argument check of `residual(scene, rng, perturb)` on a scene of
+    the named sampler.  The trial driver reads `check.samplers`, the sampler
+    of each model, and `check.residual` to share each trial's scene."""
+    # `orient` has one kind in the elliptic model and draws no hint there
+    samplers = {HYPERBOLIC: sampler,
+                ELLIPTIC: "generic" if sampler == "orient" else sampler}
+
+    def check(rng, geometry, tol, perturb=0.0):
+        scene = SAMPLERS[samplers[geometry]](rng, geometry)
+        return residual(scene, rng, perturb)
+
+    check.samplers, check.residual = samplers, residual
+    return check
+
+
+# ---------------------------------------------------------------------------
 # theorem checks
 # ---------------------------------------------------------------------------
 
@@ -425,7 +443,6 @@ def _chk_chasles(rng, geometry, tol, perturb=0.0):
 
 def _chk_pappus_involution(rng, geometry, tol, perturb=0.0):
     pts = [_interior_point(rng, 1.5) for _ in range(4)]
-    from .projective import quadrangular_involution
     try:
         q = Quadrangle(*pts)
         line = join_points(_exterior_point(rng), _exterior_point(rng, (3.2, 4.5)))
@@ -442,21 +459,12 @@ def _chk_pappus_involution(rng, geometry, tol, perturb=0.0):
     return max(res, point_gap(sigma.apply(sigma.apply(x1)), x1))
 
 
-def _cfg_kind_cycle(geometry, trial_hint=0):
-    kinds = ["generic"]
-    if geometry == HYPERBOLIC:
-        kinds = ["generic", "ext1", "ext2", "ext3"]
-    return kinds[trial_hint % len(kinds)]
-
-
-def _chk_altitudes(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _altitudes(cfg, rng, perturb):
     ha = join_points(nudge(cfg.A, perturb), cfg.Ap)
     return concurrency_residual(ha, cfg.hb, cfg.hc)
 
 
-def _chk_midpoint_quadrilateral(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _midpoint_quadrilateral(cfg, rng, perturb):
     mids_a = (nudge(cfg.mids_a[0], perturb), cfg.mids_a[1])
     return ce.midpoint_quadrilateral_residual(mids_a, cfg.mids_b, cfg.mids_c)
 
@@ -500,9 +508,9 @@ def _tangent_triangle(rng, model, n_tangent):
     return None
 
 
-def _chk_midpoint_quadrilateral_tangent(rng, geometry, tol, perturb=0.0):
+def _chk_midpoint_quadrilateral(rng, geometry, tol, perturb=0.0):
     if geometry != HYPERBOLIC:
-        return _chk_midpoint_quadrilateral(rng, geometry, tol, perturb)
+        return _midpoint_quadrilateral(_generic(rng, geometry), rng, perturb)
     model = model_for(geometry)
     n_tangent = 1 + int(rng.integers(0, 3))
     got = _tangent_triangle(rng, model, n_tangent)
@@ -519,9 +527,13 @@ def _chk_midpoint_quadrilateral_tangent(rng, geometry, tol, perturb=0.0):
     return ce.midpoint_quadrilateral_residual(mids_a, mids_b, mids_c)
 
 
+# the hyperbolic model draws a triangle with sides tangent to the absolute
+_chk_midpoint_quadrilateral.samplers = {ELLIPTIC: "generic"}
+_chk_midpoint_quadrilateral.residual = _midpoint_quadrilateral
+
+
 def _center_residual(kind):
-    def check(rng, geometry, tol, perturb=0.0):
-        cfg = random_triangle_config(rng, geometry, "generic")
+    def residual(cfg, rng, perturb):
         rep = cfg.classical()
         # the angle bisectors of T are the side bisectors of T'
         tri = cfg.dual if kind == "angle_bisectors" else cfg
@@ -538,11 +550,10 @@ def _center_residual(kind):
             l1, l2, l3 = (join_points(v, m) for v, m in zip(verts, mids))
             worst = max(worst, concurrency_residual(l1, l2, l3))
         return worst
-    return check
+    return residual
 
 
-def _chk_pseudo_spieker(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _pseudo_spieker(cfg, rng, perturb):
     d = cfg.dual
     dd = join_points(nudge(cfg.D, perturb), d.D)
     ee = join_points(cfg.E, d.E)
@@ -550,8 +561,7 @@ def _chk_pseudo_spieker(rng, geometry, tol, perturb=0.0):
     return concurrency_residual(dd, ee, ff)
 
 
-def _chk_pseudomedians(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _pseudomedians(cfg, rng, perturb):
     ps = cfg.pseudo()
     worst = max(ps.residuals["pseudomedians"], ps.residuals["pseudomedians_dual"],
                 ps.residuals["vertices_midpoints_of_double"],
@@ -562,8 +572,7 @@ def _chk_pseudomedians(rng, geometry, tol, perturb=0.0):
     return worst
 
 
-def _chk_pseudobisectors(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _pseudobisectors(cfg, rng, perturb):
     ps = cfg.pseudo()
     worst = max(ps.residuals["pseudobisectors"],
                 ps.residuals["pseudobisectors_dual"],
@@ -575,8 +584,7 @@ def _chk_pseudobisectors(rng, geometry, tol, perturb=0.0):
     return worst
 
 
-def _chk_euler(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _euler(cfg, rng, perturb):
     eu = cfg.euler()
     worst = eu.residuals["five_point_collinearity"]
     worst = max(worst, eu.residuals["e_perp_orthic"])
@@ -586,8 +594,7 @@ def _chk_euler(rng, geometry, tol, perturb=0.0):
     return worst
 
 
-def _chk_orthic_pole(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _orthic_pole(cfg, rng, perturb):
     eu = cfg.euler()
     worst = max(eu.residuals["orthic_axis_collinear"],
                 eu.residuals["orthic_pole_is_Np"])
@@ -600,8 +607,7 @@ def _chk_orthic_pole(rng, geometry, tol, perturb=0.0):
     return worst
 
 
-def _chk_nine_point(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _nine_point(cfg, rng, perturb):
     npc = cfg.nine_point()
     worst = max(npc.residuals["nine_on_conic"], npc.residuals["eleven_on_conic"])
     if perturb:
@@ -610,8 +616,7 @@ def _chk_nine_point(rng, geometry, tol, perturb=0.0):
     return worst
 
 
-def _chk_pascal_hexagon(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _pascal_hexagon(cfg, rng, perturb):
     npc = cfg.nine_point()
     worst = npc.residuals["pascal_on_euler"]
     if perturb:
@@ -639,16 +644,14 @@ def _chk_eleven_point(rng, geometry, tol, perturb=0.0):
     return worst
 
 
-def _chk_six_points(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _six_points(cfg, rng, perturb):
     conic, res = tg.six_points_conic_check(cfg)
     if perturb:
         res = max(res, cn.conic_residual(conic, nudge(cfg.Cb, perturb)))
     return res
 
 
-def _chk_complementary_conic(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _complementary_conic(cfg, rng, perturb):
     conic, fit_res, carnot_res, coll = tg.complementary_midpoints_conic(cfg)
     worst = max(fit_res, carnot_res, coll)
     if perturb:
@@ -657,8 +660,7 @@ def _chk_complementary_conic(rng, geometry, tol, perturb=0.0):
     return worst
 
 
-def _chk_magic(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _magic(cfg, rng, perturb):
     worst = tg.magic_midpoints_agreement(cfg)
     if perturb:
         m = cfg.magic
@@ -668,41 +670,27 @@ def _chk_magic(rng, geometry, tol, perturb=0.0):
     return worst
 
 
-def _right_kind_for(geometry, hint):
-    if geometry == ELLIPTIC:
-        return "right:elliptic"
-    return ("right:hyp-right", "right:lambert", "right:pentagon")[hint % 3]
-
-
-def _chk_squared_identity(name):
-    def check(rng, geometry, tol, perturb=0.0):
-        hint = int(rng.integers(0, 3))
-        cfg = random_triangle_config(rng, geometry, _right_kind_for(geometry, hint))
+def _squared_identity(name):
+    def residual(cfg, rng, perturb):
         res = tg.squared_identity(name, cfg)
         if perturb:
             c, s, t = mt.squared_trig(cfg.model, nudge(cfg.B, perturb), cfg.C)
             res = max(res, abs(c - mt.squared_trig(cfg.model, cfg.B, cfg.C)[0]))
         return res
-    return check
+    return residual
 
 
-def _chk_table51(rng, geometry, tol, perturb=0.0):
-    hint = int(rng.integers(0, 3))
-    cfg = random_triangle_config(rng, geometry, _right_kind_for(geometry, hint))
+def _table51(cfg, rng, perturb):
     rows = tg.table_5_1(cfg)
     return max(r[3] for r in rows)
 
 
-def _chk_law_sines_sq(rng, geometry, tol, perturb=0.0):
-    kind = _cfg_kind_cycle(geometry, int(rng.integers(0, 4)))
-    cfg = random_triangle_config(rng, geometry, kind)
+def _law_sines_sq(cfg, rng, perturb):
     _, spread = tg.squared_law_of_sines(cfg)
     return spread
 
 
-def _chk_law_cosines_sq(rng, geometry, tol, perturb=0.0):
-    kind = _cfg_kind_cycle(geometry, int(rng.integers(0, 4)))
-    cfg = random_triangle_config(rng, geometry, kind)
+def _law_cosines_sq(cfg, rng, perturb):
     res, matches = tg.squared_law_of_cosines(cfg)
     if matches != 1:
         return 1.0
@@ -746,8 +734,7 @@ def _chk_carnot_projective(rng, geometry, tol, perturb=0.0):
     return res
 
 
-def _chk_carnot_hyperbolic(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, HYPERBOLIC, "generic")
+def _carnot_hyperbolic(cfg, rng, perturb):
     if not all(cfg.model.is_interior(v) for v in (cfg.A, cfg.B, cfg.C)):
         return None
     hstar = _interior_point(rng, 0.8)
@@ -780,8 +767,7 @@ def _chk_carnot_hyperbolic(rng, geometry, tol, perturb=0.0):
     return forward
 
 
-def _chk_carnot_elliptic(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, ELLIPTIC, "generic")
+def _carnot_elliptic(cfg, rng, perturb):
     def on_side(p, q):
         s = rng.uniform(-1.0, 1.0)
         return hpoint(p[0] + s * q[0], p[1] + s * q[1], p[2] + s * q[2])
@@ -791,7 +777,6 @@ def _chk_carnot_elliptic(rng, geometry, tol, perturb=0.0):
         fake, dstar = tg.fake_carnot_points(cfg, bstar, cstar)
     except GeometryError:
         return None
-    from .projective import points_equal
     if points_equal(fake, dstar, 1e-6):
         return None
     fake = nudge(fake, perturb)
@@ -809,8 +794,7 @@ def _chk_carnot_elliptic(rng, geometry, tol, perturb=0.0):
     return res
 
 
-def _chk_carnot_hexagon(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, HYPERBOLIC, "hexagon")
+def _carnot_hexagon(cfg, rng, perturb):
     hstar = _interior_point(rng, 0.75)
     astar, bstar, cstar = tg.concurrent_carnot_points(cfg, hstar)
     if not all(cfg.model.is_interior(p) for p in (astar, bstar, cstar)):
@@ -822,26 +806,13 @@ def _chk_carnot_hexagon(rng, geometry, tol, perturb=0.0):
     return max(res, cc.identity_residual if perturb == 0.0 else 0.0)
 
 
-_ORIENT_KINDS = ("generic", "quadrilateral", "hexagon")
-
-
-def _orient_kind_for(rng, geometry):
-    if geometry == ELLIPTIC:
-        return "generic"
-    return _ORIENT_KINDS[int(rng.integers(0, len(_ORIENT_KINDS)))]
-
-
-def _chk_projective_sines(rng, geometry, tol, perturb=0.0):
-    kind = _orient_kind_for(rng, geometry)
-    cfg = random_triangle_config(rng, geometry, kind)
+def _projective_sines(cfg, rng, perturb):
     o = tg.coherent_orientation(cfg)
     _, spread = tg.projective_law_of_sines(o)
     return spread
 
 
-def _chk_projective_cosines(rng, geometry, tol, perturb=0.0):
-    kind = _orient_kind_for(rng, geometry)
-    cfg = random_triangle_config(rng, geometry, kind)
+def _projective_cosines(cfg, rng, perturb):
     o = tg.coherent_orientation(cfg)
     worst = 0.0
     for side in "abc":
@@ -875,55 +846,56 @@ def _chk_ray_angles(rng, geometry, tol, perturb=0.0):
     return res
 
 
-def _chk_conjectures(rng, geometry, tol, perturb=0.0):
-    cfg = random_triangle_config(rng, geometry, "generic")
+def _conjectures(cfg, rng, perturb):
     rep = ce.experimental_conjectures(cfg)
     vals = [v for v in rep.values() if isinstance(v, float)]
     return max(vals) if vals else 0.0
 
 
+_BOTH = (HYPERBOLIC, ELLIPTIC)
+
 THEOREMS = {
-    "desargues": (_chk_desargues, (HYPERBOLIC, ELLIPTIC), False),
-    "pascal": (_chk_pascal, (HYPERBOLIC, ELLIPTIC), False),
-    "chasles": (_chk_chasles, (HYPERBOLIC, ELLIPTIC), False),
-    "pappus_involution": (_chk_pappus_involution, (HYPERBOLIC, ELLIPTIC), False),
-    "altitudes": (_chk_altitudes, (HYPERBOLIC, ELLIPTIC), False),
-    "midpoint_quadrilateral": (_chk_midpoint_quadrilateral_tangent,
-                               (HYPERBOLIC, ELLIPTIC), False),
-    "medians": (_center_residual("medians"), (HYPERBOLIC, ELLIPTIC), False),
-    "side_bisectors": (_center_residual("side_bisectors"),
-                       (HYPERBOLIC, ELLIPTIC), False),
-    "angle_bisectors": (_center_residual("angle_bisectors"),
-                        (HYPERBOLIC, ELLIPTIC), False),
-    "pseudo_spieker": (_chk_pseudo_spieker, (HYPERBOLIC, ELLIPTIC), False),
-    "pseudomedians": (_chk_pseudomedians, (HYPERBOLIC, ELLIPTIC), False),
-    "pseudobisectors": (_chk_pseudobisectors, (HYPERBOLIC, ELLIPTIC), False),
-    "euler_wildberger": (_chk_euler, (HYPERBOLIC, ELLIPTIC), False),
-    "orthic_axis_pole": (_chk_orthic_pole, (HYPERBOLIC, ELLIPTIC), False),
-    "nine_point_conic": (_chk_nine_point, (HYPERBOLIC, ELLIPTIC), False),
-    "pascal_line_hexagon": (_chk_pascal_hexagon, (HYPERBOLIC, ELLIPTIC), False),
-    "eleven_point_conic": (_chk_eleven_point, (HYPERBOLIC, ELLIPTIC), False),
-    "six_points_conic": (_chk_six_points, (HYPERBOLIC, ELLIPTIC), False),
-    "complementary_midpoints_conic": (_chk_complementary_conic,
-                                      (HYPERBOLIC, ELLIPTIC), False),
-    "magic_midpoints": (_chk_magic, (HYPERBOLIC, ELLIPTIC), False),
-    "t1": (_chk_squared_identity("T1"), (HYPERBOLIC, ELLIPTIC), False),
-    "t2": (_chk_squared_identity("T2"), (HYPERBOLIC, ELLIPTIC), False),
-    "t3": (_chk_squared_identity("T3"), (HYPERBOLIC, ELLIPTIC), False),
-    "t4": (_chk_squared_identity("T4"), (HYPERBOLIC, ELLIPTIC), False),
-    "t5": (_chk_squared_identity("T5"), (HYPERBOLIC, ELLIPTIC), False),
-    "t6": (_chk_squared_identity("T6"), (HYPERBOLIC, ELLIPTIC), False),
-    "table_5_1": (_chk_table51, (HYPERBOLIC, ELLIPTIC), False),
-    "law_sines_sq": (_chk_law_sines_sq, (HYPERBOLIC, ELLIPTIC), False),
-    "law_cosines_sq": (_chk_law_cosines_sq, (HYPERBOLIC, ELLIPTIC), False),
-    "carnot_projective": (_chk_carnot_projective, (HYPERBOLIC, ELLIPTIC), False),
-    "carnot_elliptic": (_chk_carnot_elliptic, (ELLIPTIC,), False),
-    "carnot_hyperbolic_iff": (_chk_carnot_hyperbolic, (HYPERBOLIC,), False),
-    "carnot_hexagon": (_chk_carnot_hexagon, (HYPERBOLIC,), False),
-    "projective_sines": (_chk_projective_sines, (HYPERBOLIC, ELLIPTIC), False),
-    "projective_cosines": (_chk_projective_cosines, (HYPERBOLIC, ELLIPTIC), False),
+    "desargues": (_chk_desargues, _BOTH, False),
+    "pascal": (_chk_pascal, _BOTH, False),
+    "chasles": (_chk_chasles, _BOTH, False),
+    "pappus_involution": (_chk_pappus_involution, _BOTH, False),
+    "altitudes": (_on_scene("generic", _altitudes), _BOTH, False),
+    "midpoint_quadrilateral": (_chk_midpoint_quadrilateral, _BOTH, False),
+    "medians": (_on_scene("generic", _center_residual("medians")),
+                _BOTH, False),
+    "side_bisectors": (_on_scene("generic", _center_residual("side_bisectors")),
+                       _BOTH, False),
+    "angle_bisectors": (
+        _on_scene("generic", _center_residual("angle_bisectors")), _BOTH, False),
+    "pseudo_spieker": (_on_scene("generic", _pseudo_spieker), _BOTH, False),
+    "pseudomedians": (_on_scene("generic", _pseudomedians), _BOTH, False),
+    "pseudobisectors": (_on_scene("generic", _pseudobisectors), _BOTH, False),
+    "euler_wildberger": (_on_scene("generic", _euler), _BOTH, False),
+    "orthic_axis_pole": (_on_scene("generic", _orthic_pole), _BOTH, False),
+    "nine_point_conic": (_on_scene("generic", _nine_point), _BOTH, False),
+    "pascal_line_hexagon": (_on_scene("generic", _pascal_hexagon), _BOTH, False),
+    "eleven_point_conic": (_chk_eleven_point, _BOTH, False),
+    "six_points_conic": (_on_scene("generic", _six_points), _BOTH, False),
+    "complementary_midpoints_conic": (
+        _on_scene("generic", _complementary_conic), _BOTH, False),
+    "magic_midpoints": (_on_scene("generic", _magic), _BOTH, False),
+    **{f"t{i}": (_on_scene("right", _squared_identity(f"T{i}")), _BOTH, False)
+       for i in range(1, 7)},
+    "table_5_1": (_on_scene("right", _table51), _BOTH, False),
+    "law_sines_sq": (_on_scene("cycle", _law_sines_sq), _BOTH, False),
+    "law_cosines_sq": (_on_scene("cycle", _law_cosines_sq), _BOTH, False),
+    "carnot_projective": (_chk_carnot_projective, _BOTH, False),
+    "carnot_elliptic": (_on_scene("generic", _carnot_elliptic), (ELLIPTIC,),
+                        False),
+    "carnot_hyperbolic_iff": (_on_scene("generic", _carnot_hyperbolic),
+                              (HYPERBOLIC,), False),
+    "carnot_hexagon": (_on_scene("hexagon", _carnot_hexagon), (HYPERBOLIC,),
+                       False),
+    "projective_sines": (_on_scene("orient", _projective_sines), _BOTH, False),
+    "projective_cosines": (_on_scene("orient", _projective_cosines), _BOTH,
+                           False),
     "ray_angles": (_chk_ray_angles, (HYPERBOLIC,), False),
-    "conjectures": (_chk_conjectures, (HYPERBOLIC, ELLIPTIC), True),
+    "conjectures": (_on_scene("generic", _conjectures), _BOTH, True),
 }
 
 INCIDENCE_THEOREMS = (
@@ -943,13 +915,12 @@ def theorem_ids():
 def _trials(theorem_id, seed, trials, geometry, tol, perturb):
     """(counter, residual) of each of `trials` accepted scenes.  A check that
     returns None or raises GeometryError rejects its scene; more than
-    RETRY_CAP + 5 * trials rejections raise SamplingExhausted.
-
-    The scene cache of `random_triangle_config` is on only while a check
-    runs, so runs of several theorems on one seed share their configs.  A
-    run on another seed first empties it."""
-    global _scene_seed, _in_driver
+    RETRY_CAP + 5 * trials rejections raise SamplingExhausted.  In the
+    models of its `samplers` (`_on_scene`), a check's residual reads the
+    trial's scene from `_scene`."""
+    global _scene_seed
     fn = THEOREMS[theorem_id][0]
+    sampler = getattr(fn, "samplers", {}).get(geometry)
     if seed != _scene_seed:
         _scenes.clear()
         _scene_seed = seed
@@ -960,16 +931,43 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
             raise SamplingExhausted(f"{theorem_id}: too many rejected scenes")
         rng = trial_rng(seed, counter)
         counter += 1
-        _in_driver = True
         try:
-            res = fn(rng, geometry, tol, perturb)
+            if sampler is None:
+                res = fn(rng, geometry, tol, perturb)
+            else:
+                scene = _scene(sampler, counter - 1, geometry, rng)
+                res = fn.residual(scene, rng, perturb)
         except GeometryError:
             continue
-        finally:
-            _in_driver = False
         if res is not None:
             done += 1
             yield counter - 1, res
+
+
+# The scenes of the trial driver, with the generator state after each draw,
+# by sampler, trial counter, model and tolerance in force.  It holds the
+# scenes of one seed (`_trials` empties it for another), at most
+# SCENE_CACHE_CAP of them.
+SCENE_CACHE_CAP = 2500
+_scenes = {}
+_scene_seed = None
+
+
+def _scene(sampler, counter, geometry, rng):
+    """The scene of `sampler` at trial `counter`, drawn from the trial's
+    fresh `rng` on its first request.  A later request gets the same config
+    and its `rng` is set to the state the draw left, so a residual drawing
+    after the scene reads the same numbers.  A raising draw is not stored."""
+    key = (sampler, counter, geometry, get_tol())
+    hit = _scenes.get(key)
+    if hit is not None:
+        cfg, state = hit
+        rng.bit_generator.state = state
+        return cfg
+    cfg = SAMPLERS[sampler](rng, geometry)
+    if len(_scenes) < SCENE_CACHE_CAP:
+        _scenes[key] = (cfg, rng.bit_generator.state)
+    return cfg
 
 
 def checked_trials(trials: int) -> int:

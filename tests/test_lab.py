@@ -1,5 +1,8 @@
+import ast
 import hashlib
+import inspect
 import math
+import textwrap
 
 import pytest
 
@@ -262,7 +265,16 @@ def test_scene_cache_restores_post_draw_state(monkeypatch):
         assert cert_fields(warm) == cert_fields(cold), (tid, g)
 
 
-def test_scene_cache_keys_on_full_generator_state(monkeypatch):
+def _state(rng):
+    """The full generator state (counter, key, buffer and buffered
+    half-word) as a comparable tuple."""
+    st = rng.bit_generator.state
+    return (st["state"]["counter"].tobytes(), st["state"]["key"].tobytes(),
+            st["buffer"].tobytes(), st["buffer_pos"], st["has_uint32"],
+            st["uinteger"])
+
+
+def test_scene_cache_never_shares_between_different_pre_draws(monkeypatch):
     # one and two 32-bit draws leave the same Philox counter and buffer
     # position, and differ only in the buffered half-word; the configs
     # (64-bit draws) agree, but a later 32-bit draw must see its own stream
@@ -270,20 +282,26 @@ def test_scene_cache_keys_on_full_generator_state(monkeypatch):
         rng.integers(0, 4, size=n)
         return rng
 
-    def check_drawing(n, seen):
-        def check(rng, geometry, tol, perturb=0.0):
-            cfg = lab.random_triangle_config(pre_draw(rng, n), geometry,
-                                             "generic")
+    def sampler(n):
+        def draw(rng, geometry):
+            return lab.random_triangle_config(pre_draw(rng, n), geometry,
+                                              "generic")
+        return draw
+
+    def recording(seen):
+        def residual(cfg, rng, perturb):
             seen.append((cfg.A, int(rng.integers(0, 1 << 30))))
             return 0.0
-        return check
+        return residual
 
     seed, trials = 6, 10
     one, two = [], []
     lab._scenes.clear()
     for name, n, seen in (("one", 1, one), ("two", 2, two)):
+        monkeypatch.setitem(lab.SAMPLERS, name, sampler(n))
         monkeypatch.setitem(lab.THEOREMS, name,
-                            (check_drawing(n, seen), ("hyperbolic",), False))
+                            (lab._on_scene(name, recording(seen)),
+                             ("hyperbolic",), False))
         lab.verify(name, seed=seed, trials=trials)
     for i in range(trials):
         r1 = pre_draw(lab.trial_rng(seed, i), 1)
@@ -301,22 +319,25 @@ def test_scene_cache_only_inside_driver(monkeypatch):
     lab._scenes.clear()
     lab.verify("altitudes", seed=seed, trials=3)
     builds = _count_builds(monkeypatch)
+    cached, state_after = lab._scenes[("generic", 1, "hyperbolic",
+                                       lab.get_tol())]
     rng = lab.trial_rng(seed, 1)
-    key = (lab._state_key(rng), "hyperbolic", "generic", lab.get_tol())
-    cached, state_after = lab._scenes[key]
     cfg = lab.random_triangle_config(rng, "hyperbolic", "generic")
     assert builds and cfg is not cached
     assert (cfg.A, cfg.B, cfg.C) == (cached.A, cached.B, cached.C)
     ref = lab.trial_rng(0, 0)
     ref.bit_generator.state = state_after
-    assert lab._state_key(rng) == lab._state_key(ref)
+    assert _state(rng) == _state(ref)
+    # direct calls of a draw, a sampler or a check store nothing
     n = len(lab._scenes)
     lab.random_triangle_config(lab.trial_rng(seed, 50), "hyperbolic", "generic")
-    assert len(lab._scenes) == n  # a direct call stores nothing
+    lab.SAMPLERS["generic"](lab.trial_rng(seed, 51), "hyperbolic")
+    check = lab.THEOREMS["medians"][0]
+    assert check(lab.trial_rng(seed, 52), "hyperbolic", lab.get_tol()) >= 0
+    assert len(lab._scenes) == n
 
 
 def test_scene_cache_bounds(monkeypatch):
-    import numpy as np
     uncapped = lab.verify("medians", seed=17, trials=20)
     lab._scenes.clear()
     monkeypatch.setattr(lab, "SCENE_CACHE_CAP", 5)
@@ -324,38 +345,121 @@ def test_scene_cache_bounds(monkeypatch):
     assert len(lab._scenes) == 5
     assert capped.max_residual == uncapped.max_residual
     monkeypatch.undo()
+    # a run on a new seed empties the store: every scene left is one of it
     lab.verify("altitudes", seed=18, trials=5)
-    new_key = np.array([18, 0], dtype=np.uint64).tobytes()
-    assert lab._scenes
-    assert all(key[0][1] == new_key for key in lab._scenes)
+    assert sorted(key[1] for key in lab._scenes) == list(range(5))
+    for (name, counter, geometry, _), (cfg, _) in lab._scenes.items():
+        fresh = lab.SAMPLERS[name](lab.trial_rng(18, counter), geometry)
+        assert (cfg.A, cfg.B, cfg.C) == (fresh.A, fresh.B, fresh.C)
 
 
-# each group draws the same scene kind after the same draws before it: the
-# 14 incidence ids draw a generic config first, and t1-t6 and table_5_1 draw
-# the same hint, then the same right-angled kind
-SHARING_GROUPS = (
-    ("altitudes", "medians", "side_bisectors", "angle_bisectors",
-     "pseudo_spieker", "pseudomedians", "pseudobisectors", "euler_wildberger",
-     "orthic_axis_pole", "nine_point_conic", "pascal_line_hexagon",
-     "six_points_conic", "complementary_midpoints_conic", "magic_midpoints"),
-    ("t1", "t2", "t3", "t4", "t5", "t6", "table_5_1"),
-)
+def _sampler_models():
+    """(sampler, model, an id that draws with it there) of every sampler
+    that a check draws with in a model it has a certificate in."""
+    out = {}
+    for tid, (check, geoms, _) in lab.THEOREMS.items():
+        for g in geoms:
+            name = getattr(check, "samplers", {}).get(g)
+            if name is not None:
+                out.setdefault((name, g), tid)
+    return [(name, g, tid) for (name, g), tid in out.items()]
 
 
-@pytest.mark.parametrize("ids", SHARING_GROUPS, ids=("incidence", "right"))
-def test_ids_share_one_build_per_scene(monkeypatch, ids):
-    # once the first id of a group has run, the others build nothing
+@pytest.mark.parametrize("name,geometry,tid", _sampler_models())
+def test_residuals_get_the_scene_their_sampler_draws(monkeypatch, name,
+                                                     geometry, tid):
+    # inside verify, the scene and generator a residual gets at counter c are
+    # those of sampler(trial_rng(seed, c), geometry), whether or not another
+    # id of the sampler drew the scene on that seed first
+    seed, trials = 4, 10
+    check = lab.THEOREMS[tid][0]
+    seen, first = [], []
+
+    def recording(log):
+        def residual(cfg, rng, perturb):
+            log.append((cfg, _state(rng)))
+            return 0.0
+        return residual
+
+    monkeypatch.setattr(check, "residual", recording(seen))
+    other = lab._on_scene(name, recording(first))
+    monkeypatch.setitem(lab.THEOREMS, "other", (other, (geometry,), False))
+    lab._scenes.clear()
+    lab.verify(tid, seed=seed, trials=trials, geometry=geometry)
+    lab._scenes.clear()
+    lab.verify("other", seed=seed, trials=trials, geometry=geometry)
+    lab.verify(tid, seed=seed, trials=trials, geometry=geometry)
+    assert len(seen) == 2 * trials
+    cold, warm = seen[:trials], seen[trials:]
+    for c in range(trials):
+        rng = lab.trial_rng(seed, c)
+        cfg = lab.SAMPLERS[name](rng, geometry)
+        for got, state in (cold[c], warm[c]):
+            assert (got.A, got.B, got.C) == (cfg.A, cfg.B, cfg.C), (c, tid)
+            assert state == _state(rng), (c, tid)
+        assert warm[c][0] is first[c][0]  # drawn by the other id's run
+
+
+def test_no_residual_draws_a_scene():
+    draws = {"random_triangle_config", "random_scene", "_generic", "_hexagon"}
+    residuals = [check.residual for check, _, _ in lab.THEOREMS.values()
+                 if hasattr(check, "residual")]
+    # 29 ids, and the elliptic scenes of midpoint_quadrilateral
+    assert len(residuals) == 30
+    for residual in residuals:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(residual)))
+        called = {node.func.id if isinstance(node.func, ast.Name)
+                  else getattr(node.func, "attr", None)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        assert not called & draws, residual.__name__
+        assert "SAMPLERS" not in read, residual.__name__
+
+
+# each group draws the same sampler in the same models: the generic scenes
+# of the incidence ids and more, the right-angled figures of t1-t6 and
+# table_5_1, the hinted kinds of the squared laws and the orientations of
+# the projective laws (generic in the elliptic model)
+_GENERIC = ("altitudes", "medians", "side_bisectors", "angle_bisectors",
+            "pseudo_spieker", "pseudomedians", "pseudobisectors",
+            "euler_wildberger", "orthic_axis_pole", "nine_point_conic",
+            "pascal_line_hexagon", "six_points_conic",
+            "complementary_midpoints_conic", "magic_midpoints", "conjectures")
+SHARING_GROUPS = {
+    "incidence": (("hyperbolic", "elliptic"), _GENERIC),
+    "generic-hyperbolic": (("hyperbolic",),
+                           ("altitudes", "carnot_hyperbolic_iff")),
+    "generic-elliptic": (("elliptic",),
+                         ("altitudes", "midpoint_quadrilateral",
+                          "carnot_elliptic", "projective_sines",
+                          "projective_cosines")),
+    "right": (("hyperbolic", "elliptic"),
+              ("t1", "t2", "t3", "t4", "t5", "t6", "table_5_1")),
+    "cycle": (("hyperbolic", "elliptic"), ("law_sines_sq", "law_cosines_sq")),
+    "orient": (("hyperbolic", "elliptic"),
+               ("projective_sines", "projective_cosines")),
+}
+
+
+@pytest.mark.parametrize("group", SHARING_GROUPS)
+def test_ids_share_one_build_per_scene(monkeypatch, group):
+    # once the first id of a group has drawn the scenes of a seed, the others
+    # build nothing; it runs three times the trials, as later ids may reject
+    # scenes and read further counters
+    models, ids = SHARING_GROUPS[group]
     seed, trials = 29, 20
     lab._scenes.clear()
     builds = _count_builds(monkeypatch)
-    for geometry in ("hyperbolic", "elliptic"):
+    for geometry in models:
+        lab.verify(ids[0], seed=seed, trials=3 * trials, geometry=geometry)
+        assert len(builds) >= 3 * trials
         per_id = []
-        for tid in ids:
+        for tid in ids[1:]:
             builds.clear()
             lab.verify(tid, seed=seed, trials=trials, geometry=geometry)
             per_id.append(len(builds))
-        assert per_id[0] >= trials
-        assert per_id[1:] == [0] * (len(ids) - 1), geometry
+        assert per_id == [0] * (len(ids) - 1), geometry
 
 
 def test_oracle_cross_ratio_matches_determinant(rng):
