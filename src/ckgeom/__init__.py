@@ -17,7 +17,6 @@ from .projective import (
     harmonic_conjugate,
     separates,
     Quadrangle,
-    diagonal_triangle,
     quadrangular_involution,
 )
 from .conics import (
@@ -47,6 +46,6 @@ from .metric import (
     orient_segment,
 )
 from .centers import build_config, PolarTriangleConfig
-from .lab import verify, Certificate, SceneSpec, theorem_ids
+from .lab import verify, Certificate, theorem_ids
 
 __version__ = "0.1.0"

@@ -10,6 +10,8 @@ A theorem about a triangle is a scene plus a residual: a sampler of
 `SAMPLERS` draws the trial's config, and the residual `f(scene, rng,
 perturb)` only reads it (`_on_scene`).  The trial driver draws a sampler's
 scene once per trial and shares it among the theorems of that sampler.
+Samplers draw the scene kinds of `KINDS`, the one table of the kinds, the
+models each exists in and the attempt that draws it.
 
 Each check accepts a `perturb` displacement: a designated hypothesis point
 is nudged by that amount in the chart before the final residual is taken,
@@ -52,6 +54,7 @@ ELLIPTIC = mt.ELLIPTIC
 
 RETRY_CAP = 1000
 MIN_SEPARATION = 1e-4
+_BOTH = (HYPERBOLIC, ELLIPTIC)
 
 _MODELS = {}
 
@@ -61,17 +64,6 @@ def model_for(geometry: str) -> mt.ModelGeometry:
         _MODELS[geometry] = (mt.hyperbolic_model() if geometry == HYPERBOLIC
                              else mt.elliptic_model())
     return _MODELS[geometry]
-
-
-class SceneSpec:
-    """Reproducible scene request: (seed, geometry, kind)."""
-
-    __slots__ = ("seed", "geometry", "kind")
-
-    def __init__(self, seed, geometry=HYPERBOLIC, kind="generic"):
-        self.seed = int(seed)
-        self.geometry = geometry
-        self.kind = kind
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -156,21 +148,28 @@ def nudge(p: HPoint, eps: float) -> HPoint:
 
 
 def random_triangle_config(rng, geometry, kind="generic"):
-    """A general-position PolarTriangleConfig of the requested kind.
-
-    Kinds: generic, ext1, ext2, ext3, quadrilateral, hexagon, isosceles,
-    right:<elliptic|hyp-right|lambert|pentagon>.  Every call draws and
-    builds; the trial driver shares scenes by sampler (`_scene`).
-    """
+    """A general-position PolarTriangleConfig of `kind`, a row of `KINDS`, in
+    the model `geometry`: UnknownTheorem before any draw if the kind has no
+    such model, else the kind's attempt retried up to RETRY_CAP times.  Every
+    call draws and builds; the trial driver shares scenes by sampler."""
+    attempt = _attempt(kind, geometry)
     model = model_for(geometry)
     for _ in range(RETRY_CAP):
         try:
-            cfg = _try_triangle(rng, model, geometry, kind)
+            cfg = attempt(rng, model)
         except GeometryError:
             continue
         if cfg is not None:
             return cfg
     raise SamplingExhausted(f"no {kind} scene after {RETRY_CAP} attempts")
+
+
+def _attempt(kind, geometry):
+    """The attempt of `kind` in `geometry`, or UnknownTheorem."""
+    models, attempt = KINDS.get(kind, ((), None))
+    if geometry not in models:
+        raise UnknownTheorem(f"no scene kind {kind} in the {geometry} model")
+    return attempt
 
 
 _SCENE_SEPARATION = 0.05
@@ -184,48 +183,39 @@ def _conditioned(pts) -> bool:
             and abs(collinearity_residual(*pts)) > _SCENE_MARGIN)
 
 
-# The kinds drawn as points, by their number of exterior vertices; interior
-# points lie in the disk of radius 0.9, inside both models.
-_EXTERIOR = {"generic": 0, "ext1": 1, "ext2": 2, "ext3": 3, "quadrilateral": 1}
-
-
-def _try_triangle(rng, model, geometry, kind):
-    n_ext = _EXTERIOR.get(kind)
-    if (n_ext or kind == "hexagon") and geometry != HYPERBOLIC:
-        raise UnknownTheorem(f"kind {kind} needs the hyperbolic model")
-    if kind == "hexagon":
-        return _try_hexagon(rng, model)
-    if n_ext is not None:
+def _try_points(n_ext, figure=None):
+    """The attempt at a triangle of n_ext exterior vertices and no right
+    angle, of the generalized `figure` if given.  Interior points lie in the
+    disk of radius 0.9, inside both models."""
+    def try_points(rng, model):
         pts = ([_interior_point(rng) for _ in range(3 - n_ext)]
                + [_exterior_point(rng) for _ in range(n_ext)])
         if not _conditioned(pts):
             return None
         cfg = ce.build_config(model, *pts)
-        if cfg.is_right_angled():
-            return None
-        if kind == "quadrilateral" and \
-                tg.classify_generalized(cfg) != tg.QUADRILATERAL_2R:
+        if cfg.is_right_angled() or (
+                figure is not None and tg.classify_generalized(cfg) != figure):
             return None
         return cfg
-    if kind == "isosceles":
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        e = (math.cos(ang), math.sin(ang))
-        f = (-math.sin(ang), math.cos(ang))
-        u0 = rng.uniform(-0.8, 0.8)
-        u1 = rng.uniform(-0.8, 0.8)
-        v1 = rng.uniform(0.1, 0.7)
-        if math.hypot(u0, 0) > 0.9 or math.hypot(u1, v1) > 0.88:
-            return None
-        A = affine_point(u0 * e[0], u0 * e[1])
-        B = affine_point(u1 * e[0] + v1 * f[0], u1 * e[1] + v1 * f[1])
-        C = affine_point(u1 * e[0] - v1 * f[0], u1 * e[1] - v1 * f[1])
-        if not (_well_separated([A, B, C]) and _triangle_margin(A, B, C)):
-            return None
-        cfg = ce.build_config(model, A, B, C)
-        return None if cfg.is_right_angled() else cfg
-    if kind.startswith("right:"):
-        return _try_right_angled(rng, model, geometry, kind.split(":", 1)[1])
-    raise UnknownTheorem(f"unknown scene kind {kind}")
+    return try_points
+
+
+def _try_isosceles(rng, model):
+    ang = rng.uniform(0.0, 2.0 * math.pi)
+    e = (math.cos(ang), math.sin(ang))
+    f = (-math.sin(ang), math.cos(ang))
+    u0 = rng.uniform(-0.8, 0.8)
+    u1 = rng.uniform(-0.8, 0.8)
+    v1 = rng.uniform(0.1, 0.7)
+    if math.hypot(u0, 0) > 0.9 or math.hypot(u1, v1) > 0.88:
+        return None
+    A = affine_point(u0 * e[0], u0 * e[1])
+    B = affine_point(u1 * e[0] + v1 * f[0], u1 * e[1] + v1 * f[1])
+    C = affine_point(u1 * e[0] - v1 * f[0], u1 * e[1] - v1 * f[1])
+    if not (_well_separated([A, B, C]) and _triangle_margin(A, B, C)):
+        return None
+    cfg = ce.build_config(model, A, B, C)
+    return None if cfg.is_right_angled() else cfg
 
 
 def _try_hexagon(rng, model):
@@ -247,54 +237,63 @@ def _try_hexagon(rng, model):
     return cfg
 
 
-def _try_right_angled(rng, model, geometry, subkind):
-    """Right angle canonically at A: C is placed on the line joining A with
-    the pole of AB, at a parameter scanned for the requested figure kind."""
-    want = {
-        "elliptic": tg.ELLIPTIC_RIGHT,
-        "hyp-right": tg.HYPERBOLIC_RIGHT,
-        "lambert": tg.LAMBERT,
-        "pentagon": tg.PENTAGON,
-    }[subkind]
-    A = _interior_point(rng)
-    B = _exterior_point(rng) if subkind == "pentagon" else _interior_point(rng)
-    if point_gap(A, B) < MIN_SEPARATION:
+def _try_right(figure):
+    """The attempt at the right-angled `figure` of `trig.right_angled_kind`,
+    right angle canonically at A: C is placed on the line joining A with the
+    pole of AB, at a parameter scanned for the figure."""
+    def try_right(rng, model):
+        A = _interior_point(rng)
+        B = (_exterior_point(rng) if figure == tg.PENTAGON
+             else _interior_point(rng))
+        if point_gap(A, B) < MIN_SEPARATION:
+            return None
+        side_c = join_points(A, B)
+        pc = cn.pole(model.absolute, side_c)
+        bi = model.is_interior(B)
+        for _ in range(40):
+            t = rng.uniform(-4.0, 4.0)
+            try:
+                C = hpoint(A[0] + t * pc[0], A[1] + t * pc[1],
+                           A[2] + t * pc[2])
+            except ValueError:
+                continue
+            if not _well_separated([A, B, C]) or not _triangle_margin(A, B, C):
+                continue
+            # cheap position pre-checks before paying for a full config
+            # build; each is a necessary condition of right_angled_kind
+            if figure == tg.HYPERBOLIC_RIGHT and not model.is_interior(C):
+                continue
+            if figure == tg.LAMBERT and model.is_interior(C) == bi:
+                continue
+            if figure == tg.PENTAGON and (
+                    model.is_interior(C)
+                    or model.line_status(join_points(B, C)) != cn.SECANT):
+                continue
+            try:
+                cfg = ce.build_config(model, A, B, C)
+            except GeometryError:
+                continue
+            if tg.right_angled_kind(cfg) == figure:
+                return cfg
         return None
-    side_c = join_points(A, B)
-    pc = cn.pole(model.absolute, side_c)
-    for _ in range(40):
-        t = rng.uniform(-4.0, 4.0)
-        try:
-            C = hpoint(A[0] + t * pc[0], A[1] + t * pc[1], A[2] + t * pc[2])
-        except ValueError:
-            continue
-        if not _well_separated([A, B, C]) or not _triangle_margin(A, B, C):
-            continue
-        # cheap position pre-checks before paying for a full config build;
-        # each is a necessary condition of right_angled_kind
-        if geometry == HYPERBOLIC:
-            ci = model.is_interior(C)
-            bi = model.is_interior(B)
-            if subkind == "hyp-right" and not ci:
-                continue
-            if subkind == "lambert" and (bi == ci):
-                continue
-            if subkind == "pentagon" and (
-                    ci or model.line_status(join_points(B, C)) != cn.SECANT):
-                continue
-        try:
-            cfg = ce.build_config(model, A, B, C)
-        except GeometryError:
-            continue
-        if tg.right_angled_kind(cfg) == want:
-            return cfg
-    return None
+    return try_right
 
 
-def random_scene(spec: SceneSpec, trial: int = 0):
-    """The deterministic scene of a spec: same spec and trial, same scene."""
-    rng = trial_rng(spec.seed, trial)
-    return random_triangle_config(rng, spec.geometry, spec.kind)
+# The scene kinds, each with the models it exists in and its attempt
+# `attempt(rng, model)`, which returns a config or None to redraw.
+KINDS = {
+    "generic": (_BOTH, _try_points(0)),
+    "ext1": ((HYPERBOLIC,), _try_points(1)),
+    "ext2": ((HYPERBOLIC,), _try_points(2)),
+    "ext3": ((HYPERBOLIC,), _try_points(3)),
+    "quadrilateral": ((HYPERBOLIC,), _try_points(1, tg.QUADRILATERAL_2R)),
+    "hexagon": ((HYPERBOLIC,), _try_hexagon),
+    "isosceles": (_BOTH, _try_isosceles),
+    "right:elliptic": ((ELLIPTIC,), _try_right(tg.ELLIPTIC_RIGHT)),
+    "right:hyp-right": ((HYPERBOLIC,), _try_right(tg.HYPERBOLIC_RIGHT)),
+    "right:lambert": ((HYPERBOLIC,), _try_right(tg.LAMBERT)),
+    "right:pentagon": ((HYPERBOLIC,), _try_right(tg.PENTAGON)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +311,12 @@ def _hexagon(rng, geometry):
 def _hinted(kinds, elliptic):
     """The sampler that draws a hint, then a scene of the kind it picks among
     `kinds` in the hyperbolic model, or of the kind `elliptic`.  Both models
-    draw the hint, so the Philox streams read as when each check drew it."""
+    draw the hint, so the Philox streams read as when each check drew it.
+    In another model, or with no `elliptic` kind, UnknownTheorem is raised
+    before the hint."""
     def draw(rng, geometry):
+        if geometry != HYPERBOLIC:
+            _attempt(elliptic, geometry)
         kind = kinds[int(rng.integers(0, len(kinds)))]
         return random_triangle_config(
             rng, geometry, kind if geometry == HYPERBOLIC else elliptic)
@@ -851,8 +854,6 @@ def _conjectures(cfg, rng, perturb):
     vals = [v for v in rep.values() if isinstance(v, float)]
     return max(vals) if vals else 0.0
 
-
-_BOTH = (HYPERBOLIC, ELLIPTIC)
 
 THEOREMS = {
     "desargues": (_chk_desargues, _BOTH, False),

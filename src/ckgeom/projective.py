@@ -494,10 +494,6 @@ class Quadrangle:
         return tuple(meet_lines(s1, s2) for s1, s2 in self.opposite_side_pairs())
 
 
-def diagonal_triangle(q: Quadrangle):
-    return q.diagonal_points()
-
-
 def pascal_points(hexagon):
     """The three meets of opposite sides of a hexagon: side i, from vertex i
     to i + 1, against side i + 3, for i = 0, 1, 2.  By Pascal they are

@@ -3,40 +3,103 @@ import hashlib
 import inspect
 import math
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from ckgeom import centers as ce
 from ckgeom import errors, lab
 from ckgeom import projective as pj
+from ckgeom import trig as tg
 from ckgeom.projective import affine_point, hpoint
 from conftest import cert_fields
 from oracles import oracle_cross_ratio
 
 
-def test_scene_determinism():
-    spec = lab.SceneSpec(seed=1, geometry="hyperbolic", kind="generic")
-    cfg1 = lab.random_scene(spec, trial=0)
-    cfg2 = lab.random_scene(spec, trial=0)
-    # bit-for-bit identical coordinates
-    assert cfg1.A == cfg2.A and cfg1.B == cfg2.B and cfg1.C == cfg2.C
-    cfg3 = lab.random_scene(spec, trial=1)
-    assert cfg3.A != cfg1.A
+def _exterior(cfg):
+    return sum(not cfg.model.is_interior(v) for v in (cfg.A, cfg.B, cfg.C))
 
 
-def test_scene_kinds():
-    from ckgeom import trig as tg
-    rng = lab.trial_rng(9, 0)
-    right = lab.random_triangle_config(rng, "hyperbolic", "right:lambert")
-    assert right.conjugate_side_pairs == ("bc",)
-    assert tg.right_angled_kind(right) == tg.LAMBERT
-    rng = lab.trial_rng(9, 1)
-    hexa = lab.random_triangle_config(rng, "hyperbolic", "hexagon")
-    assert all(not hexa.model.is_interior(v) for v in (hexa.A, hexa.B, hexa.C))
-    assert tg.classify_generalized(hexa) == tg.HEXAGON
-    rng = lab.trial_rng(9, 2)
-    iso = lab.random_triangle_config(rng, "hyperbolic", "isosceles")
-    assert any(iso.iso_flags)
+def _right(figure):
+    return lambda cfg: (cfg.conjugate_side_pairs == ("bc",)
+                        and tg.right_angled_kind(cfg) == figure)
+
+
+def _points(n_ext):
+    return lambda cfg: _exterior(cfg) == n_ext and not cfg.is_right_angled()
+
+
+# what makes a config a figure of each kind of lab.KINDS
+FIGURES = {
+    "generic": _points(0), "ext1": _points(1), "ext2": _points(2),
+    "ext3": _points(3),
+    "quadrilateral": lambda cfg: (
+        tg.classify_generalized(cfg) == tg.QUADRILATERAL_2R),
+    "hexagon": lambda cfg: (_exterior(cfg) == 3
+                            and tg.classify_generalized(cfg) == tg.HEXAGON),
+    "isosceles": lambda cfg: any(cfg.iso_flags),
+    "right:elliptic": _right(tg.ELLIPTIC_RIGHT),
+    "right:hyp-right": _right(tg.HYPERBOLIC_RIGHT),
+    "right:lambert": _right(tg.LAMBERT),
+    "right:pentagon": _right(tg.PENTAGON),
+}
+
+
+@pytest.mark.parametrize("kind,geometry", [
+    (kind, geometry) for kind, (models, _) in lab.KINDS.items()
+    for geometry in models])
+def test_kinds_draw_their_figures(kind, geometry):
+    # a kind draws the same scene from the same trial, another at the next
+    # trial, a figure of its kind each time, and exists in its models only
+    for c in range(3):
+        cfg = lab.random_triangle_config(lab.trial_rng(9, c), geometry, kind)
+        again = lab.random_triangle_config(lab.trial_rng(9, c), geometry, kind)
+        # bit-for-bit identical coordinates
+        assert (cfg.A, cfg.B, cfg.C) == (again.A, again.B, again.C)
+        assert cfg.model.kind == geometry
+        assert FIGURES[kind](cfg), c
+        other = lab.random_triangle_config(lab.trial_rng(9, c + 1), geometry,
+                                           kind)
+        assert other.A != cfg.A
+    models = lab.KINDS[kind][0]
+    for other in {"hyperbolic", "elliptic", "Hyperbolic"} - set(models):
+        with pytest.raises(errors.UnknownTheorem):
+            lab.random_triangle_config(lab.trial_rng(9, 0), other, kind)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: lab.random_triangle_config(rng, "Hyperbolic"),
+    lambda rng: lab.random_triangle_config(rng, "hyperbolic", "right:elliptic"),
+    lambda rng: lab.random_triangle_config(rng, "elliptic", "hexagon"),
+    lambda rng: lab.SAMPLERS["orient"](rng, "elliptic"),
+], ids=["unknown-model", "right-elliptic", "elliptic-hexagon", "orient"])
+def test_a_kind_outside_its_models_raises_before_any_draw(draw):
+    # each call asks for a model that the row of its kind in lab.KINDS lacks
+    rng = lab.trial_rng(0, 0)
+    with pytest.raises(errors.UnknownTheorem):
+        draw(rng)
+    assert rng.random() == lab.trial_rng(0, 0).random()
+
+
+def test_every_sampler_draws_in_the_models_of_its_rows():
+    pairs = {(check.samplers[g], g) for check, geoms, _ in lab.THEOREMS.values()
+             for g in geoms if g in getattr(check, "samplers", {})}
+    assert {name for name, _ in pairs} == set(lab.SAMPLERS)
+    for name, geometry in sorted(pairs):
+        cfg = lab.SAMPLERS[name](lab.trial_rng(0, 0), geometry)
+        assert isinstance(cfg, ce.PolarTriangleConfig), name
+        assert cfg.model.kind == geometry, name
+
+
+def test_readme_lists_the_kinds_and_their_models():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("| kind | models |", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in section.splitlines()[2:]:
+        kind, models = row.split("|")[1:3]
+        listed[kind.strip().strip("`")] = {m.strip() for m in models.split(",")}
+    assert listed == {kind: set(models)
+                      for kind, (models, _) in lab.KINDS.items()}
 
 
 def test_verify_certificate():
@@ -210,7 +273,6 @@ def _count_builds(monkeypatch):
 
 
 def test_pentagon_builds_once_per_scene(monkeypatch):
-    from ckgeom import trig as tg
     builds = _count_builds(monkeypatch)
     for i in range(20):
         cfg = lab.random_triangle_config(lab.trial_rng(3, i), "hyperbolic",
@@ -401,7 +463,9 @@ def test_residuals_get_the_scene_their_sampler_draws(monkeypatch, name,
 
 
 def test_no_residual_draws_a_scene():
-    draws = {"random_triangle_config", "random_scene", "_generic", "_hexagon"}
+    draws = ({"random_triangle_config"}
+             | {attempt.__name__ for _, attempt in lab.KINDS.values()}
+             | {sampler.__name__ for sampler in lab.SAMPLERS.values()})
     residuals = [check.residual for check, _, _ in lab.THEOREMS.values()
                  if hasattr(check, "residual")]
     # 29 ids, and the elliptic scenes of midpoint_quadrilateral
@@ -414,7 +478,7 @@ def test_no_residual_draws_a_scene():
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
         assert not called & draws, residual.__name__
-        assert "SAMPLERS" not in read, residual.__name__
+        assert not read & {"SAMPLERS", "KINDS"}, residual.__name__
 
 
 # each group draws the same sampler in the same models: the generic scenes
