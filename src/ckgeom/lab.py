@@ -4,7 +4,8 @@ Every theorem in the library is registered here as a check over
 reproducible random scenes.  Scene streams come from the Philox-4x64-10
 counter-based generator: trial i of a run keyed by `seed` draws from
 Philox(key=seed, counter=[0,0,0,i]), so certificates are reproducible
-cross-platform (and cross-language, given the same Philox variant).
+cross-platform (and cross-language, given the same Philox variant).  A run
+keeps one generator and re-keys it to that counter at each trial.
 
 A theorem about a triangle is a scene plus a residual: a sampler of
 `SAMPLERS` draws the trial's config, and the residual `f(scene, rng,
@@ -60,15 +61,18 @@ _MODELS = {}
 
 
 def model_for(geometry: str) -> mt.ModelGeometry:
+    """The model `geometry`, built once; another name raises UnknownTheorem."""
     if geometry not in _MODELS:
+        if geometry not in _BOTH:
+            raise UnknownTheorem(f"no {geometry!r} model")
         _MODELS[geometry] = (mt.hyperbolic_model() if geometry == HYPERBOLIC
                              else mt.elliptic_model())
     return _MODELS[geometry]
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    bits = np.random.Philox(key=np.uint64(seed),
-                            counter=[0, 0, 0, np.uint64(trial)])
+    bits = np.random.Philox(key=np.uint64(seed), counter=np.array(
+        [0, 0, 0, trial], dtype=np.uint64))
     return np.random.Generator(bits)
 
 
@@ -115,8 +119,7 @@ class Certificate:
 
 def _interior_point(rng, radius=0.9) -> HPoint:
     while True:
-        x = rng.uniform(-radius, radius)
-        y = rng.uniform(-radius, radius)
+        x, y = rng.uniform(-radius, radius, 2).tolist()
         if x * x + y * y < radius * radius:
             return affine_point(x, y)
 
@@ -918,19 +921,22 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
     returns None or raises GeometryError rejects its scene; more than
     RETRY_CAP + 5 * trials rejections raise SamplingExhausted.  In the
     models of its `samplers` (`_on_scene`), a check's residual reads the
-    trial's scene from `_scene`."""
+    trial's scene from `_scene`.  The run keeps one generator and re-keys
+    it to counter [0,0,0,counter] at each trial (`_rekey`)."""
     global _scene_seed
     fn = THEOREMS[theorem_id][0]
     sampler = getattr(fn, "samplers", {}).get(geometry)
     if seed != _scene_seed:
         _scenes.clear()
         _scene_seed = seed
+    rng = trial_rng(seed, 0)
+    fresh = rng.bit_generator.state
     done = 0
     counter = 0
     while done < trials:
         if counter - done > RETRY_CAP + 5 * trials:
             raise SamplingExhausted(f"{theorem_id}: too many rejected scenes")
-        rng = trial_rng(seed, counter)
+        _rekey(rng, fresh, counter)
         counter += 1
         try:
             if sampler is None:
@@ -943,6 +949,14 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
         if res is not None:
             done += 1
             yield counter - 1, res
+
+
+def _rekey(rng, fresh, counter):
+    """Set `rng` to the fresh state of `trial_rng(seed, counter)`, given
+    `fresh`, the state of `trial_rng(seed, 0)`.  Assigning the whole state
+    also empties the buffer and drops a buffered 32-bit half-word."""
+    fresh["state"]["counter"][3] = counter
+    rng.bit_generator.state = fresh
 
 
 # The scenes of the trial driver, with the generator state after each draw,

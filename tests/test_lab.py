@@ -81,6 +81,16 @@ def test_a_kind_outside_its_models_raises_before_any_draw(draw):
     assert rng.random() == lab.trial_rng(0, 0).random()
 
 
+@pytest.mark.parametrize("name", ["Hyperbolic", "foo"])
+def test_an_unknown_model_name_raises_and_stores_nothing(name):
+    with pytest.raises(errors.UnknownTheorem):
+        lab.model_for(name)
+    assert name not in lab._MODELS
+    for geometry in (lab.HYPERBOLIC, lab.ELLIPTIC):
+        assert lab.model_for(geometry).kind == geometry
+        assert lab.model_for(geometry) is lab.model_for(geometry)
+
+
 def test_every_sampler_draws_in_the_models_of_its_rows():
     pairs = {(check.samplers[g], g) for check, geoms, _ in lab.THEOREMS.values()
              for g in geoms if g in getattr(check, "samplers", {})}
@@ -243,6 +253,83 @@ def test_trial_driver_exhausts(monkeypatch):
             run("never", seed=0, trials=trials)
         # one cap for both entry points: RETRY_CAP + 5 * trials rejections
         assert len(calls) == lab.RETRY_CAP + 5 * trials + 1
+
+
+@pytest.mark.parametrize("run", [lab.verify, lab.perturbation_guard])
+def test_a_run_builds_at_most_one_generator(monkeypatch, run):
+    # the driver keeps one Philox per run and re-keys it at each counter,
+    # whatever the number of trials, rejections or scenes shared
+    built = []
+    make = lab.trial_rng
+
+    def counting(seed, trial):
+        built.append((seed, trial))
+        return make(seed, trial)
+
+    monkeypatch.setattr(lab, "trial_rng", counting)
+    monkeypatch.setitem(lab.THEOREMS, "fake",
+                        (_fake_check([]), ("hyperbolic",), False))
+    for tid in ("fake", "desargues", "altitudes", "medians"):
+        for trials in (1, 40):
+            built.clear()
+            run(tid, seed=3, trials=trials)
+            assert len(built) <= 1, (tid, trials, built)
+
+
+def _odd_draws(rng):
+    """A residual's draws: first one 32-bit draw, which leaves a buffered
+    half-word (`has_uint32`) behind, then one 64-bit draw."""
+    return int(rng.integers(0, 1 << 30)), rng.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1 << 63])
+def test_each_trial_starts_from_the_fresh_state_of_its_counter(monkeypatch,
+                                                               seed):
+    # every residual sees the state and draws of trial_rng(seed, counter),
+    # though the trial before it left a buffered 32-bit half-word
+    seen = []
+
+    def check(rng, geometry, tol, perturb=0.0):
+        seen.append((_state(rng), _odd_draws(rng)))
+        assert rng.bit_generator.state["has_uint32"]
+        return 0.0
+
+    monkeypatch.setitem(lab.THEOREMS, "fake", (check, ("hyperbolic",), False))
+    lab.verify("fake", seed=seed, trials=3)
+    for c, (state, draws) in enumerate(seen):
+        ref = lab.trial_rng(seed, c)
+        assert state == _state(ref) and draws == _odd_draws(ref), c
+    # the same re-keying at counters a test cannot run up to
+    rng = lab.trial_rng(seed, 0)
+    fresh = rng.bit_generator.state
+    for c in (0, 1, 1 << 32, (1 << 53) + 1, (1 << 64) - 1):
+        lab._rekey(rng, fresh, c)
+        ref = lab.trial_rng(seed, c)
+        assert ref.bit_generator.state["state"]["counter"].tolist() == [
+            0, 0, 0, c]
+        assert _state(rng) == _state(ref), c
+        assert _odd_draws(rng) == _odd_draws(ref), c
+        assert rng.bit_generator.state["has_uint32"]
+
+
+def test_interleaved_runs_keep_their_own_generators(monkeypatch):
+    # two runs advanced alternately yield what each yields alone; runs that
+    # share scenes share a seed, as the scene store holds one seed's scenes
+    def check(rng, geometry, tol, perturb=0.0):
+        u, x = _odd_draws(rng)
+        return None if u % 5 == 0 else x
+
+    monkeypatch.setitem(lab.THEOREMS, "fake", (check, ("hyperbolic",), False))
+    tol = lab.get_tol()
+    for (a, seed_a), (b, seed_b) in ((("fake", 3), ("fake", 4)),
+                                     (("altitudes", 5), ("medians", 5)),
+                                     (("fake", 5), ("altitudes", 5))):
+        alone_a = list(lab._trials(a, seed_a, 30, "hyperbolic", tol, 0.0))
+        alone_b = list(lab._trials(b, seed_b, 30, "hyperbolic", tol, 0.0))
+        lab._scenes.clear()
+        zipped = list(zip(lab._trials(a, seed_a, 30, "hyperbolic", tol, 0.0),
+                          lab._trials(b, seed_b, 30, "hyperbolic", tol, 0.0)))
+        assert zipped == list(zip(alone_a, alone_b)), (a, b)
 
 
 def test_lazy_isosceles_flags():
