@@ -936,13 +936,14 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
     while done < trials:
         if counter - done > RETRY_CAP + 5 * trials:
             raise SamplingExhausted(f"{theorem_id}: too many rejected scenes")
-        _rekey(rng, fresh, counter)
         counter += 1
         try:
             if sampler is None:
+                _rekey(rng, fresh, counter - 1)
                 res = fn(rng, geometry, tol, perturb)
             else:
-                scene = _scene(sampler, counter - 1, geometry, rng)
+                scene = _scene((seed, sampler, counter - 1, geometry, tol),
+                               rng, fresh)
                 res = fn.residual(scene, rng, perturb)
         except GeometryError:
             continue
@@ -960,25 +961,27 @@ def _rekey(rng, fresh, counter):
 
 
 # The scenes of the trial driver, with the generator state after each draw,
-# by sampler, trial counter, model and tolerance in force.  It holds the
-# scenes of one seed (`_trials` empties it for another), at most
-# SCENE_CACHE_CAP of them.
+# by seed, sampler, trial counter, model and the run's tolerance.  It holds
+# the scenes of the seed of the last run started (`_trials` empties it for
+# another), at most SCENE_CACHE_CAP of them.
 SCENE_CACHE_CAP = 2500
 _scenes = {}
 _scene_seed = None
 
 
-def _scene(sampler, counter, geometry, rng):
-    """The scene of `sampler` at trial `counter`, drawn from the trial's
-    fresh `rng` on its first request.  A later request gets the same config
-    and its `rng` is set to the state the draw left, so a residual drawing
-    after the scene reads the same numbers.  A raising draw is not stored."""
-    key = (sampler, counter, geometry, get_tol())
+def _scene(key, rng, fresh):
+    """The scene of the store key (seed, sampler, counter, geometry, tol).
+    On its first request it is drawn from the trial's fresh state, set by
+    `_rekey` from `fresh`.  A later request gets the same config, and `rng`
+    is set once, to the state the draw left, so a residual drawing after
+    the scene reads the same numbers.  A raising draw is not stored."""
     hit = _scenes.get(key)
     if hit is not None:
         cfg, state = hit
         rng.bit_generator.state = state
         return cfg
+    _, sampler, counter, geometry, _ = key
+    _rekey(rng, fresh, counter)
     cfg = SAMPLERS[sampler](rng, geometry)
     if len(_scenes) < SCENE_CACHE_CAP:
         _scenes[key] = (cfg, rng.bit_generator.state)

@@ -3,11 +3,14 @@
 A ModelGeometry wraps the absolute conic: a real conic gives the hyperbolic
 plane (interior points), an imaginary one the elliptic plane (all of RP^2).
 Distances and Laguerre angles are logarithms of cross ratios against the
-absolute; midpoints, point symmetries, the squared trigonometric ratios
-C/S/T with their geometric translations, and oriented segments with the
-unsquared cc/ss ratios all live here.  The translation table
-(`segment_measure`) tags each segment's magnitude, and each tag names the
-root family (`FAMILY`, `ROOTS`) through which it is read unsquared.
+absolute.  The squared trigonometric ratios C/S/T are the closed forms of
+the absolute's bilinear form B and adjugate (`squared_trig`), so the
+magnitudes read by `distance` and `angle_lines` stay an independent route.
+Midpoints, point symmetries, the geometric translations of C/S/T, and
+oriented segments with the unsquared cc/ss ratios all live here.  The
+translation table (`segment_measure`) tags each segment's magnitude, and
+each tag names the root family (`FAMILY`, `ROOTS`) through which it is
+read unsquared.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .projective import (
     HLine,
     HPoint,
     dot,
+    cross_apart,
     cross_ratio,
     is_real_triple,
     join_points,
@@ -239,20 +243,44 @@ def point_symmetry(model: ModelGeometry, center: HPoint, p: HPoint) -> HPoint:
 def squared_trig(model: ModelGeometry, a: HPoint, b: HPoint):
     """The projective trigonometric ratios (C, S, T) of the segment ab.
 
-    C = (AB B_p A_p), S = 1 - C, T = S/C; a right segment (B conjugate to A)
-    yields (0, 1, inf).
+    The paper's C = (AB B_p A_p), S = 1 - C and T = S/C, in closed form from
+    the absolute M, its bilinear form B and Q(X) = B(X, X):
+    C = B(a,b)^2 / (Q(a)Q(b)) and, by the Lagrange identity
+    Q(a)Q(b) - B(a,b)^2 = (a x b)^T adj(M) (a x b),
+    S = (a x b)^T adj(M) (a x b) / (Q(a)Q(b)), which keeps the digits that
+    1 - C loses on close endpoints.  Endpoints on the absolute raise
+    EndpointOnConic (the test of `on_absolute`, on the same Q), coincident
+    ones CoincidentPoints (the test of `join_points`).
+
+    A right segment (B(a,b) = 0) yields (0, 1, inf); the test is
+    |C| <= tol^2, i.e. |B(a,b)| <= tol sqrt|Q(a)Q(b)|.  It restates the
+    definition's test `triple_eq(b_p, a)`: with l = a x b, b_p = l x Mb and,
+    as a lies on l, b_p x a = -B(a,b) l, so that test reads
+    |B(a,b)| |l| <= tol |a| |l x Mb| (and a_p = b likewise).  Both compare
+    the same B(a,b) with tol times scales of the endpoints, of order one
+    off the absolute, and neither depends on the representatives; they can
+    part only where |B(a,b)| is within such a factor of tol.
     """
-    if model.on_absolute(a) or model.on_absolute(b):
+    t = get_tol()
+    phi = model.absolute
+    ma = phi.apply(a)
+    qa = dot(a, ma)
+    qb = phi.value(b)
+    if abs(qa) <= 1e3 * t or abs(qb) <= 1e3 * t:
         raise EndpointOnConic("squared_trig needs endpoints off the absolute")
-    line = join_points(a, b)
-    ap = cn.conjugate_point(model.absolute, a, line)
-    bp = cn.conjugate_point(model.absolute, b, line)
-    if triple_eq(bp, a) or triple_eq(ap, b):
+    n = cross_apart(a, b, t)
+    if n is None:
+        raise CoincidentPoints(f"squared_trig of coincident points {a}, {b}")
+    q = qa * qb
+    bab = dot(ma, b)
+    c = bab * bab / q
+    if abs(c) <= t * t:
         return 0.0j, 1.0 + 0j, complex(math.inf)
-    c = cross_ratio(a, b, bp, ap, carrier=line)
-    s = 1.0 - c
-    tt = s / c if c != 0 else complex(math.inf)
-    return c, s, tt
+    (r00, r01, r02), (_, r11, r12), (_, _, r22) = phi.adjugate()
+    x, y, z = n
+    s = (r00 * x * x + r11 * y * y + r22 * z * z
+         + 2 * (r01 * x * y + r02 * x * z + r12 * y * z)) / q
+    return c, s, s / c
 
 
 # Table of geometric translations: tags for the (C, S, T) triple.

@@ -1,10 +1,14 @@
 """Independent oracles for the tests: evaluations that ckgeom itself does
 not use, written apart from the kernel they check."""
 
+import math
+
+from ckgeom import conics as cn
 from ckgeom import metric as mt
 from ckgeom import rays as ry
 from ckgeom import trig as tg
-from ckgeom.errors import ChartDegenerate
+from ckgeom.errors import ChartDegenerate, EndpointOnConic
+from ckgeom.projective import cross_ratio, join_points, triple_eq
 from ckgeom.tolerance import get_tol
 
 
@@ -51,6 +55,25 @@ def oracle_cross_ratio(a, b, c, d):
         ca, cb, cc = coords[0], coords[1], coords[2]
         return (cc - ca) / (cc - cb)
     raise ChartDegenerate("chart infinity in an unsupported slot")
+
+
+def oracle_squared_trig(model, a, b):
+    """The paper's definition of the squared ratios of the segment ab,
+    C = (AB B_p A_p), S = 1 - C and T = S/C, with A_p and B_p the conjugates
+    of the endpoints in the line ab: an oracle for the closed form of
+    `ckgeom.metric.squared_trig`.  A right segment (B_p = A or A_p = B)
+    yields (0, 1, inf).
+    """
+    if model.on_absolute(a) or model.on_absolute(b):
+        raise EndpointOnConic("squared_trig needs endpoints off the absolute")
+    line = join_points(a, b)
+    ap = cn.conjugate_point(model.absolute, a, line)
+    bp = cn.conjugate_point(model.absolute, b, line)
+    if triple_eq(bp, a) or triple_eq(ap, b):
+        return 0.0j, 1.0 + 0j, complex(math.inf)
+    c = cross_ratio(a, b, bp, ap, carrier=line)
+    s = 1.0 - c
+    return c, s, s / c
 
 
 def hand_figure_lengths(cfg, figure):

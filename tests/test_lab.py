@@ -155,7 +155,7 @@ def test_a_model_without_a_certificate_is_rejected():
 # this digest as it is.  A change that means to move the numbers records the
 # new digest here and says in CHANGES.md why the numbers moved.
 CERTIFICATES_DIGEST = (
-    "dbf9f034fea708a43030269315c41624abe299b9206d2b8925ee07de698f79c2")
+    "4cdb061bcb6575f314ae27aad2477f9a1dc7443d5fc73ae0ea3620ee3c3bd673")
 
 
 def test_certificates_match_the_recorded_digest():
@@ -170,6 +170,14 @@ def test_certificates_match_the_recorded_digest():
             n += 1
     assert n == 70
     assert h.hexdigest() == CERTIFICATES_DIGEST
+
+
+def test_law_cosines_sq_elliptic_repro_passes():
+    # this run reached 2.6e-8 while S was read as 1 - C; the closed form of
+    # `metric.squared_trig` closes it to about 6e-14
+    cert = lab.verify("law_cosines_sq", seed=24908189, trials=20,
+                      geometry="elliptic", tol=1e-8)
+    assert cert.passed and cert.max_residual < 1e-12
 
 
 def test_verify_reproducible():
@@ -313,8 +321,8 @@ def test_each_trial_starts_from_the_fresh_state_of_its_counter(monkeypatch,
 
 
 def test_interleaved_runs_keep_their_own_generators(monkeypatch):
-    # two runs advanced alternately yield what each yields alone; runs that
-    # share scenes share a seed, as the scene store holds one seed's scenes
+    # two runs advanced alternately yield what each yields alone; the seed
+    # is part of the scene store's key, so runs on two seeds share no scene
     def check(rng, geometry, tol, perturb=0.0):
         u, x = _odd_draws(rng)
         return None if u % 5 == 0 else x
@@ -323,13 +331,31 @@ def test_interleaved_runs_keep_their_own_generators(monkeypatch):
     tol = lab.get_tol()
     for (a, seed_a), (b, seed_b) in ((("fake", 3), ("fake", 4)),
                                      (("altitudes", 5), ("medians", 5)),
-                                     (("fake", 5), ("altitudes", 5))):
+                                     (("fake", 5), ("altitudes", 5)),
+                                     (("altitudes", 3), ("altitudes", 4))):
         alone_a = list(lab._trials(a, seed_a, 30, "hyperbolic", tol, 0.0))
         alone_b = list(lab._trials(b, seed_b, 30, "hyperbolic", tol, 0.0))
         lab._scenes.clear()
         zipped = list(zip(lab._trials(a, seed_a, 30, "hyperbolic", tol, 0.0),
                           lab._trials(b, seed_b, 30, "hyperbolic", tol, 0.0)))
         assert zipped == list(zip(alone_a, alone_b)), (a, b)
+
+
+def test_a_store_hit_sets_the_generator_state_once(monkeypatch):
+    # a hit restores the post-draw state and does not re-key the generator
+    # first; a run re-keys only at the counters the store does not hold
+    rekeys = []
+    rekey = lab._rekey
+    monkeypatch.setattr(lab, "_rekey",
+                        lambda *args: rekeys.append(1) or rekey(*args))
+    lab._scenes.clear()
+    cold = lab.verify("medians", seed=12, trials=20)
+    cold_rekeys, stored = len(rekeys), len(lab._scenes)
+    assert stored and cold_rekeys >= stored
+    rekeys.clear()
+    warm = lab.verify("medians", seed=12, trials=20)
+    assert len(rekeys) == cold_rekeys - stored
+    assert cert_fields(warm) == cert_fields(cold)
 
 
 def test_lazy_isosceles_flags():
@@ -468,7 +494,7 @@ def test_scene_cache_only_inside_driver(monkeypatch):
     lab._scenes.clear()
     lab.verify("altitudes", seed=seed, trials=3)
     builds = _count_builds(monkeypatch)
-    cached, state_after = lab._scenes[("generic", 1, "hyperbolic",
+    cached, state_after = lab._scenes[(seed, "generic", 1, "hyperbolic",
                                        lab.get_tol())]
     rng = lab.trial_rng(seed, 1)
     cfg = lab.random_triangle_config(rng, "hyperbolic", "generic")
@@ -496,8 +522,9 @@ def test_scene_cache_bounds(monkeypatch):
     monkeypatch.undo()
     # a run on a new seed empties the store: every scene left is one of it
     lab.verify("altitudes", seed=18, trials=5)
-    assert sorted(key[1] for key in lab._scenes) == list(range(5))
-    for (name, counter, geometry, _), (cfg, _) in lab._scenes.items():
+    assert sorted(key[2] for key in lab._scenes) == list(range(5))
+    for (seed, name, counter, geometry, _), (cfg, _) in lab._scenes.items():
+        assert seed == 18
         fresh = lab.SAMPLERS[name](lab.trial_rng(18, counter), geometry)
         assert (cfg.A, cfg.B, cfg.C) == (fresh.A, fresh.B, fresh.C)
 

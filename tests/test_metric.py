@@ -16,6 +16,7 @@ from ckgeom.projective import (
     points_equal,
 )
 from conftest import ambient_tol, exterior_point, interior_point
+from oracles import oracle_squared_trig
 
 
 def test_distance_artanh_oracle(hyp):
@@ -246,12 +247,162 @@ def test_squared_trig_hand_value(hyp):
     assert abs(c - math.cosh(d) ** 2) < 1e-12
 
 
-def test_squared_trig_right_segment(hyp):
+def test_squared_trig_right_segment(hyp, ell):
     a = affine_point(0.2, 0.1)
     line = join_points(a, affine_point(0.5, -0.3))
-    ac = cn.conjugate_point(hyp.absolute, a, line)
-    c, s, t = mt.squared_trig(hyp, a, ac)
-    assert c == 0.0 and s == 1.0 and t == complex(math.inf)
+    for model in (hyp, ell):
+        ac = cn.conjugate_point(model.absolute, a, line)
+        for seg in ((a, ac), (ac, a)):
+            c, s, t = mt.squared_trig(model, *seg)
+            assert c == 0.0 and s == 1.0 and t == complex(math.inf)
+            assert (c, s, t) == oracle_squared_trig(model, *seg)
+
+
+def _complex_point(rng):
+    return hpoint(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                  complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 1.0)
+
+
+def _segment_kinds(hyp, ell, rng):
+    """(name, model, draw of a segment) of real and complex segments in
+    both models, the hyperbolic ones at every pair of sides."""
+    return (
+        ("elliptic", ell, lambda: (interior_point(rng, 3.0),
+                                   interior_point(rng, 3.0))),
+        ("interior/interior", hyp, lambda: (interior_point(rng),
+                                            interior_point(rng))),
+        ("interior/exterior", hyp, lambda: (interior_point(rng),
+                                            exterior_point(rng))),
+        ("exterior/interior", hyp, lambda: (exterior_point(rng),
+                                            interior_point(rng))),
+        ("exterior/exterior", hyp, lambda: (exterior_point(rng),
+                                            exterior_point(rng))),
+        ("complex hyperbolic", hyp, lambda: (_complex_point(rng),
+                                             _complex_point(rng))),
+        ("complex elliptic", ell, lambda: (_complex_point(rng),
+                                           _complex_point(rng))),
+    )
+
+
+# a projective change of frame X = P X', under which the absolute M reads
+# P^T M P; its off-diagonal entries reach every term of adj(M)
+FRAME = ((1.0, 0.3, -0.2), (0.1, 0.9, 0.4), (-0.3, 0.2, 1.1))
+
+
+def _in_frame(model, *points):
+    """`model` and `points` in the coordinates X' of FRAME."""
+    p = FRAME
+    m = model.absolute.matrix_rows()
+    rows = [[sum(p[k][i] * m[k][l] * p[l][j] for k in range(3)
+                 for l in range(3)) for j in range(3)] for i in range(3)]
+    cols = list(zip(*p))
+    inv = [pj.cross(cols[(i + 1) % 3], cols[(i + 2) % 3])
+           for i in range(3)]  # rows of det(P) P^-1
+    return (mt.ModelGeometry(cn.Conic.from_matrix(rows)),
+            *(hpoint(*(pj.dot(r, x) for r in inv)) for x in points))
+
+
+def test_squared_trig_matches_the_cross_ratio_definition(hyp, ell, rng):
+    # the closed form against C = (AB B_p A_p), S = 1 - C, T = S/C, and
+    # the same ratios in another frame
+    for name, model, draw in _segment_kinds(hyp, ell, rng):
+        lines = set()
+        for _ in range(60):
+            a, b = draw()
+            got = mt.squared_trig(model, a, b)
+            moved = _in_frame(model, a, b)
+            assert moved[0].kind == model.kind
+            for want in (oracle_squared_trig(model, a, b),
+                         oracle_squared_trig(*moved),
+                         mt.squared_trig(*moved)):
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-10 * max(1.0, abs(w)), (name, a, b)
+            lines.add(model.line_status(join_points(a, b)))
+        if name == "exterior/exterior":
+            assert lines == {cn.SECANT, cn.EXTERIOR}  # both rows of the table
+
+
+@pytest.mark.parametrize("offset", [1e-12, 1e-11, 1e-10, 1e-8, 1e-7, 1e-6])
+def test_squared_trig_near_right_segments(hyp, ell, rng, offset):
+    # b is the conjugate of a in a line, moved along it by `offset`, so
+    # B(a,b) is of order offset.  Both right-segment tests compare B(a,b)
+    # with tol = 1e-9 times an O(1) scale (see `squared_trig`), so off the
+    # band around tol they agree on rightness, and elsewhere on the values;
+    # C and T are read from a B(a,b) of relative error eps/offset.
+    with ambient_tol(1e-9):
+        for model in (hyp, ell):
+            for _ in range(20):
+                a, other = interior_point(rng, 0.8), interior_point(rng, 0.8)
+                ac = cn.conjugate_point(model.absolute, a,
+                                        join_points(a, other))
+                b = hpoint(*(ac[i] + offset * other[i] for i in range(3)))
+                got = mt.squared_trig(model, a, b)
+                want = oracle_squared_trig(model, a, b)
+                assert (got[2] == complex(math.inf)) == (offset < 1e-9)
+                assert (want[2] == complex(math.inf)) == (offset < 1e-9)
+                if offset < 1e-9:
+                    assert got == want
+                    continue
+                for i in (0, 2):
+                    gap = abs(got[i] - want[i])
+                    assert gap <= 1e-14 / offset * abs(want[i])
+                assert abs(got[1] - want[1]) <= 1e-14
+
+
+def test_squared_trig_keeps_the_digits_of_s_on_close_pairs(hyp, ell, rng):
+    # S by the Lagrange identity against S at 40 digits on the same rounded
+    # inputs; 1 - C (the definition) keeps about two digits at gap 1e-7
+    mp = pytest.importorskip("mpmath")
+
+    def exact_s(model, a, b):
+        big = lambda v: mp.mpc(v.real, v.imag)
+        m = [[big(v) for v in row] for row in model.absolute.matrix_rows()]
+        form = lambda u, w: sum(big(u[i]) * m[i][j] * big(w[j])
+                                for i in range(3) for j in range(3))
+        return 1 - form(a, b) ** 2 / (form(a, a) * form(b, b))
+
+    with mp.workdps(40):
+        for model, radius in ((hyp, 0.85), (ell, 3.0)):
+            for gap in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
+                worst_new = worst_old = 0.0
+                for _ in range(20):
+                    a = interior_point(rng, radius)
+                    th = rng.uniform(0.0, 2.0 * math.pi)
+                    b = affine_point(a[0].real + gap * math.cos(th),
+                                     a[1].real + gap * math.sin(th))
+                    s = exact_s(model, a, b)
+                    rel = lambda v: float(abs(v - s) / abs(s))
+                    worst_new = max(worst_new,
+                                    rel(mt.squared_trig(model, a, b)[1]))
+                    worst_old = max(worst_old,
+                                    rel(oracle_squared_trig(model, a, b)[1]))
+                assert worst_new <= 1e-8, (model.kind, gap, worst_new)
+                if gap == 1e-7:
+                    assert worst_old >= 1e-3, (model.kind, worst_old)
+
+
+def test_squared_trig_takes_no_join_conjugate_or_cross_ratio(hyp, ell, rng,
+                                                            monkeypatch):
+    # the closed form needs none of the definition's constructions
+    a, b = affine_point(0.2, 0.1), affine_point(0.5, -0.3)
+    right = (hyp, a, cn.conjugate_point(hyp.absolute, a, join_points(a, b)))
+    calls = []
+    for mod in (pj, cn, mt):
+        for name in ("join_points", "conjugate_point", "cross_ratio"):
+            if hasattr(mod, name):
+                f = getattr(mod, name)
+                monkeypatch.setattr(mod, name, lambda *args, _f=f, _n=name,
+                                    **kw: calls.append(_n) or _f(*args, **kw))
+    # the counters see the calls of the definition
+    mt.orient_segment(hyp, a, b).cc()
+    assert {"join_points", "conjugate_point", "cross_ratio"} <= set(calls)
+    calls.clear()
+    segments = [(model, *draw()) for _, model, draw in
+                _segment_kinds(hyp, ell, rng) for _ in range(5)]
+    segments.append(right)
+    for model, p, q in segments:
+        mt.squared_trig(model, p, q)
+    assert calls == []
 
 
 def test_squared_trig_symmetry_and_sum(hyp, rng):
