@@ -177,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="theorem id or 'all' (default all)")
     vp.add_argument("--trials", default=1000,
                     type=_checked(lambda text: lab.checked_trials(int(text))))
-    vp.add_argument("--seed", type=int, default=0)
+    vp.add_argument("--seed", default=0,
+                    type=_checked(lambda text: lab.checked_seed(int(text))))
     vp.add_argument("--geometry", default="both",
                     choices=["hyperbolic", "elliptic", "both"])
     vp.add_argument("--tol", type=_checked(checked_tol), default=None)

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import (
     DegenerateConic,
     DegenerateInput,
@@ -321,7 +319,10 @@ def _veronese_row(p):
 
 def conic_fit(points, rank_check=True) -> Conic:
     """Least-squares conic through >= 5 points via the smallest singular
-    vector of the Veronese design matrix."""
+    vector of the Veronese design matrix (numpy's SVD, imported here so
+    that no module imports numpy at import time)."""
+    import numpy as np
+
     if len(points) < 5:
         raise DegenerateInput("need at least five points")
     rows = np.array([_veronese_row(p) for p in points], dtype=complex)

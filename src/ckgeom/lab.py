@@ -4,8 +4,11 @@ Every theorem in the library is registered here as a check over
 reproducible random scenes.  Scene streams come from the Philox-4x64-10
 counter-based generator: trial i of a run keyed by `seed` draws from
 Philox(key=seed, counter=[0,0,0,i]), so certificates are reproducible
-cross-platform (and cross-language, given the same Philox variant).  A run
-keeps one generator and re-keys it to that counter at each trial.
+cross-platform (and cross-language, given the same Philox variant).  The
+generator (`philox.Philox`) is pure Python and bit for bit numpy's, so no
+module imports numpy at import time; `conic_fit` and `svgfig` load it on
+first use.  A run keeps one generator and re-keys it to that counter at
+each trial.
 
 A theorem about a triangle is a scene plus a residual: a sampler of
 `SAMPLERS` draws the trial's config, and the residual `f(scene, rng,
@@ -25,14 +28,13 @@ import math
 import numbers
 import time
 
-import numpy as np
-
 from . import centers as ce
 from . import conics as cn
 from . import metric as mt
 from . import rays as ry
 from . import trig as tg
 from .errors import GeometryError, SamplingExhausted, UnknownTheorem
+from .philox import Philox
 from .projective import (
     HPoint,
     Quadrangle,
@@ -70,10 +72,28 @@ def model_for(geometry: str) -> mt.ModelGeometry:
     return _MODELS[geometry]
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    bits = np.random.Philox(key=np.uint64(seed), counter=np.array(
-        [0, 0, 0, trial], dtype=np.uint64))
-    return np.random.Generator(bits)
+def _word(name, value) -> int:
+    """`value` as an int if it is an integer in [0, 2**64), a 64-bit word
+    of the Philox key or counter, else ValueError."""
+    if not isinstance(value, numbers.Integral) or not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), "
+                         f"got {value!r}")
+    return int(value)
+
+
+def checked_seed(seed: int) -> int:
+    """`seed` if it is an integer in [0, 2**64), a Philox key, else
+    ValueError."""
+    return _word("seed", seed)
+
+
+def trial_rng(seed: int, trial: int) -> Philox:
+    """The generator of trial `trial` of a run keyed by `seed`:
+    Philox4x64-10(key=seed, counter=[0,0,0,trial]), in pure Python and bit
+    for bit numpy's, so drawing loads no numpy (only `conic_fit` and
+    `svgfig` do, on first use).  ValueError before any draw for a seed or
+    a trial outside [0, 2**64)."""
+    return Philox(checked_seed(seed), _word("trial", trial))
 
 
 class Certificate:
@@ -119,7 +139,7 @@ class Certificate:
 
 def _interior_point(rng, radius=0.9) -> HPoint:
     while True:
-        x, y = rng.uniform(-radius, radius, 2).tolist()
+        x, y = rng.uniform(-radius, radius, 2)
         if x * x + y * y < radius * radius:
             return affine_point(x, y)
 
@@ -320,7 +340,7 @@ def _hinted(kinds, elliptic):
     def draw(rng, geometry):
         if geometry != HYPERBOLIC:
             _attempt(elliptic, geometry)
-        kind = kinds[int(rng.integers(0, len(kinds)))]
+        kind = kinds[rng.integers(0, len(kinds))]
         return random_triangle_config(
             rng, geometry, kind if geometry == HYPERBOLIC else elliptic)
     return draw
@@ -518,7 +538,7 @@ def _chk_midpoint_quadrilateral(rng, geometry, tol, perturb=0.0):
     if geometry != HYPERBOLIC:
         return _midpoint_quadrilateral(_generic(rng, geometry), rng, perturb)
     model = model_for(geometry)
-    n_tangent = 1 + int(rng.integers(0, 3))
+    n_tangent = 1 + rng.integers(0, 3)
     got = _tangent_triangle(rng, model, n_tangent)
     if got is None:
         return None
@@ -922,7 +942,7 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
     RETRY_CAP + 5 * trials rejections raise SamplingExhausted.  In the
     models of its `samplers` (`_on_scene`), a check's residual reads the
     trial's scene from `_scene`.  The run keeps one generator and re-keys
-    it to counter [0,0,0,counter] at each trial (`_rekey`)."""
+    it to counter [0,0,0,counter] at each trial (`Philox.rekey`)."""
     global _scene_seed
     fn = THEOREMS[theorem_id][0]
     sampler = getattr(fn, "samplers", {}).get(geometry)
@@ -930,7 +950,6 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
         _scenes.clear()
         _scene_seed = seed
     rng = trial_rng(seed, 0)
-    fresh = rng.bit_generator.state
     done = 0
     counter = 0
     while done < trials:
@@ -939,25 +958,17 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
         counter += 1
         try:
             if sampler is None:
-                _rekey(rng, fresh, counter - 1)
+                rng.rekey(counter - 1)
                 res = fn(rng, geometry, tol, perturb)
             else:
                 scene = _scene((seed, sampler, counter - 1, geometry, tol),
-                               rng, fresh)
+                               rng)
                 res = fn.residual(scene, rng, perturb)
         except GeometryError:
             continue
         if res is not None:
             done += 1
             yield counter - 1, res
-
-
-def _rekey(rng, fresh, counter):
-    """Set `rng` to the fresh state of `trial_rng(seed, counter)`, given
-    `fresh`, the state of `trial_rng(seed, 0)`.  Assigning the whole state
-    also empties the buffer and drops a buffered 32-bit half-word."""
-    fresh["state"]["counter"][3] = counter
-    rng.bit_generator.state = fresh
 
 
 # The scenes of the trial driver, with the generator state after each draw,
@@ -969,22 +980,21 @@ _scenes = {}
 _scene_seed = None
 
 
-def _scene(key, rng, fresh):
+def _scene(key, rng):
     """The scene of the store key (seed, sampler, counter, geometry, tol).
     On its first request it is drawn from the trial's fresh state, set by
-    `_rekey` from `fresh`.  A later request gets the same config, and `rng`
+    `rng.rekey(counter)`.  A later request gets the same config, and `rng`
     is set once, to the state the draw left, so a residual drawing after
     the scene reads the same numbers.  A raising draw is not stored."""
     hit = _scenes.get(key)
     if hit is not None:
-        cfg, state = hit
-        rng.bit_generator.state = state
+        cfg, rng.state = hit
         return cfg
     _, sampler, counter, geometry, _ = key
-    _rekey(rng, fresh, counter)
+    rng.rekey(counter)
     cfg = SAMPLERS[sampler](rng, geometry)
     if len(_scenes) < SCENE_CACHE_CAP:
-        _scenes[key] = (cfg, rng.bit_generator.state)
+        _scenes[key] = (cfg, rng.state)
     return cfg
 
 
@@ -999,9 +1009,11 @@ def checked_trials(trials: int) -> int:
     return trials
 
 
-def _entry(theorem_id, geometry, trials):
+def _entry(theorem_id, geometry, trials, seed):
     """report_only of a run of `trials` scenes of a theorem in `geometry`;
-    UnknownTheorem if the id has no certificate in that model."""
+    UnknownTheorem if the id has no certificate in that model, ValueError
+    for a `trials` or `seed` that `checked_trials` or `checked_seed`
+    rejects."""
     if theorem_id not in THEOREMS:
         raise UnknownTheorem(theorem_id)
     _, geoms, report_only = THEOREMS[theorem_id]
@@ -1009,6 +1021,7 @@ def _entry(theorem_id, geometry, trials):
         raise UnknownTheorem(f"{theorem_id} has no certificate in the "
                              f"{geometry} model, only in {', '.join(geoms)}")
     checked_trials(trials)
+    checked_seed(seed)
     return report_only
 
 
@@ -1020,7 +1033,7 @@ def verify(theorem_id: str, seed: int = 0, trials: int = 1000,
     (theorem_id, seed, geometry, trials, tol).  The run sets the ambient
     tolerance to `tol` (left as it is when None), which every test of the
     run reads, and restores the previous value when it ends."""
-    report_only = _entry(theorem_id, geometry, trials)
+    report_only = _entry(theorem_id, geometry, trials, seed)
     old = set_tol(get_tol() if tol is None else tol)
     t = get_tol()
     worst = 0.0
@@ -1042,7 +1055,7 @@ def perturbation_guard(theorem_id: str, seed: int = 0, trials: int = 200,
                        geometry: str = HYPERBOLIC, eps: float = 1e-3,
                        threshold: float = 1e-7) -> float:
     """Fraction of trials where the perturbed check exceeds the threshold."""
-    _entry(theorem_id, geometry, trials)
+    _entry(theorem_id, geometry, trials, seed)
     hits = sum(1 for _, res in
                _trials(theorem_id, seed, trials, geometry, get_tol(), eps)
                if res > threshold)

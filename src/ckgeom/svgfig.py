@@ -4,14 +4,13 @@ The viewbox is the chart square [-3.2, 3.2]^2.  Real conics are drawn as
 ellipses when their affine class allows it, otherwise as sampled polylines;
 lines are clipped to the box; labeled points carry data-name attributes so
 figures can be re-measured by tests.  Points that land far outside the box
-get an arrow marker on the border pointing at them.
+get an arrow marker on the border pointing at them.  The two methods that
+draw a conic import numpy on first use, so importing this module does not.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from . import conics as cn
 from .errors import GeometryError
@@ -50,6 +49,8 @@ class Figure:
             self._conic_as_polyline(conic, stroke, width, dashed)
 
     def _conic_as_ellipse(self, rows, stroke, width, dashed):
+        import numpy as np
+
         a2 = np.array([[rows[0][0], rows[0][1]], [rows[0][1], rows[1][1]]])
         b = np.array([rows[0][2], rows[1][2]])
         c = rows[2][2]
@@ -77,6 +78,8 @@ class Figure:
         return True
 
     def _conic_as_polyline(self, conic, stroke, width, dashed):
+        import numpy as np
+
         # sample by vertical lines; draw each branch as dots
         pts = []
         for x in np.linspace(-BOX, BOX, 257):

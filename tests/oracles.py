@@ -3,6 +3,8 @@ not use, written apart from the kernel they check."""
 
 import math
 
+import numpy as np
+
 from ckgeom import conics as cn
 from ckgeom import metric as mt
 from ckgeom import rays as ry
@@ -10,6 +12,13 @@ from ckgeom import trig as tg
 from ckgeom.errors import ChartDegenerate, EndpointOnConic
 from ckgeom.projective import cross_ratio, join_points, triple_eq
 from ckgeom.tolerance import get_tol
+
+
+def numpy_philox(seed, counter):
+    """numpy's generator on Philox4x64-10(key=seed, counter=[0,0,0,counter]),
+    the oracle of `ckgeom.philox.Philox`."""
+    return np.random.Generator(np.random.Philox(
+        key=seed, counter=np.array([0, 0, 0, counter], dtype=np.uint64)))
 
 
 def oracle_cross_ratio(a, b, c, d):

@@ -36,6 +36,22 @@ def test_verify_rejects_runs_of_no_scenes(trials, capsys):
     assert "--trials: trials must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ("-1", str(1 << 64)))
+def test_verify_rejects_an_out_of_range_seed(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--theorem", "pascal", "--trials", "1",
+                 "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed: seed must be an integer in [0, 2**64)" in err
+    assert "Traceback" not in err
+
+
+def test_verify_takes_the_largest_seed(capsys):
+    assert run_cli(["verify", "--theorem", "pascal", "--trials", "1",
+                    "--seed", str((1 << 64) - 1)]) == 0
+
+
 def test_verify_id_without_the_requested_model(capsys):
     # ray_angles has a certificate in the hyperbolic model only
     assert run_cli(["verify", "--theorem", "ray_angles",

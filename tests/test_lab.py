@@ -12,8 +12,9 @@ from ckgeom import errors, lab
 from ckgeom import projective as pj
 from ckgeom import trig as tg
 from ckgeom.projective import affine_point, hpoint
+from ckgeom.philox import Philox
 from conftest import cert_fields
-from oracles import oracle_cross_ratio
+from oracles import numpy_philox, oracle_cross_ratio
 
 
 def _exterior(cfg):
@@ -78,7 +79,7 @@ def test_a_kind_outside_its_models_raises_before_any_draw(draw):
     rng = lab.trial_rng(0, 0)
     with pytest.raises(errors.UnknownTheorem):
         draw(rng)
-    assert rng.random() == lab.trial_rng(0, 0).random()
+    assert rng.uniform() == lab.trial_rng(0, 0).uniform()
 
 
 @pytest.mark.parametrize("name", ["Hyperbolic", "foo"])
@@ -285,9 +286,15 @@ def test_a_run_builds_at_most_one_generator(monkeypatch, run):
 
 
 def _odd_draws(rng):
-    """A residual's draws: first one 32-bit draw, which leaves a buffered
-    half-word (`has_uint32`) behind, then one 64-bit draw."""
-    return int(rng.integers(0, 1 << 30)), rng.random()
+    """A residual's draws: first one 32-bit draw, which leaves a kept
+    half-word behind (`_half_pending`), then one 64-bit draw."""
+    return rng.integers(0, 1 << 30), rng.uniform()
+
+
+def _half_pending(rng):
+    """Whether the generator keeps the high half of a word for its next
+    32-bit draw: the last entry of its state."""
+    return rng.state[-1] is not None
 
 
 @pytest.mark.parametrize("seed", [0, 1 << 63])
@@ -298,26 +305,28 @@ def test_each_trial_starts_from_the_fresh_state_of_its_counter(monkeypatch,
     seen = []
 
     def check(rng, geometry, tol, perturb=0.0):
-        seen.append((_state(rng), _odd_draws(rng)))
-        assert rng.bit_generator.state["has_uint32"]
+        seen.append((rng.state, _odd_draws(rng)))
+        assert _half_pending(rng)
         return 0.0
 
     monkeypatch.setitem(lab.THEOREMS, "fake", (check, ("hyperbolic",), False))
     lab.verify("fake", seed=seed, trials=3)
     for c, (state, draws) in enumerate(seen):
         ref = lab.trial_rng(seed, c)
-        assert state == _state(ref) and draws == _odd_draws(ref), c
-    # the same re-keying at counters a test cannot run up to
+        assert state == ref.state and draws == _odd_draws(ref), c
+    # the same re-keying at counters a test cannot run up to, each after
+    # draws that left a half-word pending; trial_rng(seed, c) reads the
+    # numbers of numpy's Philox at counter [0,0,0,c]
     rng = lab.trial_rng(seed, 0)
-    fresh = rng.bit_generator.state
+    _odd_draws(rng)
     for c in (0, 1, 1 << 32, (1 << 53) + 1, (1 << 64) - 1):
-        lab._rekey(rng, fresh, c)
+        assert _half_pending(rng)
+        rng.rekey(c)
         ref = lab.trial_rng(seed, c)
-        assert ref.bit_generator.state["state"]["counter"].tolist() == [
-            0, 0, 0, c]
-        assert _state(rng) == _state(ref), c
-        assert _odd_draws(rng) == _odd_draws(ref), c
-        assert rng.bit_generator.state["has_uint32"]
+        assert rng.state == ref.state, c
+        draws = _odd_draws(rng)
+        assert draws == _odd_draws(ref) == _odd_draws(numpy_philox(seed, c))
+        assert _half_pending(rng)
 
 
 def test_interleaved_runs_keep_their_own_generators(monkeypatch):
@@ -345,8 +354,8 @@ def test_a_store_hit_sets_the_generator_state_once(monkeypatch):
     # a hit restores the post-draw state and does not re-key the generator
     # first; a run re-keys only at the counters the store does not hold
     rekeys = []
-    rekey = lab._rekey
-    monkeypatch.setattr(lab, "_rekey",
+    rekey = Philox.rekey
+    monkeypatch.setattr(Philox, "rekey",
                         lambda *args: rekeys.append(1) or rekey(*args))
     lab._scenes.clear()
     cold = lab.verify("medians", seed=12, trials=20)
@@ -440,21 +449,13 @@ def test_scene_cache_restores_post_draw_state(monkeypatch):
         assert cert_fields(warm) == cert_fields(cold), (tid, g)
 
 
-def _state(rng):
-    """The full generator state (counter, key, buffer and buffered
-    half-word) as a comparable tuple."""
-    st = rng.bit_generator.state
-    return (st["state"]["counter"].tobytes(), st["state"]["key"].tobytes(),
-            st["buffer"].tobytes(), st["buffer_pos"], st["has_uint32"],
-            st["uinteger"])
-
-
 def test_scene_cache_never_shares_between_different_pre_draws(monkeypatch):
     # one and two 32-bit draws leave the same Philox counter and buffer
     # position, and differ only in the buffered half-word; the configs
     # (64-bit draws) agree, but a later 32-bit draw must see its own stream
     def pre_draw(rng, n):
-        rng.integers(0, 4, size=n)
+        for _ in range(n):
+            rng.integers(0, 4)
         return rng
 
     def sampler(n):
@@ -465,7 +466,7 @@ def test_scene_cache_never_shares_between_different_pre_draws(monkeypatch):
 
     def recording(seen):
         def residual(cfg, rng, perturb):
-            seen.append((cfg.A, int(rng.integers(0, 1 << 30))))
+            seen.append((cfg.A, rng.integers(0, 1 << 30)))
             return 0.0
         return residual
 
@@ -481,12 +482,11 @@ def test_scene_cache_never_shares_between_different_pre_draws(monkeypatch):
     for i in range(trials):
         r1 = pre_draw(lab.trial_rng(seed, i), 1)
         r2 = pre_draw(lab.trial_rng(seed, i), 2)
-        s1, s2 = r1.bit_generator.state, r2.bit_generator.state
-        assert (s1["state"]["counter"] == s2["state"]["counter"]).all()
-        assert s1["has_uint32"] != s2["has_uint32"]
+        assert r1.state[:-1] == r2.state[:-1]
+        assert _half_pending(r1) != _half_pending(r2)
         for rng, seen in ((r1, one), (r2, two)):
             cfg = lab.random_triangle_config(rng, "hyperbolic", "generic")
-            assert seen[i] == (cfg.A, int(rng.integers(0, 1 << 30)))
+            assert seen[i] == (cfg.A, rng.integers(0, 1 << 30))
 
 
 def test_scene_cache_only_inside_driver(monkeypatch):
@@ -500,9 +500,7 @@ def test_scene_cache_only_inside_driver(monkeypatch):
     cfg = lab.random_triangle_config(rng, "hyperbolic", "generic")
     assert builds and cfg is not cached
     assert (cfg.A, cfg.B, cfg.C) == (cached.A, cached.B, cached.C)
-    ref = lab.trial_rng(0, 0)
-    ref.bit_generator.state = state_after
-    assert _state(rng) == _state(ref)
+    assert rng.state == state_after
     # direct calls of a draw, a sampler or a check store nothing
     n = len(lab._scenes)
     lab.random_triangle_config(lab.trial_rng(seed, 50), "hyperbolic", "generic")
@@ -553,7 +551,7 @@ def test_residuals_get_the_scene_their_sampler_draws(monkeypatch, name,
 
     def recording(log):
         def residual(cfg, rng, perturb):
-            log.append((cfg, _state(rng)))
+            log.append((cfg, rng.state))
             return 0.0
         return residual
 
@@ -572,7 +570,7 @@ def test_residuals_get_the_scene_their_sampler_draws(monkeypatch, name,
         cfg = lab.SAMPLERS[name](rng, geometry)
         for got, state in (cold[c], warm[c]):
             assert (got.A, got.B, got.C) == (cfg.A, cfg.B, cfg.C), (c, tid)
-            assert state == _state(rng), (c, tid)
+            assert state == rng.state, (c, tid)
         assert warm[c][0] is first[c][0]  # drawn by the other id's run
 
 
