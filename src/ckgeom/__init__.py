@@ -38,12 +38,10 @@ from .metric import (
     elliptic_model,
     distance,
     angle_lines,
-    is_perpendicular,
     midpoints,
     point_symmetry,
     squared_trig,
     translate_trig,
-    orient_segment,
 )
 from .centers import build_config, PolarTriangleConfig
 from .lab import verify, Certificate, theorem_ids

@@ -37,7 +37,6 @@ the tolerance it was drawn under.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from operator import attrgetter
 
 from . import conics as cn
@@ -47,7 +46,6 @@ from .projective import (
     HLine,
     Quadrangle,
     collinearity_residual,
-    concurrency_residual,
     cross_ratio,
     cross_ratio_points,
     incidence_residual,
@@ -372,16 +370,6 @@ def _classical_centers(cfg: PolarTriangleConfig):
     cfg._classical = report
 
 
-def pseudo_spieker(cfg: PolarTriangleConfig):
-    """Concurrency point of DD', EE', FF' with its residual."""
-    d = cfg.dual
-    dd = join_points(cfg.D, d.D)
-    ee = join_points(cfg.E, d.E)
-    ff = join_points(cfg.F, d.F)
-    s = meet_lines(dd, ee)
-    return s, incidence_residual(ff, s)
-
-
 # ---------------------------------------------------------------------------
 # pseudo centers (double triangle, pseudomedians, pseudobisectors)
 # ---------------------------------------------------------------------------
@@ -566,15 +554,6 @@ def midpoint_quadrilateral_residual(mids_a, mids_b, mids_c) -> float:
         for i in range(2) for j in range(2) for k in range(2)
     )
     return residuals[3]
-
-
-def concurrency_graph_residual(cfg: PolarTriangleConfig) -> float:
-    """All six pairwise perspectivities of T, T', (1/2)T, (1/2)T'."""
-    d = cfg.dual
-    tris = ((cfg.A, cfg.B, cfg.C), (d.A, d.B, d.C),
-            (cfg.D, cfg.E, cfg.F), (d.D, d.E, d.F))
-    return max(concurrency_residual(*(join_points(u, v) for u, v in zip(us, vs)))
-               for us, vs in combinations(tris, 2))
 
 
 def experimental_conjectures(cfg: PolarTriangleConfig):

@@ -81,18 +81,21 @@ def cmd_verify(args) -> int:
 
 
 def _scene_from_args(args):
-    if args.scene and args.scene.startswith("builtin:"):
-        return builtin_scene(args.scene.split(":", 1)[1])
-    if args.scene:
-        return load_scene(args.scene, strict=not args.lax)
-    return builtin_scene()
+    """The scene named by --scene, or None after a one-line scene error."""
+    try:
+        if args.scene and args.scene.startswith("builtin:"):
+            return builtin_scene(args.scene.split(":", 1)[1])
+        if args.scene:
+            return load_scene(args.scene, strict=not args.lax)
+        return builtin_scene()
+    except (OSError, ValueError, SceneError) as exc:
+        print(f"scene error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_compute(args) -> int:
-    try:
-        scene = _scene_from_args(args)
-    except (OSError, ValueError, SceneError) as exc:
-        print(f"scene error: {exc}", file=sys.stderr)
+    scene = _scene_from_args(args)
+    if scene is None:
         return 2
     model = scene.model
     names = args.operands
@@ -154,10 +157,12 @@ def cmd_compute(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    scene = _scene_from_args(args)
+    if scene is None:
+        return 2
     try:
-        scene = _scene_from_args(args)
         fig = draw_figure(args.figure, scene)
-    except (OSError, ValueError, SceneError, GeometryError) as exc:
+    except (OSError, ValueError, GeometryError) as exc:
         print(f"figure error: {exc}", file=sys.stderr)
         return 2
     fig.save(args.output)

@@ -386,15 +386,14 @@ def _pencil_cross_ratio(theta: Conic, quad, k: int) -> complex:
     return cross_ratio(*lines, carrier=v)
 
 
-def cross_ratio_on_conic(theta: Conic, a, b, c, d, with_check=True) -> complex:
+def cross_ratio_on_conic(theta: Conic, a, b, c, d) -> complex:
     """Cross ratio of four conic points over the conic.
 
     By Steiner's theorem it is the cross ratio of the pencil that joins any
     point of the conic to the four, where a point joined to itself gives
     its tangent.  The pencil is taken at the input farthest from the other
     three (the largest least `point_gap`); an input that coincides with it
-    at the tolerance is joined by the tangent too.  With `with_check` the
-    pencil at the second farthest input must give the same value.
+    at the tolerance is joined by the tangent too.
     """
     quad = (a, b, c, d)
     for p in quad:
@@ -406,14 +405,8 @@ def cross_ratio_on_conic(theta: Conic, a, b, c, d, with_check=True) -> complex:
             g = point_gap(quad[i], quad[j])
             least[i] = min(least[i], g)
             least[j] = min(least[j], g)
-    order = sorted(range(4), key=least.__getitem__, reverse=True)
-    val = _pencil_cross_ratio(theta, quad, order[0])
-    if with_check:
-        val2 = _pencil_cross_ratio(theta, quad, order[1])
-        if abs(val - val2) > 1e4 * get_tol() * max(1.0, abs(val)):
-            raise DegenerateInput(
-                f"Steiner self-check failed: {val} vs {val2}")
-    return val
+    far = max(range(4), key=least.__getitem__)  # the first of any tie
+    return _pencil_cross_ratio(theta, quad, far)
 
 
 # ---------------------------------------------------------------------------

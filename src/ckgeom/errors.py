@@ -91,14 +91,6 @@ class CenterOnConic(GeometryError):
     pass
 
 
-class PointNotInterior(GeometryError):
-    pass
-
-
-class LineNotThroughPoint(GeometryError):
-    pass
-
-
 class DifferentOrigins(GeometryError):
     pass
 

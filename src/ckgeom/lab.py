@@ -230,7 +230,7 @@ def _try_isosceles(rng, model):
     u0 = rng.uniform(-0.8, 0.8)
     u1 = rng.uniform(-0.8, 0.8)
     v1 = rng.uniform(0.1, 0.7)
-    if math.hypot(u0, 0) > 0.9 or math.hypot(u1, v1) > 0.88:
+    if math.hypot(u1, v1) > 0.88:
         return None
     A = affine_point(u0 * e[0], u0 * e[1])
     B = affine_point(u1 * e[0] + v1 * f[0], u1 * e[1] + v1 * f[1])

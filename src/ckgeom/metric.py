@@ -6,11 +6,10 @@ Distances and Laguerre angles are logarithms of cross ratios against the
 absolute.  The squared trigonometric ratios C/S/T are the closed forms of
 the absolute's bilinear form B and adjugate (`squared_trig`), so the
 magnitudes read by `distance` and `angle_lines` stay an independent route.
-Midpoints, point symmetries, the geometric translations of C/S/T, and
-oriented segments with the unsquared cc/ss ratios all live here.  The
-translation table (`segment_measure`) tags each segment's magnitude, and
-each tag names the root family (`FAMILY`, `ROOTS`) through which it is
-read unsquared.
+Midpoints, point symmetries and the geometric translations of C/S/T live
+here.  The translation table (`segment_measure`) tags each segment's
+magnitude, and each tag names the root family (`FAMILY`, `ROOTS`) through
+which it is read unsquared.
 """
 
 from __future__ import annotations
@@ -155,10 +154,6 @@ def angle_lines(model: ModelGeometry, a: HLine, b: HLine) -> float:
     return 0.5 * abs(cmath.phase(r))
 
 
-def is_perpendicular(model: ModelGeometry, a: HLine, b: HLine) -> bool:
-    return cn.lines_conjugate(model.absolute, a, b)
-
-
 def perpendicular_through(model: ModelGeometry, line: HLine, p: HPoint) -> HLine:
     """The line through p orthogonal to `line` (join with the pole)."""
     return join_points(p, cn.pole(model.absolute, line))
@@ -215,13 +210,6 @@ def midpoints(model: ModelGeometry, a: HPoint, b: HPoint):
         normalized(HPoint, k * a[0] - ra * d[0], k * a[1] - ra * d[1],
                     k * a[2] - ra * d[2]),
     )
-
-
-def complementary_midpoints(model: ModelGeometry, a: HPoint, b: HPoint):
-    """Midpoints of the complementary segment a b_p (b_p the conjugate of b)."""
-    line = join_points(a, b)
-    bp = cn.conjugate_point(model.absolute, b, line)
-    return midpoints(model, a, bp)
 
 
 def point_symmetry(model: ModelGeometry, center: HPoint, p: HPoint) -> HPoint:
@@ -381,55 +369,6 @@ def translate_trig(model: ModelGeometry, a: HPoint, b: HPoint) -> TrigValue:
     c, s, t = squared_trig(model, a, b)
     tag, v = segment_measure(model, a, b)
     return TrigValue(c, s, t, tag, v, _predict(tag, v))
-
-
-# ---------------------------------------------------------------------------
-# oriented segments and the unsquared cc/ss ratios
-# ---------------------------------------------------------------------------
-
-class OrientedSegment:
-    """A segment with a preferred midpoint and preferred complementary
-    midpoint; carries the unsquared ratios cc and ss.
-
-    cc(AB) = (AB B_p D) and ss(AB) = (A B_p B G) where D, G are the preferred
-    midpoint and complementary midpoint; cc is even and ss odd under
-    direction reversal, and cc^2 = C, ss^2 = S.
-    """
-
-    __slots__ = ("model", "a", "b", "line", "ap", "bp", "mid", "comp")
-
-    def __init__(self, model, a, b, mid, comp):
-        self.model = model
-        self.a = a
-        self.b = b
-        self.line = join_points(a, b)
-        self.ap = cn.conjugate_point(model.absolute, a, self.line)
-        self.bp = cn.conjugate_point(model.absolute, b, self.line)
-        self.mid = mid
-        self.comp = comp
-
-    def cc(self, reverse=False) -> complex:
-        if reverse:
-            return cross_ratio(self.b, self.a, self.ap, self.mid,
-                               carrier=self.line)
-        return cross_ratio(self.a, self.b, self.bp, self.mid,
-                           carrier=self.line)
-
-    def ss(self, reverse=False) -> complex:
-        if reverse:
-            return cross_ratio(self.b, self.ap, self.a, self.comp,
-                               carrier=self.line)
-        return cross_ratio(self.a, self.bp, self.b, self.comp,
-                           carrier=self.line)
-
-
-def orient_segment(model: ModelGeometry, a: HPoint, b: HPoint,
-                   mid_choice: int = 0, comp_choice: int = 0) -> OrientedSegment:
-    """Deterministic orientation: midpoints and complementary midpoints are
-    canonically sorted and picked by index."""
-    mids = midpoints(model, a, b)
-    comps = complementary_midpoints(model, a, b)
-    return OrientedSegment(model, a, b, mids[mid_choice], comps[comp_choice])
 
 
 # ---------------------------------------------------------------------------

@@ -454,11 +454,6 @@ def involution_from_pairs(line: HLine, pair1, pair2) -> LineInvolution:
     return LineInvolution(line, form)
 
 
-def harmonic_involution(line: HLine, f1: HPoint, f2: HPoint) -> LineInvolution:
-    """Harmonic conjugacy on `line` with respect to fixed points f1, f2."""
-    return involution_from_pairs(line, (f1, f1), (f2, f2))
-
-
 # ---------------------------------------------------------------------------
 # quadrangles
 # ---------------------------------------------------------------------------

@@ -13,12 +13,7 @@ import cmath
 import math
 
 from . import conics as cn
-from . import metric as mt
-from .errors import (
-    DifferentOrigins,
-    LineNotThroughPoint,
-    PointNotInterior,
-)
+from .errors import DifferentOrigins
 from .projective import (
     HLine,
     HPoint,
@@ -29,7 +24,6 @@ from .projective import (
     real_triple,
     triple_eq,
 )
-from .tolerance import get_tol
 
 
 class Ray:
@@ -42,18 +36,6 @@ class Ray:
 
     def __repr__(self):
         return f"Ray(origin={self.origin}, endpoint={self.endpoint})"
-
-
-def split_rays(model, p: HPoint, line: HLine):
-    """The two rays into which p divides the line, ordered canonically by
-    their endpoints on the absolute."""
-    if not model.is_interior(p):
-        raise PointNotInterior("ray origin must be interior to the model")
-    if incidence_residual(line, p) > 1e3 * get_tol():
-        raise LineNotThroughPoint("ray carrier must pass through the origin")
-    u, v = cn.line_conic_meet(model.absolute, line).points
-    u, v = mt.sort_point_pair(u, v)
-    return Ray(p, line, u), Ray(p, line, v)
 
 
 def ray_towards(model, origin: HPoint, target: HPoint) -> Ray:
@@ -104,8 +86,7 @@ def angle_between_rays(model, r1: Ray, r2: Ray) -> float:
         return 0.0
     pol = cn.polar(conic, r1.origin)
     u, v = cn.line_conic_meet(conic, pol).points
-    val = cn.cross_ratio_on_conic(conic, u, v, r1.endpoint, r2.endpoint,
-                                  with_check=False)
+    val = cn.cross_ratio_on_conic(conic, u, v, r1.endpoint, r2.endpoint)
     return abs(cmath.phase(val))
 
 
@@ -115,8 +96,7 @@ def ray_cosine_opposite(model, r1: Ray, r2: Ray) -> complex:
     conic = model.absolute
     a2 = other_trace(r1, conic)
     b2 = other_trace(r2, conic)
-    val = cn.cross_ratio_on_conic(conic, r1.endpoint, r2.endpoint, b2, a2,
-                                  with_check=False)
+    val = cn.cross_ratio_on_conic(conic, r1.endpoint, r2.endpoint, b2, a2)
     return 2.0 * val - 1.0
 
 
@@ -142,8 +122,7 @@ def ray_cosine_conjugate(model, r1: Ray, r2: Ray) -> complex:
             if best is None or r < best[0]:
                 best = (r, a1p, b1p)
     _, a1p, b1p = best
-    return cn.cross_ratio_on_conic(conic, r1.endpoint, r2.endpoint, b1p, a1p,
-                                   with_check=False)
+    return cn.cross_ratio_on_conic(conic, r1.endpoint, r2.endpoint, b1p, a1p)
 
 
 def vertex_angle(model, vertex: HPoint, p: HPoint, q: HPoint) -> float:

@@ -2,7 +2,8 @@
 
 Complex numbers are always two-element [re, im] arrays; the conic is a 3x3
 matrix of them.  Strict parsing rejects unknown fields so scene files stay
-language-neutral and diffable.
+language-neutral and diffable.  A field of the wrong shape, or a conic that
+cannot be the absolute of a model, raises SceneError.
 """
 
 from __future__ import annotations
@@ -36,10 +37,17 @@ class Scene:
         return self.points[name]
 
 
+def _is_array(value, n: int) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == n
+
+
 def _c(pair) -> complex:
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise SceneError(f"complex values are [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        if _is_array(pair, 2):
+            return complex(float(pair[0]), float(pair[1]))
+    except (TypeError, ValueError):
+        pass
+    raise SceneError(f"complex values are [re, im] pairs, got {pair!r}")
 
 
 def _pair(z: complex):
@@ -49,6 +57,8 @@ def _pair(z: complex):
 def parse_scene(data, strict: bool = True) -> Scene:
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise SceneError("a scene is a JSON object")
     if strict:
         unknown = set(data) - KNOWN_FIELDS
         if unknown:
@@ -56,17 +66,23 @@ def parse_scene(data, strict: bool = True) -> Scene:
     if "conic" not in data:
         raise SceneError("scene needs a 'conic' field")
     rows = data["conic"]
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+    if not (_is_array(rows, 3) and all(_is_array(r, 3) for r in rows)):
         raise SceneError("conic must be a 3x3 matrix of [re, im] pairs")
     matrix = [[_c(v) for v in row] for row in rows]
-    conic = cn.Conic.from_matrix(matrix)
-    model = mt.ModelGeometry(conic)
+    try:
+        model = mt.ModelGeometry(cn.Conic.from_matrix(matrix))
+    except GeometryError as exc:
+        raise SceneError(f"the conic cannot be an absolute: {exc}") from None
+    fields = {f: data.get(f, {}) for f in ("points", "labels", "styles")}
+    for field, value in fields.items():
+        if not isinstance(value, dict):
+            raise SceneError(f"{field!r} must be a JSON object")
     points = {}
-    for name, triple in data.get("points", {}).items():
-        if len(triple) != 3:
+    for name, triple in fields["points"].items():
+        if not _is_array(triple, 3):
             raise SceneError(f"point {name!r} must have three coordinates")
         points[name] = hpoint(*(_c(v) for v in triple))
-    return Scene(model, points, data.get("labels"), data.get("styles"))
+    return Scene(model, points, fields["labels"], fields["styles"])
 
 
 def load_scene(path, strict: bool = True) -> Scene:

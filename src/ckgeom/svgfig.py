@@ -46,7 +46,7 @@ class Figure:
             raise GeometryError("only real-representable conics can be drawn")
         drawn = self._conic_as_ellipse(rows, stroke, width, dashed)
         if not drawn:
-            self._conic_as_polyline(conic, stroke, width, dashed)
+            self._conic_as_polyline(rows, stroke, width)
 
     def _conic_as_ellipse(self, rows, stroke, width, dashed):
         import numpy as np
@@ -77,15 +77,14 @@ class Figure:
         )
         return True
 
-    def _conic_as_polyline(self, conic, stroke, width, dashed):
+    def _conic_as_polyline(self, rows, stroke, width):
         import numpy as np
 
         # sample by vertical lines; draw each branch as dots
         pts = []
+        a = rows[1][1]
         for x in np.linspace(-BOX, BOX, 257):
             # solve conic(x, y) = 0 for y
-            rows = conic.real_rows()
-            a = rows[1][1]
             bq = 2 * (rows[0][1] * x + rows[1][2])
             cq = rows[0][0] * x * x + 2 * rows[0][2] * x + rows[2][2]
             disc = bq * bq - 4 * a * cq
@@ -95,11 +94,10 @@ class Figure:
                 y = (-bq + sign * math.sqrt(disc)) / (2 * a)
                 if abs(y) <= BOX:
                     pts.append((x, y))
-        dash = ' stroke-dasharray="6,5"' if dashed else ""
         for x, y in pts:
             sx, sy = _to_svg(x, y)
             self.add(f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="{width * 0.6:.2f}" '
-                     f'fill="{stroke}"{dash and ""}/>')
+                     f'fill="{stroke}"/>')
 
     def line(self, line: HLine, stroke="#444", width=1.2, dashed=False):
         u, v, w = real_triple(line)

@@ -277,12 +277,10 @@ def right_angled_magnitudes(cfg: PolarTriangleConfig):
     return (kind, *_lengths(cfg, _SEGMENTS))
 
 
-def table_5_1(cfg: PolarTriangleConfig, kind: str | None = None):
+def table_5_1(cfg: PolarTriangleConfig):
     """Evaluate all six unsquared rows for the figure, returning
     [(row, lhs, rhs, residual)] from independently measured magnitudes."""
-    found, families, mags = right_angled_magnitudes(cfg)
-    if kind is not None and kind != found:
-        raise KindMismatch(f"expected {kind}, classified {found}")
+    _, families, mags = right_angled_magnitudes(cfg)
     return table_rows(families, mags)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,7 +8,13 @@ from ckgeom import conics as cn
 from ckgeom import errors
 from ckgeom import metric as mt
 from ckgeom import projective as pj
-from ckgeom.projective import affine_point, hpoint, join_points, points_equal
+from ckgeom.projective import (
+    affine_point,
+    hpoint,
+    join_points,
+    meet_lines,
+    points_equal,
+)
 from ckgeom.tolerance import get_tol
 from conftest import ambient_tol, exterior_point, interior_point
 
@@ -147,8 +154,12 @@ def test_symmetric_triangle_centers_on_axis(hyp):
     on_axis = [b for _, b, _ in rep.barycenters
                if pj.incidence_residual(axis, b) < 1e-9]
     assert on_axis
-    s, res = ce.pseudo_spieker(cfg)
-    assert res < 1e-10
+    # the pseudo-Spieker point, where DD', EE' and FF' concur
+    d = cfg.dual
+    dd, ee, ff = (join_points(m, m2) for m, m2 in
+                  ((cfg.D, d.D), (cfg.E, d.E), (cfg.F, d.F)))
+    s = meet_lines(dd, ee)
+    assert pj.incidence_residual(ff, s) < 1e-10
     assert pj.incidence_residual(axis, s) < 1e-9
     eu = cfg.euler()
     assert pj.lines_equal(eu.line, axis, 1e-8)
@@ -203,9 +214,15 @@ def test_midpoint_quadrilateral_residual(hyp, ell, rng):
 
 
 def test_concurrency_graph(hyp, ell, rng):
+    # all six pairwise perspectivities of T, T', (1/2)T and (1/2)T'
     for model in (hyp, ell):
         cfg = random_cfg(model, rng)
-        assert ce.concurrency_graph_residual(cfg) < 1e-9
+        d = cfg.dual
+        tris = ((cfg.A, cfg.B, cfg.C), (d.A, d.B, d.C),
+                (cfg.D, cfg.E, cfg.F), (d.D, d.E, d.F))
+        for us, vs in itertools.combinations(tris, 2):
+            lines = (join_points(u, v) for u, v in zip(us, vs))
+            assert pj.concurrency_residual(*lines) < 1e-9
 
 
 def test_experimental_conjectures_report(hyp, rng):
@@ -429,7 +446,7 @@ def test_dual_view_swaps_the_slots_of_t_and_its_polar_triangle(hyp, rng,
     ]
     assert len(same) == len(swap)
     assert all(got is want for got, want in same)
-    cfg.classical(), cfg.pseudo(), cfg.euler(), ce.pseudo_spieker(cfg)
+    cfg.classical(), cfg.pseudo(), cfg.euler()
     # a name the swap does not map is no attribute of the view: the foot HA
     # of T, say, is not the foot on a' of T'
     for name in ("HA", "H", "magic", "iso_flags", "classical", "no_such"):

@@ -110,6 +110,37 @@ def test_compute_malformed_scene(tmp_path, capsys):
                     "A", "B"]) == 2
 
 
+_CIRCLE = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+           [[0, 0], [0, 0], [-1, 0]]]
+_ZERO = [[[0, 0]] * 3] * 3
+_RANK_TWO = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+             [[0, 0], [0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "--op", "distance", "A", "B"],
+    ["figure", "--figure", "euler-line"],
+], ids=["compute", "figure"])
+@pytest.mark.parametrize("scene", [
+    {"conic": 5},
+    {"conic": _CIRCLE, "points": {"A": 5}},
+    {"conic": _CIRCLE, "points": [1]},
+    {"conic": _ZERO},
+    {"conic": _RANK_TWO},
+], ids=["conic-not-a-matrix", "point-not-a-list", "points-not-an-object",
+        "zero-conic", "rank-two-conic"])
+def test_malformed_scene_is_an_input_error(tmp_path, capsys, command, scene):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scene))
+    args = [command[0], "--scene", str(path), *command[1:]]
+    if command[0] == "figure":
+        args += ["-o", str(tmp_path / "x.svg")]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scene error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_scene_strict_mode(tmp_path):
     data = {
         "conic": [[[1, 0], [0, 0], [0, 0]],

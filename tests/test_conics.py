@@ -206,6 +206,12 @@ def test_cross_ratio_on_conic(circle):
     r = cn.cross_ratio_on_conic(circle, *pts)
     r_swap = cn.cross_ratio_on_conic(circle, pts[1], pts[0], pts[2], pts[3])
     assert abs(r_swap - 1.0 / r) < 1e-9
+    # Steiner: the pencil joining any fifth point of the conic to the four
+    # has the same cross ratio, whichever input the value was taken at
+    for t in (2.9, 5.5):
+        x = circle_pt(t)
+        pencil = pj.cross_ratio_lines(*(join_points(x, p) for p in pts))
+        assert abs(pencil - r) < 1e-9 * max(1.0, abs(r))
     with pytest.raises(errors.PointNotOnConic):
         cn.cross_ratio_on_conic(circle, affine_point(0, 0), *pts[1:])
 
@@ -222,8 +228,7 @@ def test_cross_ratio_on_conic_needs_no_auxiliary_points(monkeypatch):
 
         monkeypatch.setattr(cn, name, counting)
     pts = [circle_pt(t) for t in (0.3, 1.1, 2.0, 4.4)]
-    for with_check in (True, False):
-        cn.cross_ratio_on_conic(cn.unit_circle(), *pts, with_check=with_check)
+    cn.cross_ratio_on_conic(cn.unit_circle(), *pts)
     assert calls == []
 
 
@@ -246,9 +251,8 @@ def test_cross_ratio_on_degenerate_conic_raises():
     pair = cn.Conic(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     assert pair.is_degenerate()
     pts = [hpoint(1, 0, 1), hpoint(2, 0, 1), hpoint(0, 1, 1), hpoint(0, 3, 1)]
-    for with_check in (True, False):
-        with pytest.raises(errors.DegenerateConic):  # a GeometryError
-            cn.cross_ratio_on_conic(pair, *pts, with_check=with_check)
+    with pytest.raises(errors.DegenerateConic):  # a GeometryError
+        cn.cross_ratio_on_conic(pair, *pts)
 
 
 def _list_real(phi, t):
@@ -377,7 +381,7 @@ def test_cross_ratio_on_conic_against_exact_oracle(hyp, rng):
         return det(x, a, c) * det(x, b, d) / (det(x, b, c) * det(x, a, d))
 
     def error(quad):
-        val = cn.cross_ratio_on_conic(hyp.absolute, *quad, with_check=False)
+        val = cn.cross_ratio_on_conic(hyp.absolute, *quad)
         ref = exact(quad)
         return float(abs(mp.mpc(val.real, val.imag) - ref)), float(abs(ref))
 

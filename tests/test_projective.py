@@ -19,7 +19,6 @@ from ckgeom.projective import (
     cross_ratio_lines,
     cross_ratio_points,
     harmonic_conjugate,
-    harmonic_involution,
     hline,
     hpoint,
     involution_from_pairs,
@@ -430,7 +429,7 @@ def test_involution_fixed_points_cases(rng, hyp):
     from ckgeom import conics as cn
 
     # harmonic conjugacy w.r.t. affine 0 and 1 fixes exactly those points
-    inv = harmonic_involution(X_AXIS, x_pt(0), x_pt(1))
+    inv = involution_from_pairs(X_AXIS, (x_pt(0), x_pt(0)), (x_pt(1), x_pt(1)))
     f1, f2 = inv.fixed_points()
     got = sorted(((f1[0] / f1[2]).real, (f2[0] / f2[2]).real))
     assert abs(got[0]) < 1e-12 and abs(got[1] - 1) < 1e-12
@@ -489,7 +488,7 @@ def test_involution_from_pairs_closed_form(complex_coords):
             assert points_equal(sigma(y), x)
             assert points_equal(sigma(sigma(x)), x)
         # harmonic involution: the pairs (f1, f1) and (f2, f2)
-        h = harmonic_involution(line, p, p2)
+        h = involution_from_pairs(line, (p, p), (p2, p2))
         assert points_equal(h(q), harmonic_conjugate(p, p2, q,
                                                      join_points(p, p2)))
         # a pair (F, F) fixes F; the same pair twice determines nothing

@@ -7,30 +7,35 @@ from ckgeom import conics as cn
 from ckgeom import errors
 from ckgeom import metric as mt
 from ckgeom import rays as ry
-from ckgeom.projective import HPoint, affine_point, hline, hpoint, points_equal
+from ckgeom.projective import (
+    HPoint,
+    affine_point,
+    incidence_residual,
+    points_equal,
+)
 from conftest import exterior_point, interior_point
 
 
-def test_split_rays_center(hyp):
+def test_rays_from_the_center(hyp):
+    # the two rays into which the center divides the x-axis end at (-1, 0)
+    # and (1, 0): `ray_towards` picks the target's end, `other_trace` the other
     p = affine_point(0, 0)
-    r1, r2 = ry.split_rays(hyp, p, hline(0, 1, 0))
-    ends = {tuple(round(c.real, 9) for c in r.endpoint) for r in (r1, r2)}
-    assert points_equal(r1.endpoint, affine_point(-1, 0)) or \
-        points_equal(r2.endpoint, affine_point(-1, 0))
-    assert cn.conic_residual(hyp.absolute, r1.endpoint) < 1e-12
-    with pytest.raises(errors.PointNotInterior):
-        ry.split_rays(hyp, affine_point(2, 0), hline(0, 1, 0))
-    with pytest.raises(errors.LineNotThroughPoint):
-        ry.split_rays(hyp, affine_point(0.1, 0.1), hline(0, 1, 0))
+    left = ry.ray_towards(hyp, p, affine_point(-0.5, 0))
+    assert points_equal(left.endpoint, affine_point(-1, 0))
+    assert points_equal(ry.other_trace(left, hyp.absolute), affine_point(1, 0))
+    right = ry.ray_towards(hyp, p, affine_point(0.5, 0))
+    assert points_equal(right.endpoint, affine_point(1, 0))
 
 
-def test_split_rays_random(hyp, rng):
+def test_ray_endpoints_lie_on_the_absolute(hyp, rng):
     for _ in range(10):
         p = interior_point(rng, 0.7)
-        line = ry.join_points(p, interior_point(rng))
-        r1, r2 = ry.split_rays(hyp, p, line)
-        for r in (r1, r2):
-            assert cn.conic_residual(hyp.absolute, r.endpoint) < 1e-10
+        r = ry.ray_towards(hyp, p, interior_point(rng))
+        opposite = ry.other_trace(r, hyp.absolute)
+        assert not points_equal(r.endpoint, opposite)
+        for end in (r.endpoint, opposite):
+            assert cn.conic_residual(hyp.absolute, end) < 1e-10
+            assert incidence_residual(r.carrier, end) < 1e-10
 
 
 def test_angles_at_center_conformal(hyp):
@@ -147,7 +152,7 @@ def test_ray_angle_cross_ratios_rescaling_invariant(hyp, rng):
             b2 = ry.other_trace(r2, absolute)
             quads = ((u, v, r1.endpoint, r2.endpoint),
                      (r1.endpoint, r2.endpoint, b2, a2))
-            values = [cn.cross_ratio_on_conic(absolute, *q, with_check=False)
+            values = [cn.cross_ratio_on_conic(absolute, *q)
                       for q in quads]
         except errors.GeometryError:
             continue
@@ -156,7 +161,7 @@ def test_ray_angle_cross_ratios_rescaling_invariant(hyp, rng):
             for p in quad:
                 lam = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
                 scaled.append(HPoint(*(lam * x for x in p)))
-            got = cn.cross_ratio_on_conic(absolute, *scaled, with_check=False)
+            got = cn.cross_ratio_on_conic(absolute, *scaled)
             assert abs(got - val) < 1e-9 * max(1.0, abs(val))
         checked += 1
     assert checked >= 15

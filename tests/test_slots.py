@@ -31,18 +31,23 @@ def _slots(tree):
                     yield cls.name, name
 
 
+def _attribute_reads(node):
+    """The attribute names that one node reads, its children aside."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if (node.func.id == "getattr" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+        elif node.func.id == "attrgetter":
+            for arg in node.args:
+                if isinstance(arg, ast.Constant):
+                    yield from arg.value.split(".")
+
+
 def _reads(tree):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if (node.func.id == "getattr" and len(node.args) >= 2
-                    and isinstance(node.args[1], ast.Constant)):
-                yield node.args[1].value
-            elif node.func.id == "attrgetter":
-                for arg in node.args:
-                    if isinstance(arg, ast.Constant):
-                        yield from arg.value.split(".")
+        yield from _attribute_reads(node)
 
 
 def test_every_slot_is_read():

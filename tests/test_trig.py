@@ -227,12 +227,12 @@ def test_t456_derivable_from_t123():
 
 
 def test_kind_mismatch():
-    cfg = lab_cfg("right:hyp-right", trial=1)
-    with pytest.raises(errors.KindMismatch):
-        tg.table_5_1(cfg, kind=tg.PENTAGON)
+    # the table reads its kind from the config: a generic one has none
     gen = lab_cfg("generic", trial=1)
     with pytest.raises(errors.KindMismatch):
         tg.right_angled_kind(gen)
+    with pytest.raises(errors.KindMismatch):
+        tg.table_5_1(gen)
 
 
 # -- general squared laws ----------------------------------------------------
