@@ -97,7 +97,7 @@ class PolarTriangleConfig:
         if collinearity_residual(A, B, C) <= t:
             raise GeneralPositionViolation("vertices are collinear")
         for name, v in (("A", A), ("B", B), ("C", C)):
-            if model.on_absolute(v):
+            if cn.point_on_conic(model.absolute, v):
                 raise GeneralPositionViolation(f"vertex {name} lies on the absolute")
         self.a = join_points(B, C)
         self.b = join_points(C, A)
@@ -109,7 +109,7 @@ class PolarTriangleConfig:
         self.Bp = cn.pole(phi, self.b)
         self.Cp = cn.pole(phi, self.c)
         for name, v in (("A'", self.Ap), ("B'", self.Bp), ("C'", self.Cp)):
-            if model.on_absolute(v):
+            if cn.point_on_conic(model.absolute, v):
                 raise GeneralPositionViolation(
                     f"polar vertex {name} on the absolute (tangent side)")
         verts = (("A", A), ("B", B), ("C", C),
@@ -605,7 +605,7 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
         report["center_is_HP_midpoint"] = min(
             point_gap(center, m1), point_gap(center, m2))
         try:
-            axis2 = mt.perpendicular_through(cfg.model, eu.line, center)
+            axis2 = join_points(center, e_pole)  # perpendicular to e
             report["second_axis_symmetry"] = axis_symmetry(cn.pole(phi, axis2))
         except GeometryError as exc:
             report["second_axis_error"] = repr(exc)

@@ -213,6 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        get_tol()
+    except ValueError as exc:  # a bad GEOM_TOL
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    try:
         return args.func(args)
     except UnknownTheorem as exc:
         print(f"unknown theorem: {exc}", file=sys.stderr)

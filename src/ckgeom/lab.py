@@ -200,8 +200,8 @@ _SCENE_MARGIN = 0.01
 
 
 def _conditioned(pts) -> bool:
-    # the nominal guard floor is MIN_SEPARATION; the sweep tolerances assume
-    # this stronger one (see the decisions ledger)
+    # every scene kind ends with this test: the nominal guard floor is
+    # MIN_SEPARATION; the sweep tolerances assume this stronger one
     return (_well_separated(pts, _SCENE_SEPARATION)
             and abs(collinearity_residual(*pts)) > _SCENE_MARGIN)
 
@@ -235,7 +235,7 @@ def _try_isosceles(rng, model):
     A = affine_point(u0 * e[0], u0 * e[1])
     B = affine_point(u1 * e[0] + v1 * f[0], u1 * e[1] + v1 * f[1])
     C = affine_point(u1 * e[0] - v1 * f[0], u1 * e[1] - v1 * f[1])
-    if not (_well_separated([A, B, C]) and _triangle_margin(A, B, C)):
+    if not _conditioned([A, B, C]):
         return None
     cfg = ce.build_config(model, A, B, C)
     return None if cfg.is_right_angled() else cfg
@@ -252,7 +252,7 @@ def _try_hexagon(rng, model):
     A = meet_lines(b, c)
     B = meet_lines(c, a)
     C = meet_lines(a, b)
-    if not _well_separated([A, B, C]):
+    if not _conditioned([A, B, C]):
         return None
     cfg = ce.build_config(model, A, B, C)
     if cfg.is_right_angled() or tg.classify_generalized(cfg) != tg.HEXAGON:
@@ -297,7 +297,7 @@ def _try_right(figure):
             except GeometryError:
                 continue
             if tg.right_angled_kind(cfg) == figure:
-                return cfg
+                return cfg if _conditioned([A, B, C]) else None
         return None
     return try_right
 
@@ -527,7 +527,7 @@ def _tangent_triangle(rng, model, n_tangent):
                 and abs(collinearity_residual(A, B, C)) > 0.02):
             continue
         for v in (A, B, C):
-            if model.on_absolute(v):
+            if cn.point_on_conic(model.absolute, v):
                 break
         else:
             return A, B, C

@@ -2,10 +2,9 @@
 
 A ModelGeometry wraps the absolute conic: a real conic gives the hyperbolic
 plane (interior points), an imaginary one the elliptic plane (all of RP^2).
-Distances and Laguerre angles are logarithms of cross ratios against the
-absolute.  The squared trigonometric ratios C/S/T are the closed forms of
-the absolute's bilinear form B and adjugate (`squared_trig`), so the
-magnitudes read by `distance` and `angle_lines` stay an independent route.
+Distances, angles, line status and the squared ratios C/S/T
+(`squared_trig`) are closed forms of the absolute's bilinear form B and of
+its dual, adj(M) on lines; no line is intersected with the absolute.
 Midpoints, point symmetries and the geometric translations of C/S/T live
 here.  The translation table (`segment_measure`) tags each segment's
 magnitude, and each tag names the root family (`FAMILY`, `ROOTS`) through
@@ -24,6 +23,7 @@ from .errors import (
     DegenerateConic,
     EndpointOnConic,
     PointOutsideModel,
+    TangentLine,
     VertexOutsideModel,
 )
 from .projective import (
@@ -31,10 +31,8 @@ from .projective import (
     HPoint,
     dot,
     cross_apart,
-    cross_ratio,
     is_real_triple,
     join_points,
-    meet_lines,
     normalized,
     real_triple,
     triple_eq,
@@ -49,6 +47,16 @@ EXTERIOR = "exterior"
 ON_CONIC = "on_conic"
 
 
+def _bilinear(r, u, v) -> float:
+    """The bilinear form of the symmetric real rows `r` on real triples."""
+    return (
+        r[0][0] * u[0] * v[0] + r[1][1] * u[1] * v[1] + r[2][2] * u[2] * v[2]
+        + r[0][1] * (u[0] * v[1] + u[1] * v[0])
+        + r[0][2] * (u[0] * v[2] + u[2] * v[0])
+        + r[1][2] * (u[1] * v[2] + u[2] * v[1])
+    )
+
+
 class ModelGeometry:
     """Absolute conic plus derived sign conventions.
 
@@ -56,7 +64,7 @@ class ModelGeometry:
     (+,+,-), so interior points have a negative quadratic form.
     """
 
-    __slots__ = ("absolute", "kind", "real_rows")
+    __slots__ = ("absolute", "kind", "real_rows", "dual_rows")
 
     def __init__(self, absolute: cn.Conic):
         if absolute.is_degenerate():
@@ -75,21 +83,15 @@ class ModelGeometry:
                 rows = tuple(tuple(-c for c in r) for r in rows)
         self.absolute = absolute
         self.real_rows = rows
-
-    def form(self, p: HPoint) -> float:
-        """Real quadratic form of a real point against the real representative."""
-        x, y, z = real_triple(p)
-        r = self.real_rows
-        return (
-            r[0][0] * x * x + r[1][1] * y * y + r[2][2] * z * z
-            + 2 * (r[0][1] * x * y + r[0][2] * x * z + r[1][2] * y * z)
-        )
+        self.dual_rows = tuple(tuple(c.real for c in r)
+                               for r in absolute.adjugate())
 
     def side(self, p: HPoint) -> str:
         t = get_tol()
         if not is_real_triple(p, t):
             return EXTERIOR
-        v = self.form(p)
+        u = real_triple(p)  # the form of the real representative
+        v = _bilinear(self.real_rows, u, u)
         if abs(v) <= 1e3 * t:
             return ON_CONIC
         if self.kind == ELLIPTIC:
@@ -99,11 +101,28 @@ class ModelGeometry:
     def is_interior(self, p: HPoint) -> bool:
         return self.side(p) == INTERIOR
 
-    def on_absolute(self, p: HPoint) -> bool:
-        return cn.conic_residual(self.absolute, p) <= 1e3 * get_tol()
-
     def line_status(self, line: HLine) -> str:
-        return cn.line_conic_meet(self.absolute, line).status
+        """Secant iff Q*(l) = l^T adj(M) l < 0 (`dual_rows`; adj(-M) =
+        adj(M)), as for the unit circle, where adj(M) = diag(-1, -1, 1), and
+        any real absolute in a projective frame; lines of the elliptic plane
+        and lines that are not real are exterior.
+
+        The tangent band |Q*(l)| <= 250 tol restates `line_conic_meet`'s,
+        whose points p, q of modulus one on a normalized l have p x q = +-l:
+        by the Lagrange identity its discriminant is -4 Q*(l), and its band
+        |Q*(l)| <= 250 tol max(1, s^2), s the largest coefficient of its
+        quadratic.  Near tangents of the unit circle s <= 1 + 250 tol, so
+        the two agree but for the rounding of the threshold; for any
+        normalized absolute s <= 18: they part only within a factor 324.
+        """
+        t = get_tol()
+        if not is_real_triple(line, t):
+            return cn.EXTERIOR
+        u = real_triple(line)
+        q = _bilinear(self.dual_rows, u, u)
+        if 4 * abs(q) <= 1e3 * t:
+            return cn.TANGENT
+        return cn.SECANT if q < 0 else cn.EXTERIOR
 
 
 def hyperbolic_model() -> ModelGeometry:
@@ -117,46 +136,37 @@ def elliptic_model() -> ModelGeometry:
 def distance(model: ModelGeometry, a: HPoint, b: HPoint) -> float:
     """Non-euclidean distance, curvature -1 (hyperbolic) or +1 (elliptic).
 
-    Half the log of the cross ratio against the absolute trace; the absolute
-    value fixes the branch so that the result is a metric.  In the elliptic
-    case the value is the length of the shorter of the two segments bounded
-    by a and b, in [0, pi/2].
+    asinh sqrt|S| or atan2(sqrt|S|, sqrt|C|) of `squared_trig`; in the
+    elliptic case the length of the shorter of the two segments bounded by
+    a and b, in [0, pi/2].
     """
     if model.kind == HYPERBOLIC:
         if not model.is_interior(a) or not model.is_interior(b):
             raise PointOutsideModel("distance needs interior points")
-    if triple_eq(a, b):
+    try:
+        c, s, _ = squared_trig(model, a, b)
+    except CoincidentPoints:  # the test of `triple_eq`
         return 0.0
-    line = join_points(a, b)
-    u, v = cn.line_conic_meet(model.absolute, line).points
-    r = cross_ratio(u, v, a, b, carrier=line)
-    if model.kind == HYPERBOLIC:
-        return 0.5 * abs(math.log(abs(r)))
-    return 0.5 * abs(cmath.phase(r))
+    return READ["H" if model.kind == HYPERBOLIC else "C"](c, s)
 
 
 def angle_lines(model: ModelGeometry, a: HLine, b: HLine) -> float:
     """Laguerre angle between two lines meeting inside the model, in [0, pi/2].
 
-    An angle between lines cannot be told from its supplement, so the value
-    is folded onto the acute branch.
+    atan2 of the dual ratios C* = B*(a,b)^2 / (Q*(a)Q*(b)) and, by the
+    Lagrange identity and adj(adj M) = det(M) M, S* = det(M) Q(a x b) /
+    (Q*(a)Q*(b)).  An angle between lines cannot be told from its
+    supplement, so the value is folded onto the acute branch.
     """
-    if triple_eq(a, b):
+    n = cross_apart(a, b, get_tol())
+    if n is None:
         return 0.0
-    p = meet_lines(a, b)
-    if not model.is_interior(p):
+    if not model.is_interior(normalized(HPoint, *n)):
         raise VertexOutsideModel("angle vertex must be inside the model")
-    pol = cn.polar(model.absolute, p)
-    u_pt, v_pt = cn.line_conic_meet(model.absolute, pol).points
-    u = join_points(p, u_pt)
-    v = join_points(p, v_pt)
-    r = cross_ratio(u, v, a, b, carrier=p)
-    return 0.5 * abs(cmath.phase(r))
-
-
-def perpendicular_through(model: ModelGeometry, line: HLine, p: HPoint) -> HLine:
-    """The line through p orthogonal to `line` (join with the pole)."""
-    return join_points(p, cn.pole(model.absolute, line))
+    phi = model.absolute
+    ma, mb = ([dot(r, line) for r in phi.adjugate()] for line in (a, b))
+    q = dot(a, ma) * dot(b, mb)
+    return READ["C"](dot(ma, b) ** 2 / q, phi.det() * phi.value(n) / q)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +224,7 @@ def midpoints(model: ModelGeometry, a: HPoint, b: HPoint):
 
 def point_symmetry(model: ModelGeometry, center: HPoint, p: HPoint) -> HPoint:
     """Harmonic homology with the given center and its polar as axis."""
-    if model.on_absolute(center):
+    if cn.point_on_conic(model.absolute, center):
         raise CenterOnConic("symmetry center cannot lie on the absolute")
     q = model.absolute.apply(center)  # polar of the center, unnormalized
     qc = dot(q, center)
@@ -237,7 +247,7 @@ def squared_trig(model: ModelGeometry, a: HPoint, b: HPoint):
     Q(a)Q(b) - B(a,b)^2 = (a x b)^T adj(M) (a x b),
     S = (a x b)^T adj(M) (a x b) / (Q(a)Q(b)), which keeps the digits that
     1 - C loses on close endpoints.  Endpoints on the absolute raise
-    EndpointOnConic (the test of `on_absolute`, on the same Q), coincident
+    EndpointOnConic (the test of `point_on_conic`, on the same Q), coincident
     ones CoincidentPoints (the test of `join_points`).
 
     A right segment (B(a,b) = 0) yields (0, 1, inf); the test is
@@ -290,6 +300,13 @@ FAMILY = {
     TAG_HYP_INT_INT: "H", TAG_HYP_EXT_EXT: "H",
     TAG_HYP_MIXED: "M",
 }
+# Each family's magnitude v >= 0 from the squared C and S (`_predict`
+# inverted): C = cos^2 v, S = sin^2 v; S = -sinh^2 v; C = -sinh^2 v.
+READ = {
+    "C": lambda c, s: math.atan2(math.sqrt(abs(s)), math.sqrt(abs(c))),
+    "H": lambda c, s: math.asinh(math.sqrt(abs(s))),
+    "M": lambda c, s: math.asinh(math.sqrt(abs(c))),
+}
 
 
 class TrigValue:
@@ -325,28 +342,20 @@ def segment_measure(model: ModelGeometry, a: HPoint, b: HPoint):
     hyp exterior/exterior,
       secant line          -> ||a_p b_p||                               H
     hyp exterior line      -> angle between the polars                  C
+
+    The value is the segment's own C and S read through its family
+    (`READ`).  A segment on a tangent line raises TangentLine.
     """
-    if model.kind == ELLIPTIC:
-        return TAG_ELLIPTIC, distance(model, a, b)
-    line = join_points(a, b)
-    status = model.line_status(line)
-    sa = model.side(a)
-    sb = model.side(b)
-    if status == cn.EXTERIOR:
-        pa = cn.polar(model.absolute, a)
-        pb = cn.polar(model.absolute, b)
-        return TAG_HYP_EXT_LINE, angle_lines(model, pa, pb)
-    if sa == INTERIOR and sb == INTERIOR:
-        return TAG_HYP_INT_INT, distance(model, a, b)
-    if sa == INTERIOR and sb == EXTERIOR:
-        bp = cn.conjugate_point(model.absolute, b, line)
-        return TAG_HYP_MIXED, distance(model, a, bp)
-    if sa == EXTERIOR and sb == INTERIOR:
-        ap = cn.conjugate_point(model.absolute, a, line)
-        return TAG_HYP_MIXED, distance(model, ap, b)
-    ap = cn.conjugate_point(model.absolute, a, line)
-    bp = cn.conjugate_point(model.absolute, b, line)
-    return TAG_HYP_EXT_EXT, distance(model, ap, bp)
+    c, s, _ = squared_trig(model, a, b)
+    tag = TAG_ELLIPTIC
+    if model.kind == HYPERBOLIC:
+        status = model.line_status(join_points(a, b))
+        if status == cn.TANGENT:
+            raise TangentLine("a segment on a tangent line has no reading")
+        inside = (model.side(a) == INTERIOR) + (model.side(b) == INTERIOR)
+        tag = (TAG_HYP_EXT_LINE if status == cn.EXTERIOR else
+               (TAG_HYP_EXT_EXT, TAG_HYP_MIXED, TAG_HYP_INT_INT)[inside])
+    return tag, READ[FAMILY[tag]](c, s)
 
 
 def _predict(tag, v):
@@ -365,49 +374,41 @@ def _predict(tag, v):
 
 def translate_trig(model: ModelGeometry, a: HPoint, b: HPoint) -> TrigValue:
     """Tag the squared ratios of a segment with their non-euclidean reading
-    and cross-check them against the independently measured magnitude."""
+    and check them against the ratios its tag's family predicts."""
     c, s, t = squared_trig(model, a, b)
     tag, v = segment_measure(model, a, b)
     return TrigValue(c, s, t, tag, v, _predict(tag, v))
 
 
 # ---------------------------------------------------------------------------
-# elliptic representative-vector helpers (independent measurement oracle)
+# elliptic sides and angles on real representatives
 # ---------------------------------------------------------------------------
 
-def elliptic_rep(model: ModelGeometry, p: HPoint):
-    """A unit representative of a real point against the definite form."""
-    x, y, z = real_triple(p)
-    n = math.sqrt(model.form(p))
-    return (x / n, y / n, z / n)
+def _rejection(model, u, v):
+    """v minus its projection onto u, against the definite form."""
+    lam = _bilinear(model.real_rows, u, v) / _bilinear(model.real_rows, u, u)
+    return (v[0] - lam * u[0], v[1] - lam * u[1], v[2] - lam * u[2])
 
 
-def _ell_inner(model, u, v):
-    r = model.real_rows
-    return (
-        r[0][0] * u[0] * v[0] + r[1][1] * u[1] * v[1] + r[2][2] * u[2] * v[2]
-        + r[0][1] * (u[0] * v[1] + u[1] * v[0])
-        + r[0][2] * (u[0] * v[2] + u[2] * v[0])
-        + r[1][2] * (u[1] * v[2] + u[2] * v[1])
-    )
+def _arc(model, u, v) -> float:
+    """The angle in [0, pi] between vectors u and v: atan2 of |u| times the
+    norm of v's rejection from u and of <u, v>, with no clamped acos."""
+    r, f = _rejection(model, u, v), model.real_rows
+    sine = math.sqrt(abs(_bilinear(f, u, u) * _bilinear(f, r, r)))
+    return math.atan2(sine, _bilinear(f, u, v))
 
 
 def elliptic_side(model: ModelGeometry, p: HPoint, q: HPoint) -> float:
-    """Length in (0, pi) of the segment between chosen unit representatives."""
-    c = _ell_inner(model, elliptic_rep(model, p), elliptic_rep(model, q))
-    return math.acos(max(-1.0, min(1.0, c)))
+    """Length in (0, pi) of the segment between the real representatives
+    of p and q (largest component one)."""
+    return _arc(model, real_triple(p), real_triple(q))
 
 
 def elliptic_vertex_angle(model: ModelGeometry, vertex: HPoint,
                           p: HPoint, q: HPoint) -> float:
     """Angle in (0, pi) at `vertex` between the arcs toward p and q, for the
-    chosen unit representatives (tangent-vector formula)."""
-    v = elliptic_rep(model, vertex)
-    out = []
-    for w in (elliptic_rep(model, p), elliptic_rep(model, q)):
-        lam = _ell_inner(model, w, v)
-        tvec = (w[0] - lam * v[0], w[1] - lam * v[1], w[2] - lam * v[2])
-        n = math.sqrt(_ell_inner(model, tvec, tvec))
-        out.append((tvec[0] / n, tvec[1] / n, tvec[2] / n))
-    c = _ell_inner(model, out[0], out[1])
-    return math.acos(max(-1.0, min(1.0, c)))
+    real representatives: the angle between the tangent vectors, the
+    rejections of p and q from the vertex."""
+    v = real_triple(vertex)
+    return _arc(model, _rejection(model, v, real_triple(p)),
+                _rejection(model, v, real_triple(q)))

@@ -81,7 +81,10 @@ def parse_scene(data, strict: bool = True) -> Scene:
     for name, triple in fields["points"].items():
         if not _is_array(triple, 3):
             raise SceneError(f"point {name!r} must have three coordinates")
-        points[name] = hpoint(*(_c(v) for v in triple))
+        try:
+            points[name] = hpoint(*(_c(v) for v in triple))
+        except ValueError as exc:  # a zero or non-finite triple
+            raise SceneError(f"point {name!r}: {exc}") from None
     return Scene(model, points, fields["labels"], fields["styles"])
 
 

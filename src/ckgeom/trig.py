@@ -10,7 +10,7 @@ of sines and cosines with their geometric translations.
 Each identity, law and Carnot product is written once.  Every hyperbolic
 figure length is the translation-table reading (`metric.segment_measure`) of
 a side of T or T', read through the root family of its tag.  Vertex angles
-(rays) and elliptic unit representatives are read outside the table, as
+(rays) and elliptic real representatives are read outside the table, as
 circular.
 """
 
@@ -32,6 +32,7 @@ from .errors import (
     NonConcurrentCevians,
     PointOutsideModel,
     PointsNotConconic,
+    TangentLine,
 )
 from .projective import (
     HLine,
@@ -256,20 +257,15 @@ def right_angled_magnitudes(cfg: PolarTriangleConfig):
     """(kind, families, magnitudes) of a canonical right-angled figure.
 
     The magnitudes (a, b, c, beta, gamma) stand for the segments a, b, c,
-    b', c' of the identities and are measured apart from the cross-ratio
-    route.  Lambert figures are relabeled so the exterior vertex is B.
-    Hyperbolic magnitudes are translation-table readings (the non-right
-    angles are never obtuse); elliptic ones are unit representatives.
+    b', c' of the identities.  Lambert figures are relabeled so the
+    exterior vertex is B.  Hyperbolic magnitudes are translation-table
+    readings (the non-right angles are never obtuse); elliptic ones are
+    read on real representatives.
     """
     kind = right_angled_kind(cfg)
     model = cfg.model
     if kind == ELLIPTIC_RIGHT:
-        a = mt.elliptic_side(model, cfg.B, cfg.C)
-        b = mt.elliptic_side(model, cfg.C, cfg.A)
-        c = mt.elliptic_side(model, cfg.A, cfg.B)
-        beta = mt.elliptic_vertex_angle(model, cfg.B, cfg.C, cfg.A)
-        gamma = mt.elliptic_vertex_angle(model, cfg.C, cfg.A, cfg.B)
-        return kind, "CCCCC", (a, b, c, beta, gamma)
+        return kind, "CCCCC", _elliptic_magnitudes(cfg, (1, 2))
     if kind == OTHER_RIGHT:
         raise KindMismatch(f"no magnitude table for kind {kind}")
     if kind == LAMBERT and model.is_interior(cfg.B):
@@ -277,9 +273,19 @@ def right_angled_magnitudes(cfg: PolarTriangleConfig):
     return (kind, *_lengths(cfg, _SEGMENTS))
 
 
+def _elliptic_magnitudes(cfg: PolarTriangleConfig, corners):
+    """Sides a, b, c of an elliptic triangle, then its angles at the vertex
+    indices `corners` (0 for A), read on real representatives."""
+    m, v = cfg.model, (cfg.A, cfg.B, cfg.C)
+    cyc = [(v[i], v[(i + 1) % 3], v[(i + 2) % 3]) for i in range(3)]
+    return (tuple(mt.elliptic_side(m, q, r) for _, q, r in cyc)
+            + tuple(mt.elliptic_vertex_angle(m, *cyc[i]) for i in corners))
+
+
 def table_5_1(cfg: PolarTriangleConfig):
     """Evaluate all six unsquared rows for the figure, returning
-    [(row, lhs, rhs, residual)] from independently measured magnitudes."""
+    [(row, lhs, rhs, residual)]: hyperbolic rows check the families and
+    signs of the translation table, not a second measurement."""
     _, families, mags = right_angled_magnitudes(cfg)
     return table_rows(families, mags)
 
@@ -365,22 +371,25 @@ def carnot_product(X, Y, Z, X0, Y0, Z0, X1, X2, Y1, Y2, Z1, Z2) -> complex:
 
 def carnot_projective_residual(X, Y, Z, conic: cn.Conic, transversal: HLine):
     """Carnot product against the six conic traces on the sides of the
-    triangle; returns (residual, six points).  The conic membership of the
-    six side intersections is fit-verified."""
+    triangle; returns (residual, six points).  The traces are fit-verified,
+    and a side tangent to the conic raises TangentLine."""
     x = join_points(Y, Z)
     y = join_points(Z, X)
     z = join_points(X, Y)
-    X1, X2 = cn.line_conic_meet(conic, x).points
-    Y1, Y2 = cn.line_conic_meet(conic, y).points
-    Z1, Z2 = cn.line_conic_meet(conic, z).points
-    for p in (X1, X2, Y1, Y2, Z1, Z2):
+    six = []
+    for side in (x, y, z):
+        meet = cn.line_conic_meet(conic, side)
+        if meet.status == cn.TANGENT:  # its two traces are one point
+            raise TangentLine("a side of the triangle touches the conic")
+        six += meet.points
+    for p in six:
         if cn.conic_residual(conic, p) > 1e-6:
             raise PointsNotConconic("side trace drifted off the conic")
     X0 = meet_lines(x, transversal)
     Y0 = meet_lines(y, transversal)
     Z0 = meet_lines(z, transversal)
-    prod = carnot_product(X, Y, Z, X0, Y0, Z0, X1, X2, Y1, Y2, Z1, Z2)
-    return abs(prod - 1.0), (X1, X2, Y1, Y2, Z1, Z2)
+    prod = carnot_product(X, Y, Z, X0, Y0, Z0, *six)
+    return abs(prod - 1.0), tuple(six)
 
 
 def carnot_conjugate(model, X: HPoint, Y: HPoint, w: HPoint) -> HPoint:
@@ -787,15 +796,8 @@ def _laws(figure: str, families: str, mags):
 
 def elliptic_triangle_laws(cfg: PolarTriangleConfig):
     """Measured spherical laws: law of sines spread, law of cosines, dual
-    law of cosines (unit-representative magnitudes, all circular)."""
-    model = cfg.model
-    a = mt.elliptic_side(model, cfg.B, cfg.C)
-    b = mt.elliptic_side(model, cfg.C, cfg.A)
-    c = mt.elliptic_side(model, cfg.A, cfg.B)
-    al = mt.elliptic_vertex_angle(model, cfg.A, cfg.B, cfg.C)
-    be = mt.elliptic_vertex_angle(model, cfg.B, cfg.C, cfg.A)
-    ga = mt.elliptic_vertex_angle(model, cfg.C, cfg.A, cfg.B)
-    return _laws("elliptic", "CCCCCC", (a, b, c, al, be, ga))
+    law of cosines (real-representative magnitudes, all circular)."""
+    return _laws("elliptic", "CCCCCC", _elliptic_magnitudes(cfg, (0, 1, 2)))
 
 
 def hyperbolic_triangle_laws(cfg: PolarTriangleConfig):

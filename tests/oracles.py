@@ -1,6 +1,7 @@
 """Independent oracles for the tests: evaluations that ckgeom itself does
 not use, written apart from the kernel they check."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from ckgeom import metric as mt
 from ckgeom import rays as ry
 from ckgeom import trig as tg
 from ckgeom.errors import ChartDegenerate, EndpointOnConic
-from ckgeom.projective import cross_ratio, join_points, triple_eq
+from ckgeom.projective import cross_ratio, join_points, meet_lines, triple_eq
 from ckgeom.tolerance import get_tol
 
 
@@ -73,7 +74,8 @@ def oracle_squared_trig(model, a, b):
     `ckgeom.metric.squared_trig`.  A right segment (B_p = A or A_p = B)
     yields (0, 1, inf).
     """
-    if model.on_absolute(a) or model.on_absolute(b):
+    if cn.point_on_conic(model.absolute, a) or \
+            cn.point_on_conic(model.absolute, b):
         raise EndpointOnConic("squared_trig needs endpoints off the absolute")
     line = join_points(a, b)
     ap = cn.conjugate_point(model.absolute, a, line)
@@ -83,6 +85,36 @@ def oracle_squared_trig(model, a, b):
     c = cross_ratio(a, b, bp, ap, carrier=line)
     s = 1.0 - c
     return c, s, s / c
+
+
+def oracle_distance(model, a, b):
+    """Half the log of the cross ratio of a, b against the absolute trace of
+    the line ab, folded onto a metric branch: an oracle for the closed form
+    of `ckgeom.metric.distance`.  Hyperbolic values are |log|r|| / 2,
+    elliptic ones |arg r| / 2, in [0, pi/2]."""
+    if triple_eq(a, b):
+        return 0.0
+    line = join_points(a, b)
+    u, v = cn.line_conic_meet(model.absolute, line).points
+    r = cross_ratio(u, v, a, b, carrier=line)
+    if model.kind == mt.HYPERBOLIC:
+        return 0.5 * abs(math.log(abs(r)))
+    return 0.5 * abs(cmath.phase(r))
+
+
+def oracle_angle_lines(model, a, b):
+    """The Laguerre angle of lines a, b: half the argument of their cross
+    ratio against the tangents from their meet to the absolute, in
+    [0, pi/2]; an oracle for the closed form of
+    `ckgeom.metric.angle_lines`."""
+    if triple_eq(a, b):
+        return 0.0
+    p = meet_lines(a, b)
+    u_pt, v_pt = cn.line_conic_meet(model.absolute,
+                                    cn.polar(model.absolute, p)).points
+    r = cross_ratio(join_points(p, u_pt), join_points(p, v_pt), a, b,
+                    carrier=p)
+    return 0.5 * abs(cmath.phase(r))
 
 
 def hand_figure_lengths(cfg, figure):

@@ -6,10 +6,7 @@ import math
 import random
 import time
 
-import pytest
-
 from ckgeom import centers as ce
-from ckgeom import conics as cn
 from ckgeom import errors
 from ckgeom import lab
 from ckgeom import metric as mt

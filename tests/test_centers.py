@@ -16,7 +16,7 @@ from ckgeom.projective import (
     points_equal,
 )
 from ckgeom.tolerance import get_tol
-from conftest import ambient_tol, exterior_point, interior_point
+from conftest import ambient_tol, interior_point
 
 
 def random_cfg(model, rng, radius=0.85):

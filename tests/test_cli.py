@@ -1,5 +1,4 @@
 import json
-import math
 import re
 
 import pytest
@@ -127,8 +126,9 @@ _RANK_TWO = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
     {"conic": _CIRCLE, "points": [1]},
     {"conic": _ZERO},
     {"conic": _RANK_TWO},
+    {"conic": _CIRCLE, "points": {"A": [[0, 0]] * 3}},
 ], ids=["conic-not-a-matrix", "point-not-a-list", "points-not-an-object",
-        "zero-conic", "rank-two-conic"])
+        "zero-conic", "rank-two-conic", "zero-point"])
 def test_malformed_scene_is_an_input_error(tmp_path, capsys, command, scene):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scene))
@@ -139,6 +139,12 @@ def test_malformed_scene_is_an_input_error(tmp_path, capsys, command, scene):
     err = capsys.readouterr().err
     assert err.startswith("scene error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_zero_point_is_a_scene_error():
+    # a library caller that catches SceneError sees it too
+    with pytest.raises(sceneio.SceneError, match="'A'"):
+        sceneio.parse_scene({"conic": _CIRCLE, "points": {"A": [[0, 0]] * 3}})
 
 
 def test_scene_strict_mode(tmp_path):

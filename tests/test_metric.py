@@ -471,3 +471,151 @@ def test_angle_squared_trig_duality(hyp, rng):
         val = pj.cross_ratio_lines(a, b, bp, ap)
         ang = mt.angle_lines(hyp, a, b)
         assert abs(val - math.cos(ang) ** 2) < 1e-9
+
+
+def test_distance_and_angle_match_the_cross_ratio_route(hyp, ell, rng):
+    # the closed forms against half the log of a cross ratio against the
+    # absolute (`oracles`), on well-separated pairs, here and in another
+    # frame, where adj(M) is full and det(M) is not 1
+    for model in (hyp, ell):
+        for _ in range(60):
+            a, b = interior_point(rng), interior_point(rng)
+            if pj.point_gap(a, b) < 0.05:
+                continue
+            want = oracles.oracle_distance(model, a, b)
+            for got in (mt.distance(model, a, b),
+                        mt.distance(*_in_frame(model, a, b))):
+                assert abs(got - want) <= 1e-12 * max(1.0, want)
+            v, p, q = interior_point(rng, 0.7), interior_point(rng), \
+                interior_point(rng)
+            if min(pj.point_gap(v, p), pj.point_gap(v, q),
+                   abs(pj.collinearity_residual(v, p, q))) < 0.05:
+                continue
+            want = oracles.oracle_angle_lines(model, join_points(v, p),
+                                              join_points(v, q))
+            moved, mv, mp_, mq = _in_frame(model, v, p, q)
+            for got in (mt.angle_lines(model, join_points(v, p),
+                                       join_points(v, q)),
+                        mt.angle_lines(moved, join_points(mv, mp_),
+                                       join_points(mv, mq))):
+                assert abs(got - want) <= 1e-12
+    with pytest.raises(errors.VertexOutsideModel):
+        mt.angle_lines(hyp, hline(1, 0, -2), hline(0, 1, -2))
+
+
+def test_distance_keeps_its_digits_near_the_absolute(hyp, rng):
+    # pairs 1e-4 inside the absolute at angles 0.1 or more apart, against
+    # acosh(|B(a,b)| / sqrt(Q(a)Q(b))) at 50 digits on the same rounded
+    # inputs.  The closed form errs only by the rounding of Q(a) and Q(b),
+    # at most 4 eps each in absolute value, which moves d by
+    # 2 eps (1/|Q(a)| + 1/|Q(b)|); about 1e-13 of d here.  The logarithm
+    # of the cross ratio loses more against traces this close to the ends.
+    mp = pytest.importorskip("mpmath")
+    big = lambda v: mp.mpc(v.real, v.imag)
+    m = [[big(v) for v in row] for row in hyp.absolute.matrix_rows()]
+    form = lambda u, w: sum(big(u[i]) * m[i][j] * big(w[j])
+                            for i in range(3) for j in range(3))
+    eps = 2.0 ** -52
+    r = 1.0 - 1e-4
+    worst_old = 0.0
+    with mp.workdps(50):
+        for _ in range(300):
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            ph = th + rng.choice((-1, 1)) * rng.uniform(0.1, math.pi)
+            a = affine_point(r * math.cos(th), r * math.sin(th))
+            b = affine_point(r * math.cos(ph), r * math.sin(ph))
+            qa, qb = form(a, a), form(b, b)
+            exact = mp.acosh(mp.sqrt(abs(form(a, b) ** 2 / (qa * qb))))
+            bound = 2 * eps * float(1 / abs(qa) + 1 / abs(qb) + 2 * exact)
+            assert float(abs(mt.distance(hyp, a, b) - exact)) <= bound
+            assert float(abs(mt.distance(hyp, a, b) - exact) / exact) <= 5e-13
+            worst_old = max(worst_old, float(abs(
+                oracles.oracle_distance(hyp, a, b) - exact) / exact))
+    assert worst_old > 5e-13
+
+
+def _dual_form(model, line):
+    r = model.dual_rows
+    x, y, z = pj.real_triple(line)
+    return (r[0][0] * x * x + r[1][1] * y * y + r[2][2] * z * z
+            + 2 * (r[0][1] * x * y + r[0][2] * x * z + r[1][2] * y * z))
+
+
+def test_line_status_restates_the_line_conic_meet(hyp, ell, rng):
+    # the sign of Q*(l) against the discriminant of `line_conic_meet`, on
+    # random lines (in another frame too), on complex lines, and on lines
+    # swept across tangency to the unit circle, outside a band of 10x the
+    # threshold |Q*(l)| = 250 tol around it
+    def agrees(model, line):
+        assert model.line_status(line) == \
+            cn.line_conic_meet(model.absolute, line).status, line
+
+    thr = 250 * 1e-9
+    seen = set()
+    with ambient_tol(1e-9):
+        for model in (hyp, ell):
+            for _ in range(300):
+                a = exterior_point(rng, 0.0, 3.0)
+                b = exterior_point(rng, 0.0, 3.0)
+                for m, p, q in ((model, a, b), _in_frame(model, a, b)):
+                    line = join_points(p, q)
+                    agrees(m, line)
+                    seen.add((model.kind, m.line_status(line)))
+            for _ in range(20):
+                agrees(model, join_points(_complex_point(rng),
+                                          _complex_point(rng)))
+        for _ in range(200):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            q = rng.choice((-1, 1)) * thr * 10 ** rng.uniform(-3, 3)
+            rho = math.sqrt(1.0 + q)
+            line = hline(math.cos(phi), math.sin(phi), -rho)
+            qd = _dual_form(hyp, line)
+            if thr / 10 < abs(qd) < 10 * thr:
+                continue
+            agrees(hyp, line)
+            seen.add(("sweep", hyp.line_status(line)))
+        agrees(hyp, hline(0.6, 0.8, -1.0))
+    assert seen >= {("hyperbolic", cn.SECANT), ("hyperbolic", cn.EXTERIOR),
+                    ("elliptic", cn.EXTERIOR), ("sweep", cn.SECANT),
+                    ("sweep", cn.TANGENT), ("sweep", cn.EXTERIOR)}
+
+
+def test_status_and_distance_take_no_line_conic_meet(hyp, ell, rng,
+                                                     monkeypatch):
+    # the metric path reads B and adj(M) only; nothing is intersected
+    monkeypatch.setattr(cn, "line_conic_meet", None)
+    for model in (hyp, ell):
+        a, b = interior_point(rng), interior_point(rng)
+        mt.distance(model, a, b)
+        mt.angle_lines(model, join_points(a, b),
+                       join_points(a, interior_point(rng)))
+        model.line_status(join_points(a, b))
+        mt.segment_measure(model, a, exterior_point(rng))
+        mt.segment_measure(model, exterior_point(rng), exterior_point(rng))
+
+
+def test_segment_on_a_tangent_line_has_no_reading(hyp):
+    with pytest.raises(errors.TangentLine):
+        mt.segment_measure(hyp, affine_point(-0.5, 1.0), affine_point(0.7, 1.0))
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-4, 1e-1])
+def test_elliptic_arcs_keep_their_digits_near_zero_and_pi(ell, rng, gap):
+    # atan2 of the rejection's norm and the inner product, against the
+    # closed forms of `distance` and `angle_lines`: a clamped acos keeps
+    # about half the digits of an arc or angle of size `gap`
+    for _ in range(20):
+        a = interior_point(rng, 3.0)
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        b = affine_point(a[0].real + gap * math.cos(th),
+                         a[1].real + gap * math.sin(th))
+        want = mt.distance(ell, a, b)
+        side = mt.elliptic_side(ell, a, b)
+        assert abs(min(side, math.pi - side) - want) <= 1e-9 * want
+        # arcs from a whose chart directions are `gap` apart
+        p, q = (affine_point(a[0].real + 0.5 * math.cos(th + t),
+                             a[1].real + 0.5 * math.sin(th + t))
+                for t in (0.0, gap))
+        want = mt.angle_lines(ell, join_points(a, p), join_points(a, q))
+        ang = mt.elliptic_vertex_angle(ell, a, p, q)
+        assert abs(min(ang, math.pi - ang) - want) <= 1e-9 * want + 1e-15

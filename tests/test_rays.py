@@ -13,7 +13,7 @@ from ckgeom.projective import (
     incidence_residual,
     points_equal,
 )
-from conftest import exterior_point, interior_point
+from conftest import interior_point
 
 
 def test_rays_from_the_center(hyp):
@@ -95,7 +95,6 @@ def test_line_angle_compatibility(hyp, rng):
 def test_acute_obtuse_separation_rule(hyp, rng):
     # positive cosine iff the primary endpoints do not separate the
     # conjugate-line endpoints on the conic
-    from ckgeom.conics import cross_ratio_on_conic
     for _ in range(15):
         o = interior_point(rng, 0.6)
         p = interior_point(rng, 0.8)

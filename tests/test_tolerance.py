@@ -97,12 +97,30 @@ def test_verify_restores_the_ambient_tolerance(monkeypatch):
 
 
 @pytest.mark.parametrize("value", ("", "0", "-1e-9", "nan", "inf"))
-def test_bad_geom_tol_names_it_on_import(value):
+def test_bad_geom_tol_names_it_on_first_use(value):
+    # the import succeeds; the first read of the tolerance raises
     env = dict(os.environ, GEOM_TOL=value, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", "import ckgeom"], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ckgeom; print('imported'); "
+                               "ckgeom.get_tol()"],
+        env=env, capture_output=True, text=True)
     assert proc.returncode != 0
+    assert proc.stdout == "imported\n"
     assert "ValueError: GEOM_TOL must be a positive finite number" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ("", "0", "nan", "x"))
+def test_bad_geom_tol_is_a_cli_usage_error(value):
+    # one line and exit 2, the code of a bad --tol, not a traceback and the
+    # exit 1 of a failed certificate
+    env = dict(os.environ, GEOM_TOL=value, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ckgeom.cli", "verify", "--theorem", "pascal",
+         "--trials", "1", "--tol", "1e-9"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"usage error: GEOM_TOL must be a positive finite number, got {value!r}"]
 
 
 def test_geom_tol_sets_the_ambient_tolerance():

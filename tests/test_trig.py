@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import pytest
@@ -275,6 +274,15 @@ def test_isosceles_cosine_reduces_to_t1():
 
 
 # -- Carnot -----------------------------------------------------------------
+
+def test_a_side_tangent_to_the_conic_has_no_carnot_product():
+    # the side y = 1 touches the circle: its two traces are one point, and
+    # the product would read the contact point twice
+    X, Y, Z = affine_point(-1, 1), affine_point(1, 1), affine_point(0, -0.5)
+    transversal = join_points(affine_point(3, 0), affine_point(0, 3))
+    with pytest.raises(errors.TangentLine):
+        tg.carnot_projective_residual(X, Y, Z, cn.unit_circle(), transversal)
+
 
 def test_carnot_projective_and_converse(rng):
     circle = cn.unit_circle()
