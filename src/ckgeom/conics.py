@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 from .errors import (
+    CoincidentPoints,
     DegenerateConic,
     DegenerateInput,
     LineThroughVertex,
@@ -20,7 +21,6 @@ from .projective import (
     Quadrangle,
     chart_axes,
     cross,
-    cross_apart,
     cross_ratio,
     dot,
     harmonic_conjugate,
@@ -377,12 +377,13 @@ def _pencil_cross_ratio(theta: Conic, quad, k: int) -> complex:
     """Cross ratio of the pencil joining quad[k] to the four conic points:
     the tangent at quad[k] in slot k and for any input coinciding with it."""
     v = quad[k]
-    t = get_tol()
     tangent = polar(theta, v)
     lines = []
     for j, p in enumerate(quad):
-        w = None if j == k else cross_apart(v, p, t)
-        lines.append(tangent if w is None else normalized(HLine, w[0], w[1], w[2]))
+        try:
+            lines.append(tangent if j == k else join_points(v, p))
+        except CoincidentPoints:
+            lines.append(tangent)
     return cross_ratio(*lines, carrier=v)
 
 

@@ -173,17 +173,18 @@ def angle_lines(model: ModelGeometry, a: HLine, b: HLine) -> float:
 # midpoints and symmetries
 # ---------------------------------------------------------------------------
 
-def _point_sort_key(p: HPoint):
-    return (
-        round(p[0].real, 12), round(p[0].imag, 12),
-        round(p[1].real, 12), round(p[1].imag, 12),
-        round(p[2].real, 12), round(p[2].imag, 12),
-    )
-
-
 def sort_point_pair(p: HPoint, q: HPoint):
-    """Canonical (lexicographic) ordering of an unordered point pair."""
-    return (p, q) if _point_sort_key(p) <= _point_sort_key(q) else (q, p)
+    """Canonical ordering of an unordered point pair: lexicographic on the
+    coordinates rounded to 12 decimals, x before y before z and the real
+    part before the imaginary one; equal keys keep (p, q).  The comparison
+    stops at the first pair of rounded values that differ."""
+    for u, v in zip(p, q):
+        x, y = round(u.real, 12), round(v.real, 12)
+        if x == y:
+            x, y = round(u.imag, 12), round(v.imag, 12)
+        if x != y:
+            return (p, q) if x < y else (q, p)
+    return p, q
 
 
 def midpoints(model: ModelGeometry, a: HPoint, b: HPoint):

@@ -53,10 +53,14 @@ class Philox:
         keeping the block as the buffer."""
         c = self._ctr = (self._ctr + 1) & _M256
         x0, x1, x2, x3 = c & _M64, c >> 64 & _M64, c >> 128 & _M64, c >> 192
+        m0, m1, m64 = _MUL0, _MUL1, _M64
         for a, b in self._keys:
-            p, q = _MUL0 * x0, _MUL1 * x2
-            x0, x1, x2, x3 = (q >> 64 ^ x1 ^ a, q & _M64,
-                              p >> 64 ^ x3 ^ b, p & _M64)
+            p = m0 * x0
+            q = m1 * x2
+            x0 = q >> 64 ^ x1 ^ a
+            x1 = q & m64
+            x2 = p >> 64 ^ x3 ^ b
+            x3 = p & m64
         self._buf = x0, x1, x2, x3
         self._pos = 1
         return x0

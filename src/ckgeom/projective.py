@@ -137,18 +137,38 @@ def real_triple(a):
     return (a[0].real, a[1].real, a[2].real)
 
 
+def _normalized_cross(cls, a, b, coincident, what):
+    """normalized(cls, *cross_apart(a, b, get_tol())) in one pass: the
+    divisor is chosen from the moduli of the coincidence test, with the tie
+    order and errors of `normalized`; `coincident` is raised where
+    `cross_apart` is None."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    x, y, z = abs(c0), abs(c1), abs(c2)
+    p, q, r = abs(a0), abs(a1), abs(a2)
+    u, v, w = abs(b0), abs(b1), abs(b2)
+    t = get_tol()
+    if x * x + y * y + z * z <= t * t * (p * p + q * q + r * r) * (u * u + v * v + w * w):
+        raise coincident(f"{what} {a} and {b}")
+    m, c = x, c0
+    if y > m:
+        m, c = y, c1
+    if z > m:
+        m, c = z, c2
+    if m == 0.0:
+        raise ValueError("zero homogeneous triple")
+    if not (m == m and m < math.inf):
+        raise ValueError("non-finite homogeneous triple")
+    return tuple.__new__(cls, (c0 / c, c1 / c, c2 / c))
+
+
 def join_points(p: HPoint, q: HPoint) -> HLine:
-    c = cross_apart(p, q, get_tol())
-    if c is None:
-        raise CoincidentPoints(f"join of coincident points {p} and {q}")
-    return normalized(HLine, c[0], c[1], c[2])
+    return _normalized_cross(HLine, p, q, CoincidentPoints, "join of coincident points")
 
 
 def meet_lines(a: HLine, b: HLine) -> HPoint:
-    c = cross_apart(a, b, get_tol())
-    if c is None:
-        raise CoincidentLines(f"meet of coincident lines {a} and {b}")
-    return normalized(HPoint, c[0], c[1], c[2])
+    return _normalized_cross(HPoint, a, b, CoincidentLines, "meet of coincident lines")
 
 
 def det3(a, b, c) -> complex:

@@ -87,6 +87,17 @@ def oracle_squared_trig(model, a, b):
     return c, s, s / c
 
 
+def oracle_point_sort_key(p):
+    """The coordinates of p rounded to 12 decimals, x before y before z and
+    the real part before the imaginary one: `ckgeom.metric.sort_point_pair`
+    keeps (p, q) exactly when key(p) <= key(q)."""
+    return (
+        round(p[0].real, 12), round(p[0].imag, 12),
+        round(p[1].real, 12), round(p[1].imag, 12),
+        round(p[2].real, 12), round(p[2].imag, 12),
+    )
+
+
 def oracle_distance(model, a, b):
     """Half the log of the cross ratio of a, b against the absolute trace of
     the line ab, folded onto a metric branch: an oracle for the closed form

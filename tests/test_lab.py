@@ -12,7 +12,7 @@ from ckgeom import projective as pj
 from ckgeom import trig as tg
 from ckgeom.projective import affine_point, hpoint
 from ckgeom.philox import Philox
-from conftest import cert_fields
+from conftest import ambient_tol, cert_fields
 from oracles import numpy_philox, oracle_cross_ratio
 
 
@@ -170,6 +170,30 @@ def test_certificates_match_the_recorded_digest():
             n += 1
     assert n == 70
     assert h.hexdigest() == CERTIFICATES_DIGEST
+
+
+# CERTIFICATES_DIGEST reads only each run's worst residual and failures; a
+# moved bit in any other trial shows here.  sha256 of (id, model, eps,
+# counter, residual) of every trial of the 70 runs at seed 20, 30 trials and
+# tol 1e-9, plain and perturbed by the guard's eps.
+TRIALS_DIGEST = (
+    "5d94b3c5c611e5d0d88c78a055276b64b05290a3f38ca89c0c982238ea3277de")
+
+
+def test_every_trial_matches_the_recorded_digest():
+    h = hashlib.sha256()
+    n = 0
+    with ambient_tol(1e-9):
+        for tid in lab.theorem_ids():
+            for model in lab.THEOREMS[tid][1]:
+                for eps in (0.0, 1e-3):
+                    for counter, res in lab._trials(tid, 20, 30, model, 1e-9,
+                                                    eps):
+                        h.update(repr((tid, model, eps, counter,
+                                       res.hex())).encode())
+                        n += 1
+    assert n == 140 * 30
+    assert h.hexdigest() == TRIALS_DIGEST
 
 
 def test_law_cosines_sq_elliptic_repro_passes():

@@ -132,6 +132,65 @@ def _segment(kind, hyp, ell, rng):
     return hyp, affine_point(c - u * s, s + u * c), affine_point(c - v * s, s + v * c)
 
 
+def _assert_sorted_by_the_key(p, q):
+    key = oracles.oracle_point_sort_key
+    for u, v in ((p, q), (q, p)):
+        first, second = mt.sort_point_pair(u, v)
+        if key(u) <= key(v):
+            assert first is u and second is v
+        else:
+            assert first is v and second is u
+
+
+def _fields_point(f):
+    # the HPoint whose rounded key reads the six fields f
+    return pj.HPoint(complex(f[0], f[1]), complex(f[2], f[3]),
+                     complex(f[4], f[5]))
+
+
+def test_sort_point_pair_follows_the_rounded_key(rng):
+    def field():
+        return rng.choice((rng.uniform(-1, 1), float(rng.randint(-2, 2))))
+
+    for _ in range(300):
+        _assert_sorted_by_the_key(_fields_point([field() for _ in range(6)]),
+                                  _fields_point([field() for _ in range(6)]))
+    # agree on the first k rounded fields, by equal values or by values
+    # 1e-14 apart that round together, then differ: the order is read at
+    # field k, whatever the unrounded values and the later fields say
+    for k in range(6):
+        for _ in range(50):
+            f = [field() for _ in range(6)]
+            g = [x + rng.choice((0.0, 1e-14, -1e-14)) for x in f[:k]]
+            g = [y if round(y, 12) == round(x, 12) else x for x, y in zip(f, g)]
+            g += [field() for _ in range(6 - k)]
+            if round(f[k], 12) == round(g[k], 12):
+                g[k] += 0.5
+            p, q = _fields_point(f), _fields_point(g)
+            _assert_sorted_by_the_key(p, q)
+            first = round(f[k], 12) < round(g[k], 12)
+            assert (mt.sort_point_pair(p, q)[0] is p) == first
+
+
+@pytest.mark.parametrize("f, g", [
+    ([0.25, 0.0, -0.5, 0.0, 1.0, 0.0], [0.25, 0.0, -0.5, 0.0, 1.0, 0.0]),
+    ([0.0, 0.0, 1.0, 0.0, 0.5, 0.0], [-0.0, 0.0, 1.0, 0.0, 0.25, 0.0]),
+    ([-0.0, 0.0, 1.0, 0.0, 0.5, 0.0], [0.0, -0.0, 1.0, 0.0, 0.25, 0.0]),
+    ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [-0.0, -0.0, -0.0, -0.0, -0.0, -0.0]),
+    # round together at 12 decimals, then the later fields disagree
+    ([0.1234567890124, 0.0, 0.2, 0.0, 1.0, 0.0],
+     [0.1234567890121, 0.0, 0.3, 0.0, 1.0, 0.0]),
+    ([0.5, 0.3000000000004, 0.2, 0.0, 1.0, 0.0],
+     [0.5, 0.2999999999996, 0.1, 0.0, 1.0, 0.0]),
+    ([0.5, 0.3, 0.2, 0.0, 1.0, -1e-13],
+     [0.5, 0.3, 0.2, 0.0, 1.0, 1e-13]),
+])
+def test_sort_point_pair_on_equal_keys_and_signed_zeros(f, g):
+    p, q = _fields_point(f), _fields_point(g)
+    _assert_sorted_by_the_key(p, q)
+    _assert_sorted_by_the_key(p, _fields_point(f))
+
+
 @pytest.mark.parametrize("kind", ["interior", "mixed", "elliptic", "tangent"])
 def test_midpoints_closed_form_harmonic(hyp, ell, rng, kind):
     # both points are harmonic to {A, B} and to the absolute trace of AB;

@@ -28,6 +28,7 @@ from ckgeom.projective import (
     quadrangular_involution,
     separates,
 )
+from ckgeom.tolerance import get_tol
 from conftest import ambient_tol
 
 X_AXIS = hline(0, 1, 0)
@@ -120,6 +121,96 @@ def test_squared_coincidence_test_matches_sqrt_form(rng, complex_coords):
         assert _coincidence_decisions(a, tuple(lb * x for x in b), t) == (expected,) * 3
     assert counts[True] > 500 and counts[False] > 500
     assert counts[True] + counts[False] >= 2500
+
+
+def _two_pass(cls, a, b):
+    # join and meet by their definition: `cross_apart`, then `normalized`
+    c = pj.cross_apart(a, b, get_tol())
+    if c is None:
+        raise (errors.CoincidentPoints(f"join of coincident points {a} and {b}")
+               if cls is HLine else
+               errors.CoincidentLines(f"meet of coincident lines {a} and {b}"))
+    return pj.normalized(cls, *c)
+
+
+def _outcome(f, *args):
+    # the value's repr (its class, the sign of each zero, a nan), or the
+    # error's class and message
+    try:
+        return repr(f(*args))
+    except (errors.GeometryError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _assert_one_pass_matches(a, b):
+    for cls, f in ((HLine, join_points), (HPoint, meet_lines)):
+        got, want = _outcome(f, a, b), _outcome(_two_pass, cls, a, b)
+        assert got == want, (a, b)
+    return got
+
+
+# pairs whose product a x b has two or three components of equal largest
+# modulus, exactly: the first of them is the divisor
+TIES = [
+    ((1, 1, 0), (0, 0.5, 1)),        # (1, -1, 0.5)
+    ((1, 1j, 0), (0, 0.3, 1)),       # (1j, -1, 0.3)
+    ((1, 1, 0), (0, 0.3, 1j)),       # (1j, -1j, 0.3)
+    ((1, 1, 0), (0, 1, 1)),          # (1, -1, 1)
+    ((1, 1, 0), (0, 1j, 1)),         # (1, -1, 1j)
+    ((0, 1, 1), (1, 0, 0.5)),        # (0.5, 1, -1)
+    ((0, 1, 1), (1j, 0, 0.5)),       # (0.5, 1j, -1j)
+]
+
+
+@pytest.mark.parametrize("a, b", TIES)
+def test_join_and_meet_take_the_first_of_tied_divisors(a, b):
+    a = tuple(complex(x) for x in a)
+    b = tuple(complex(x) for x in b)
+    c = pj.cross(a, b)
+    mods = [abs(x) for x in c]
+    k = mods.index(max(mods))
+    assert mods.count(mods[k]) >= 2
+    for scale in (1.0, -2.0, 0.5j):
+        line = join_points(tuple(scale * x for x in a), b)
+        assert line[k] == 1.0 and all(x == y / c[k] for x, y in zip(line, c))
+        _assert_one_pass_matches(tuple(scale * x for x in a), b)
+
+
+@pytest.mark.parametrize("complex_coords", [False, True])
+def test_join_and_meet_equal_their_two_pass_definition(rng, complex_coords):
+    def coord():
+        x = rng.uniform(-1, 1)
+        return complex(x, rng.uniform(-1, 1)) if complex_coords else complex(x)
+
+    for _ in range(500):
+        _assert_one_pass_matches(hpoint(coord(), coord(), coord()),
+                                 hpoint(coord(), coord(), coord()))
+    # b a rescaled copy of a, pushed off it by about the threshold
+    seen = set()
+    for _ in range(500):
+        t = 10.0 ** rng.uniform(-12, -6)
+        a = hpoint(coord(), coord(), coord())
+        lam = complex(rng.uniform(0.5, 2), rng.uniform(-2, 2) * complex_coords)
+        eps = t * 10.0 ** rng.uniform(-0.3, 0.3)
+        b = tuple(lam * x + eps * coord() for x in a)
+        with ambient_tol(t):
+            got = _assert_one_pass_matches(a, b)
+        seen.add(isinstance(got, str))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("a, b", [
+    ((math.inf, 0, 1), (0, 1, 1)),
+    ((math.nan, 0, 1), (0, 1, 1)),
+    ((0.5, math.nan, 1), (1, 0, 0)),
+    ((1, 0, 0), (0, math.inf, 1)),
+    ((complex(0, math.inf), 1, 0), (0, 0, 1)),
+])
+def test_join_and_meet_treat_non_finite_input_as_their_definition(a, b):
+    a = tuple(complex(x) for x in a)
+    b = tuple(complex(x) for x in b)
+    _assert_one_pass_matches(a, b)
+    _assert_one_pass_matches(b, a)
 
 
 def test_cross_ratio_hand_value():
