@@ -10,12 +10,12 @@ theorem pays only for the groups it reads and every check reads the same
 coordinates.  Each group is a pure function of the eager slots, so reading
 it early or late gives the same floats.  Two contracts:
 
-* the five incidence groups (conjugate points and lines, the orthic objects,
-  the midpoint pairs of all six sides, the chosen midpoints) never raise on
-  a scene the eager build accepted, which would change what a certificate
-  counts: the midpoint groups test their endpoints exactly as the eager
-  checks do, at the same tolerance, and tests pin this on drawn scenes of
-  every kind;
+* the incidence groups (conjugate points and lines, the orthic objects,
+  the meets A0, B0, C0 of each side with its polar, the midpoint pairs of
+  all six sides, the chosen midpoints) never raise on a scene the eager
+  build accepted, which would change what a certificate counts: the
+  midpoint groups test their endpoints exactly as the eager checks do, at
+  the same tolerance, and tests pin this on drawn scenes of every kind;
 * the isosceles flags, the complementary midpoint pairs, the magic triangle
   and the center reports (read through `classical()`, `pseudo()`, `euler()`
   and `nine_point()`) may raise `GeometryError`.  A raise leaves the slot
@@ -250,9 +250,6 @@ def _orthic(cfg):
     cfg.bA = join_points(A, cfg.Bp)
     cfg.cA = join_points(A, cfg.Cp)
     cfg.cB = join_points(B, cfg.Cp)
-    cfg.A0 = meet_lines(cfg.a, cfg.ap)
-    cfg.B0 = meet_lines(cfg.b, cfg.bp)
-    cfg.C0 = meet_lines(cfg.c, cfg.cp)
     # altitudes, orthocenter, feet
     cfg.ha = join_points(A, cfg.Ap)
     cfg.hb = join_points(B, cfg.Bp)
@@ -265,6 +262,14 @@ def _orthic(cfg):
     cfg.A1 = meet_lines(cfg.bC, cfg.cB)
     cfg.B1 = meet_lines(cfg.cA, cfg.aC)
     cfg.C1 = meet_lines(cfg.aB, cfg.bA)
+
+
+def _side_meets(cfg):
+    # each side of T met by the polar of its opposite vertex, the side of
+    # T' of the same name: A0 = a.a'
+    cfg.A0 = meet_lines(cfg.a, cfg.ap)
+    cfg.B0 = meet_lines(cfg.b, cfg.bp)
+    cfg.C0 = meet_lines(cfg.c, cfg.cp)
 
 
 # midpoint pairs (canonically ordered)
@@ -613,6 +618,8 @@ def experimental_conjectures(cfg: PolarTriangleConfig):
 
 
 # -- the slots derived on first read, by the group that fills them ----------
+# A0, B0, C0 are a group of their own: the midpoint choices of T and T' and
+# the coherent orientation read them, and derive no orthic object.
 
 def _on_dual(group):
     """The group of T' that `group` is of T: `group` run on the dual view."""
@@ -621,9 +628,10 @@ def _on_dual(group):
 
 _DERIVED = {name: group for group, names in (
     (_conjugate_points, ("Ab", "Ac", "Bc", "Ba", "Ca", "Cb")),
-    (_orthic, ("aB", "aC", "bC", "bA", "cA", "cB", "A0", "B0", "C0",
+    (_orthic, ("aB", "aC", "bC", "bA", "cA", "cB",
                "ha", "hb", "hc", "H", "h", "HA", "HB", "HC",
                "A1", "B1", "C1")),
+    (_side_meets, ("A0", "B0", "C0")),
     (_side_midpoints, ("mids_a", "mids_b", "mids_c")),
     (_on_dual(_side_midpoints), ("mids_ap", "mids_bp", "mids_cp")),
     (_midpoint_choice, ("D", "E", "F", "Da", "Eb", "Fc")),

@@ -143,8 +143,7 @@ def cmd_compute(args) -> int:
             _, spread = tg.projective_law_of_sines(o)
             out["projective_law_of_sines_spread"] = spread
             out["projective_law_of_cosines_residual"] = max(
-                tg.projective_law_of_cosines(oriented, s)
-                for s in "abc" for oriented in (o, o.dual))
+                tg.projective_laws_of_cosines(o).values())
         else:
             print(f"unknown op {args.op!r}", file=sys.stderr)
             return 2

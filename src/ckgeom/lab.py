@@ -768,9 +768,9 @@ def _carnot_hyperbolic(cfg, rng, perturb):
     if not all(cfg.model.is_interior(p) for p in (astar, bstar, cstar)):
         return None
     astar = nudge(astar, perturb)
-    lhs, rhs = tg.carnot_hyperbolic_sides(cfg, astar, bstar, cstar)
-    forward = abs(lhs - rhs) / max(1.0, abs(lhs))
     cc = tg.carnot_cosines(cfg, astar, bstar, cstar)
+    lhs, rhs = tg.carnot_hyperbolic_sides(cfg, cc.segments)
+    forward = abs(lhs - rhs) / max(1.0, abs(lhs))
     forward = max(forward, cc.identity_residual if perturb == 0 else 0.0)
     # backward: a generic non-concurrent triple must fail by a clear margin
     def interior_on(p, q):
@@ -787,7 +787,7 @@ def _carnot_hyperbolic(cfg, rng, perturb):
         return None
     cc2 = tg.carnot_cosines(cfg, a2, b2, c2)
     if cc2.concurrency_residual > 1e-3:
-        lhs2, rhs2 = tg.carnot_hyperbolic_sides(cfg, a2, b2, c2)
+        lhs2, rhs2 = tg.carnot_hyperbolic_sides(cfg, cc2.segments)
         if abs(lhs2 - rhs2) <= 1e-6:
             return 1.0
     return forward
@@ -807,7 +807,7 @@ def _carnot_elliptic(cfg, rng, perturb):
         return None
     fake = nudge(fake, perturb)
     cc = tg.carnot_cosines(cfg, fake, bstar, cstar)
-    lhs, rhs = tg.carnot_elliptic_sides(cfg, fake, bstar, cstar)
+    lhs, rhs = tg.carnot_elliptic_sides(cfg, cc.segments)
     res = max(cc.identity_residual, abs(lhs - rhs) / max(1.0, abs(lhs)))
     if perturb == 0.0 and cc.concurrency_residual <= 1e-6:
         return 1.0  # fake points must NOT be concurrent
@@ -815,7 +815,7 @@ def _carnot_elliptic(cfg, rng, perturb):
     hstar = _interior_point(rng, 0.8)
     a3, b3, c3 = tg.concurrent_carnot_points(cfg, hstar)
     cc3 = tg.carnot_cosines(cfg, a3, b3, c3)
-    lhs3, rhs3 = tg.carnot_elliptic_sides(cfg, a3, b3, c3)
+    lhs3, rhs3 = tg.carnot_elliptic_sides(cfg, cc3.segments)
     res = max(res, cc3.identity_residual, abs(lhs3 - rhs3) / max(1.0, abs(lhs3)))
     return res
 
@@ -840,11 +840,7 @@ def _projective_sines(cfg, rng, perturb):
 
 def _projective_cosines(cfg, rng, perturb):
     o = tg.coherent_orientation(cfg)
-    worst = 0.0
-    for side in "abc":
-        for oriented in (o, o.dual):
-            worst = max(worst, tg.projective_law_of_cosines(oriented, side))
-    return worst
+    return max(0.0, *tg.projective_laws_of_cosines(o).values())
 
 
 def _chk_ray_angles(rng, geometry, tol, perturb=0.0):

@@ -25,6 +25,7 @@ from . import metric as mt
 from . import rays as ry
 from .centers import PolarTriangleConfig, midpoint_assignments
 from .errors import (
+    CoincidentPoints,
     DegenerateInput,
     GeneralPositionViolation,
     KindMismatch,
@@ -405,9 +406,36 @@ def _carnot_foot(cfg: PolarTriangleConfig, bstar, cstar) -> HPoint:
     return meet_lines(cfg.a, join_points(cfg.Ap, meet_lines(bstar, cstar)))
 
 
+class CarnotSegments:
+    """Side points A*, B*, C* on the sides a, b, c and the squared ratios
+    (C, S) of their six Carnot segments, each read once by `squared_trig`:
+    `left` of B A*, C B*, A C* and `right` of C A*, A B*, B C*.  A star on
+    its end reads None, where `metric.distance` reads 0."""
+
+    __slots__ = ("stars", "left", "right")
+
+
+def _segment_trig(model, p, q):
+    try:
+        return mt.squared_trig(model, p, q)[:2]
+    except CoincidentPoints:
+        return None
+
+
+def carnot_segments(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
+    """The `CarnotSegments` of the side points A*, B*, C*."""
+    out = CarnotSegments()
+    out.stars = (Astar, Bstar, Cstar)
+    out.left, out.right = (
+        tuple(_segment_trig(cfg.model, end, star)
+              for end, star in zip(ends, out.stars))
+        for ends in ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)))
+    return out
+
+
 class CarnotCosines:
     __slots__ = ("identity_residual", "concurrency_residual",
-                 "classification")
+                 "classification", "segments")
 
 
 def carnot_cosines(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
@@ -417,16 +445,20 @@ def carnot_cosines(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     identity: C(BA*) C(CB*) C(AC*) = C(CA*) C(AB*) C(BC*) when the
     perpendiculars a* = A*A', b* = B*B', c* = C*C' concur.  The converse
     locates A* at D* or at its Carnot conjugate zeta_BC(D*), where D* is cut
-    on a by the perpendicular from A' through b*.c*.
+    on a by the perpendicular from A' through b*.c*.  A star on its end has
+    no C and raises CoincidentPoints.  `segments` keeps the six segments'
+    ratios for the measured products.
     """
     out = CarnotCosines()
     astar = join_points(Astar, cfg.Ap)
     bstar = join_points(Bstar, cfg.Bp)
     cstar = join_points(Cstar, cfg.Cp)
     out.concurrency_residual = concurrency_residual(astar, bstar, cstar)
-    out.identity_residual = _rel(*_carnot_products(
-        lambda p, q: _cst(cfg, p, q)[0],
-        ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)), (Astar, Bstar, Cstar)))
+    out.segments = segs = carnot_segments(cfg, Astar, Bstar, Cstar)
+    if None in segs.left + segs.right:
+        raise CoincidentPoints("a Carnot point lies on its segment's end")
+    out.identity_residual = _rel(*(x[0] * y[0] * z[0]
+                                   for x, y, z in (segs.left, segs.right)))
     dstar = _carnot_foot(cfg, bstar, cstar)
     if points_equal(Astar, dstar, 1e-6):
         out.classification = "concurrent"
@@ -457,43 +489,45 @@ def fake_carnot_points(cfg: PolarTriangleConfig, Bstar, Cstar):
     return fake, dstar
 
 
-def _carnot_products(seg, ends, stars):
-    """Both sides of a Carnot product identity: seg(end, star) multiplied
-    over the stars A*, B*, C* on sides a, b, c, once with the left ends and
-    once with the right ends."""
-    (l0, l1, l2), (r0, r1, r2) = ends
-    a, b, c = stars
-    return (seg(l0, a) * seg(l1, b) * seg(l2, c),
-            seg(r0, a) * seg(r1, b) * seg(r2, c))
-
-
-def carnot_hyperbolic_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
-    """Measured cosh products for the iff-theorem on interior triangles:
-    returns (lhs, rhs) of cosh a1 cosh b1 cosh c1 = cosh a2 cosh b2 cosh c2."""
+def _measured_products(cfg: PolarTriangleConfig, segs: CarnotSegments, f):
+    """Both sides of a measured Carnot product: f of each segment's
+    distance, read from its C and S as `metric.distance` reads it (0 for a
+    star on its end).  In the hyperbolic model every endpoint must be
+    interior, as there; each is tested once."""
     model = cfg.model
-    for p in (cfg.A, cfg.B, cfg.C, Astar, Bstar, Cstar):
-        if not model.is_interior(p):
-            raise PointOutsideModel("hyperbolic Carnot needs interior data")
-    seg = lambda p, q: math.cosh(mt.distance(cfg.model, p, q))
-    return _carnot_products(seg, ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)),
-                            (Astar, Bstar, Cstar))
+    hyperbolic = model.kind == mt.HYPERBOLIC
+    if hyperbolic:
+        for p in (cfg.A, cfg.B, cfg.C, *segs.stars):
+            if not model.is_interior(p):
+                raise PointOutsideModel("hyperbolic Carnot needs interior data")
+    read = mt.READ["H" if hyperbolic else "C"]
+
+    def seg(r):
+        return f(0.0 if r is None else read(*r))
+    return tuple(math.prod(map(seg, side)) for side in (segs.left, segs.right))
 
 
-def carnot_elliptic_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
+def carnot_hyperbolic_sides(cfg: PolarTriangleConfig, segs: CarnotSegments):
+    """Measured cosh products for the iff-theorem on interior triangles:
+    returns (lhs, rhs) of cosh a1 cosh b1 cosh c1 = cosh a2 cosh b2 cosh c2
+    over the segments of `carnot_segments` (or `CarnotCosines.segments`)."""
+    return _measured_products(cfg, segs, math.cosh)
+
+
+def carnot_elliptic_sides(cfg: PolarTriangleConfig, segs: CarnotSegments):
     """Measured cos products (elliptic).  Elliptic distances live in
     [0, pi/2] (a full line has length pi), so every cosine is nonnegative
     and the product identity is exact, not just up to sign."""
-    seg = lambda p, q: math.cos(mt.distance(cfg.model, p, q))
-    return _carnot_products(seg, ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)),
-                            (Astar, Bstar, Cstar))
+    return _measured_products(cfg, segs, math.cos)
 
 
 def carnot_hexagon_sides(cfg: PolarTriangleConfig, Astar, Bstar, Cstar):
     """Measured sinh products on a right-angled hexagon: the hexagon vertices
     on side a are the conjugate points B_a, C_a (dually for b, c)."""
-    seg = lambda p, q: math.sinh(mt.distance(cfg.model, p, q))
-    return _carnot_products(seg, ((cfg.Ca, cfg.Ab, cfg.Bc), (cfg.Ba, cfg.Cb, cfg.Ac)),
-                            (Astar, Bstar, Cstar))
+    stars = (Astar, Bstar, Cstar)
+    return tuple(math.prod(math.sinh(mt.distance(cfg.model, end, star))
+                           for end, star in zip(ends, stars))
+                 for ends in ((cfg.Ca, cfg.Ab, cfg.Bc), (cfg.Ba, cfg.Cb, cfg.Ac)))
 
 
 def six_points_conic_check(cfg: PolarTriangleConfig):
@@ -616,22 +650,35 @@ def _solve_complementary(comp_pairs, magics):
     return None
 
 
+def _recording(items, record):
+    """`items`, each appended to `record` as it is yielded."""
+    for item in items:
+        record.append(item)
+        yield item
+
+
 def coherent_orientation(cfg: PolarTriangleConfig) -> OrientedTriangleConfig:
     """Deterministic search for a coherent orientation: enumerate the valid
     midpoint triples of T and T' in canonical order, derive the magic
     midpoints on the lines DD', EE', FF', and solve for complementary
-    choices putting the magic midpoints on HI/IG/GH and primed versions."""
+    choices putting the magic midpoints on HI/IG/GH and primed versions.
+
+    Both enumerations are lazy: a choice is tested only when the search
+    reaches it, and each choice of T' is tested once."""
     if cfg.is_right_angled():
         raise NoCoherentAssignment("coherent orientation needs a non-right-angled triangle")
     m = cfg.magic
     dual = cfg.dual
     avoid = (cfg.A0, cfg.B0, cfg.C0)
     primal = midpoint_assignments((cfg.mids_a, cfg.mids_b, cfg.mids_c), avoid)
-    primed = [trip for _, trip in midpoint_assignments(
-        (dual.mids_a, dual.mids_b, dual.mids_c), avoid)]
+    choices = midpoint_assignments((dual.mids_a, dual.mids_b, dual.mids_c),
+                                   avoid)
+    # the inner loop returns or runs to its end, so after its first pass
+    # `primed` holds every choice of T'
+    primed = []
     comp, compd = cfg.complementary, dual.complementary
     for _, (D, E, F) in primal:
-        for Dp, Ep, Fp in primed:
+        for _, (Dp, Ep, Fp) in primed or _recording(choices, primed):
             mD = _pick_on_line(m.pairs[0], join_points(D, Dp))
             mE = _pick_on_line(m.pairs[1], join_points(E, Ep))
             mF = _pick_on_line(m.pairs[2], join_points(F, Fp))
@@ -691,14 +738,22 @@ _COSINE_SIDES = {"a": ("BC", "AB", "CA"), "b": ("CA", "BC", "AB"),
                  "c": ("AB", "CA", "BC")}
 
 
-def projective_law_of_cosines(o: OrientedTriangleConfig, side: str = "a") -> float:
-    """Residual of cc(YZ) = -ss(XY) ss(ZX) cc(Y'Z') - cc(XY) cc(ZX) for the
-    requested side; the primed law is this law on `o.dual`."""
-    tgt, s1, s2 = _COSINE_SIDES[side]
-    lhs = side_cc(o, tgt)
-    rhs = (-side_ss(o, s1) * side_ss(o, s2) * side_cc(o.dual, tgt)
-           - side_cc(o, s1) * side_cc(o, s2))
-    return _rel(lhs, rhs)
+def projective_laws_of_cosines(o: OrientedTriangleConfig):
+    """Residuals of cc(YZ) = -ss(XY) ss(ZX) cc(Y'Z') - cc(XY) cc(ZX) for
+    the sides a, b, c and of the primed laws a', b', c' (each law on
+    `o.dual`), in the order a, a', b, b', c, c'.  The six laws read the cc
+    and ss of the three cyclic sides of o and of o.dual, each ratio taken
+    once."""
+    halves = (o, o.dual)
+    cc = [{s: side_cc(h, s) for s in _CYCLIC} for h in halves]
+    ss = [{s: side_ss(h, s) for s in _CYCLIC} for h in halves]
+    out = {}
+    for side, (tgt, s1, s2) in _COSINE_SIDES.items():
+        for k, name in ((0, side), (1, side + "'")):
+            c, s = cc[k], ss[k]
+            out[name] = _rel(c[tgt], -s[s1] * s[s2] * cc[1 - k][tgt]
+                             - c[s1] * c[s2])
+    return out
 
 
 # ---------------------------------------------------------------------------

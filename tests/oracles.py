@@ -10,8 +10,18 @@ from ckgeom import conics as cn
 from ckgeom import metric as mt
 from ckgeom import rays as ry
 from ckgeom import trig as tg
-from ckgeom.errors import ChartDegenerate, EndpointOnConic
-from ckgeom.projective import cross_ratio, join_points, meet_lines, triple_eq
+from ckgeom.errors import (
+    ChartDegenerate,
+    EndpointOnConic,
+    NoCoherentAssignment,
+)
+from ckgeom.projective import (
+    collinearity_residual,
+    cross_ratio,
+    join_points,
+    meet_lines,
+    triple_eq,
+)
 from ckgeom.tolerance import get_tol
 
 
@@ -168,3 +178,65 @@ def hand_figure_lengths(cfg, figure):
                       ry.vertex_angle(model, c.A, c.B, c.Cb),
                       ry.vertex_angle(model, c.B, c.A, c.Ca),
                       d(c.Ca, c.Cb))
+
+
+def oracle_coherent_orientation(cfg):
+    """The orientation search with every midpoint choice of T' listed before
+    the first is tried: the eager reference of the lazy
+    `ckgeom.trig.coherent_orientation`, reading the same helpers of
+    `ckgeom.trig`."""
+    if cfg.is_right_angled():
+        raise NoCoherentAssignment("coherent orientation needs a non-right-angled triangle")
+    m = cfg.magic
+    dual = cfg.dual
+    avoid = (cfg.A0, cfg.B0, cfg.C0)
+    primal = tg.midpoint_assignments((cfg.mids_a, cfg.mids_b, cfg.mids_c),
+                                     avoid)
+    primed = [trip for _, trip in tg.midpoint_assignments(
+        (dual.mids_a, dual.mids_b, dual.mids_c), avoid)]
+    comp, compd = cfg.complementary, dual.complementary
+    for _, (D, E, F) in primal:
+        for Dp, Ep, Fp in primed:
+            mD = tg._pick_on_line(m.pairs[0], join_points(D, Dp))
+            mE = tg._pick_on_line(m.pairs[1], join_points(E, Ep))
+            mF = tg._pick_on_line(m.pairs[2], join_points(F, Fp))
+            if mD is None or mE is None or mF is None:
+                continue
+            if collinearity_residual(mD, mE, mF) <= 1e3 * get_tol():
+                continue
+            sol = tg._solve_complementary(comp, (mD, mE, mF))
+            if sol is None:
+                continue
+            sol_d = tg._solve_complementary(compd, (mD, mE, mF))
+            if sol_d is None:
+                continue
+            o = tg.OrientedTriangleConfig(cfg, (D, E, F), sol, (mD, mE, mF))
+            o.dual = tg.OrientedTriangleConfig(dual, (Dp, Ep, Fp), sol_d,
+                                               o.magic)
+            o.dual.dual = o
+            return o
+    raise NoCoherentAssignment("no coherent orientation found")
+
+
+def oracle_projective_law_of_cosines(o, side):
+    """cc(YZ) = -ss(XY) ss(ZX) cc(Y'Z') - cc(XY) cc(ZX) for one side of the
+    oriented triangle o, each ratio its own cross ratio (six per law): the
+    reference of `ckgeom.trig.projective_laws_of_cosines`."""
+    tgt, s1, s2 = {"a": ("BC", "AB", "CA"), "b": ("CA", "BC", "AB"),
+                   "c": ("AB", "CA", "BC")}[side]
+    lhs = tg.side_cc(o, tgt)
+    rhs = (-tg.side_ss(o, s1) * tg.side_ss(o, s2) * tg.side_cc(o.dual, tgt)
+           - tg.side_cc(o, s1) * tg.side_cc(o, s2))
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
+def oracle_carnot_sides(cfg, f, Astar, Bstar, Cstar):
+    """f of `metric.distance` multiplied over the Carnot segments B A*,
+    C B*, A C* and over C A*, A B*, B C*: the reference of the measured
+    products of `ckgeom.trig`, which read the segments' squared ratios."""
+    model = cfg.model
+    stars = (Astar, Bstar, Cstar)
+    return tuple(
+        math.prod(f(mt.distance(model, end, star))
+                  for end, star in zip(ends, stars))
+        for ends in ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B)))

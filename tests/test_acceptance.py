@@ -214,7 +214,8 @@ def test_criterion_6_carnot():
         astar, bstar, cstar = tg.concurrent_carnot_points(cfg, hstar)
         if not all(cfg.model.is_interior(p) for p in (astar, bstar, cstar)):
             continue
-        lhs, rhs = tg.carnot_hyperbolic_sides(cfg, astar, bstar, cstar)
+        lhs, rhs = tg.carnot_hyperbolic_sides(
+            cfg, tg.carnot_segments(cfg, astar, bstar, cstar))
         if abs(lhs - rhs) / max(1.0, abs(lhs)) <= 1e-9:
             hyp_pass += 1
         # a generic non-concurrent witness on the same triangle
@@ -232,7 +233,7 @@ def test_criterion_6_carnot():
             continue
         cc = tg.carnot_cosines(cfg, a2, b2, c2)
         if cc.concurrency_residual > 1e-3:
-            lhs2, rhs2 = tg.carnot_hyperbolic_sides(cfg, a2, b2, c2)
+            lhs2, rhs2 = tg.carnot_hyperbolic_sides(cfg, cc.segments)
             if abs(lhs2 - rhs2) > 1e-6:
                 hyp_fail_margin += 1
             done += 1
@@ -256,7 +257,7 @@ def test_criterion_6_carnot():
             if pj.points_equal(fake, dstar, 1e-6):
                 continue
             cc = tg.carnot_cosines(cfg, fake, bstar, cstar)
-            lhs, rhs = tg.carnot_elliptic_sides(cfg, fake, bstar, cstar)
+            lhs, rhs = tg.carnot_elliptic_sides(cfg, cc.segments)
         except errors.GeometryError:
             continue
         done_e += 1
@@ -304,10 +305,8 @@ def test_criterion_7_unsquared_laws():
             oriented += 1
             _, spread = tg.projective_law_of_sines(o)
             worst_law = max(worst_law, spread)
-            for side in "abc":
-                for half in (o, o.dual):
-                    worst_law = max(worst_law,
-                                    tg.projective_law_of_cosines(half, side))
+            worst_law = max(worst_law,
+                            *tg.projective_laws_of_cosines(o).values())
             if kind == "generic" and geometry == lab.ELLIPTIC:
                 geo = tg.elliptic_triangle_laws(cfg)
             elif kind == "generic":

@@ -279,8 +279,9 @@ _EAGER = ("model", "A", "B", "C", "a", "b", "c", "ap", "bp", "cp",
 # the six incidence groups a config derives on first read, group by group
 _LAZY_GROUPS = (
     ("Ab", "Ac", "Bc", "Ba", "Ca", "Cb"),
-    ("aB", "aC", "bC", "bA", "cA", "cB", "A0", "B0", "C0",
+    ("aB", "aC", "bC", "bA", "cA", "cB",
      "ha", "hb", "hc", "H", "h", "HA", "HB", "HC", "A1", "B1", "C1"),
+    ("A0", "B0", "C0"),
     ("mids_a", "mids_b", "mids_c"),
     ("mids_ap", "mids_bp", "mids_cp"),
     ("D", "E", "F", "Da", "Eb", "Fc"),
@@ -339,14 +340,14 @@ def test_lazy_slots_derive_on_first_read(monkeypatch, geometry):
     assert _filled(cfg) == eager
     assert cfg.D is cfg.D
     assert len(calls) == 3
-    assert {"A0", "mids_a", "D"} <= _filled(cfg)
-    assert not {"mids_ap", "Dp"} & _filled(cfg)
+    assert {"A0", "B0", "C0", "mids_a", "D"} <= _filled(cfg)
+    assert not {"mids_ap", "Dp", "H"} & _filled(cfg)
     with pytest.raises(AttributeError):
         cfg.no_such_slot
     # one read fills the slot's group and the groups it reads, no other:
     # the midpoint choice of T reads A0 and the midpoints of T, that of T'
     # A0 and the midpoints of T'
-    reads = {4: (1, 2), 5: (1, 3)}
+    reads = {5: (2, 3), 6: (2, 4)}
     for g, group in enumerate(_LAZY_GROUPS):
         want = set(group).union(*(_LAZY_GROUPS[r] for r in reads.get(g, ())))
         for name in group:

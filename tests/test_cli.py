@@ -102,6 +102,36 @@ def test_compute_laws(capsys):
     assert out["projective_law_of_cosines_residual"] < 1e-8
 
 
+# `compute --op laws` on the builtin scenes, as printed when each law of
+# cosines took its own six cross ratios
+_LAWS_OUTPUT = {
+    "default": {
+        "op": "laws", "geometry": "hyperbolic",
+        "squared_law_of_sines_spread": 3.1262455543570164e-16,
+        "squared_law_of_cosines_residual": 4.556199800014586e-16,
+        "closing_branches": 1,
+        "projective_law_of_sines_spread": 5.9619339549189975e-16,
+        "projective_law_of_cosines_residual": 6.599786996891552e-16,
+    },
+    "elliptic": {
+        "op": "laws", "geometry": "elliptic",
+        "squared_law_of_sines_spread": 0.0,
+        "squared_law_of_cosines_residual": 5.551115123125783e-17,
+        "closing_branches": 1,
+        "projective_law_of_sines_spread": 9.992007221626409e-16,
+        "projective_law_of_cosines_residual": 6.661338147750939e-16,
+    },
+}
+
+
+@pytest.mark.parametrize("scene", ("default", "hyperbolic", "elliptic"))
+def test_compute_laws_prints_the_recorded_output(scene, capsys):
+    assert run_cli(["compute", "--scene", f"builtin:{scene}", "--op", "laws",
+                    "A", "B", "C"]) == 0
+    want = _LAWS_OUTPUT["elliptic" if scene == "elliptic" else "default"]
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
 def test_compute_malformed_scene(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"conic": [[1]], "bogus": 1}))

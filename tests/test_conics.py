@@ -169,6 +169,24 @@ def test_conic_through_five_collinear_degenerate():
     assert fit.klass == cn.DEGENERATE
 
 
+def test_degenerate_input_at_each_raise_site(circle):
+    with pytest.raises(errors.DegenerateInput, match="zero conic matrix"):
+        cn.Conic(0, 0, 0, 0, 0, 0)
+    on_circle = [circle_pt(t) for t in (0.1, 0.9, 2.2, 3.3, 5.1, 4.2)]
+    with pytest.raises(errors.DegenerateInput, match="at least five"):
+        cn.conic_fit(on_circle[:4])
+    # five collinear points: every line pair through the line fits them
+    collinear = [affine_point(x, 0.3 * x + 0.1)
+                 for x in (0.1, 0.7, 1.3, 2.9, -1.7)]
+    with pytest.raises(errors.DegenerateInput, match="rank-deficient"):
+        cn.conic_fit(collinear)
+    with pytest.raises(errors.DegenerateInput, match="rank-deficient"):
+        cn.conic_through_five(collinear)
+    for n in (4, 6):
+        with pytest.raises(errors.DegenerateInput, match="exactly five"):
+            cn.conic_through_five(on_circle[:n])
+
+
 def test_conic_fit_classification():
     assert cn.unit_imaginary_conic().klass == cn.IMAGINARY
     assert cn.unit_circle().klass == cn.REAL

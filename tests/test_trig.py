@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -17,8 +18,13 @@ from ckgeom.projective import (
     meet_lines,
     points_equal,
 )
-from conftest import exterior_point, interior_point
-from oracles import hand_figure_lengths
+from conftest import ambient_tol, exterior_point, interior_point
+from oracles import (
+    hand_figure_lengths,
+    oracle_carnot_sides,
+    oracle_coherent_orientation,
+    oracle_projective_law_of_cosines,
+)
 
 
 def lab_cfg(kind, geometry="hyperbolic", seed=31, trial=0):
@@ -284,6 +290,23 @@ def test_a_side_tangent_to_the_conic_has_no_carnot_product():
         tg.carnot_projective_residual(X, Y, Z, cn.unit_circle(), transversal)
 
 
+def test_a_trace_off_the_conic_is_points_not_conconic():
+    # the side YZ, 0.8x + u y + z = 0, has the basis point (0, 1, -u) of
+    # `line_conic_meet` 1.2e-6 off the circle.  Under tol 9e-4 the meet
+    # takes it as a trace at infinity (it is within tol * 1e-3 of the
+    # scale of the quadratic), and the side is not tangent, so the fixed
+    # 1e-6 check of the traces rejects it.  Under 1e-9 the product holds.
+    u = math.sqrt(1 - 1.2e-6)
+    X, Y, Z = (affine_point(3.0, 3.0), affine_point(2.0, -2.6 / u),
+               affine_point(-2.0, 0.6 / u))
+    transversal = join_points(affine_point(3, 0.2), affine_point(0.1, 3.5))
+    res, _ = tg.carnot_projective_residual(X, Y, Z, cn.unit_circle(),
+                                           transversal)
+    assert res < 1e-12
+    with ambient_tol(9e-4), pytest.raises(errors.PointsNotConconic):
+        tg.carnot_projective_residual(X, Y, Z, cn.unit_circle(), transversal)
+
+
 def test_carnot_projective_and_converse(rng):
     circle = cn.unit_circle()
     tri = [exterior_point(rng, 1.5, 2.5) for _ in range(3)]
@@ -322,7 +345,7 @@ def test_carnot_cosines_concurrent_and_fake(rng):
     assert cc2.identity_residual < 1e-9
     assert cc2.concurrency_residual > 1e-6
     assert cc2.classification == "fake"
-    lhs, rhs = tg.carnot_elliptic_sides(cfge, fake, bstar, cstar)
+    lhs, rhs = tg.carnot_elliptic_sides(cfge, cc2.segments)
     assert abs(lhs - rhs) < 1e-9
 
 
@@ -331,10 +354,12 @@ def test_carnot_hyperbolic_iff(rng):
     hstar = interior_point(rng, 0.6)
     astar, bstar, cstar = tg.concurrent_carnot_points(cfg, hstar)
     if all(cfg.model.is_interior(p) for p in (astar, bstar, cstar)):
-        lhs, rhs = tg.carnot_hyperbolic_sides(cfg, astar, bstar, cstar)
+        lhs, rhs = tg.carnot_hyperbolic_sides(
+            cfg, tg.carnot_segments(cfg, astar, bstar, cstar))
         assert abs(lhs - rhs) < 1e-9
     with pytest.raises(errors.PointOutsideModel):
-        tg.carnot_hyperbolic_sides(cfg, exterior_point(rng), cfg.HB, cfg.HC)
+        tg.carnot_hyperbolic_sides(cfg, tg.carnot_segments(
+            cfg, exterior_point(rng), cfg.HB, cfg.HC))
 
 
 def test_carnot_hexagon(rng):
@@ -343,6 +368,90 @@ def test_carnot_hexagon(rng):
     astar, bstar, cstar = tg.concurrent_carnot_points(cfg, hstar)
     lhs, rhs = tg.carnot_hexagon_sides(cfg, astar, bstar, cstar)
     assert abs(lhs - rhs) < 1e-9
+
+
+def _carnot_scenes():
+    """(cfg, f, stars) over hyperbolic interior triangles with concurrent
+    stars (cosh) and elliptic triangles with concurrent and fake stars
+    (cos)."""
+    rng = lab.trial_rng(7, 0)
+    out = []
+    for trial in range(12):
+        cfg = lab_cfg("generic", "hyperbolic", seed=7, trial=trial)
+        if not all(cfg.model.is_interior(v) for v in (cfg.A, cfg.B, cfg.C)):
+            continue
+        stars = tg.concurrent_carnot_points(cfg, lab._interior_point(rng, 0.8))
+        if all(cfg.model.is_interior(p) for p in stars):
+            out.append((cfg, math.cosh, stars))
+    for trial in range(6):
+        cfg = lab_cfg("generic", "elliptic", seed=7, trial=trial)
+        out.append((cfg, math.cos, tg.concurrent_carnot_points(
+            cfg, lab._interior_point(rng, 0.8))))
+        bstar = hpoint(cfg.C[0] + 0.4 * cfg.A[0], cfg.C[1] + 0.4 * cfg.A[1],
+                       cfg.C[2] + 0.4 * cfg.A[2])
+        cstar = hpoint(cfg.A[0] - 0.7 * cfg.B[0], cfg.A[1] - 0.7 * cfg.B[1],
+                       cfg.A[2] - 0.7 * cfg.B[2])
+        fake, _ = tg.fake_carnot_points(cfg, bstar, cstar)
+        out.append((cfg, math.cos, (fake, bstar, cstar)))
+    return out
+
+
+_MEASURED = {math.cosh: tg.carnot_hyperbolic_sides,
+             math.cos: tg.carnot_elliptic_sides}
+
+
+def test_carnot_products_equal_the_distance_products():
+    scenes = _carnot_scenes()
+    assert {f for _, f, _ in scenes} == {math.cosh, math.cos}
+    assert len(scenes) >= 12
+    for cfg, f, stars in scenes:
+        cc = tg.carnot_cosines(cfg, *stars)
+        got = _MEASURED[f](cfg, cc.segments)
+        assert repr(got) == repr(oracle_carnot_sides(cfg, f, *stars))
+        c = [[mt.squared_trig(cfg.model, end, star)[0]
+              for end, star in zip(ends, stars)]
+             for ends in ((cfg.B, cfg.C, cfg.A), (cfg.C, cfg.A, cfg.B))]
+        lhs, rhs = (x * y * z for x, y, z in c)
+        want = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        assert repr(cc.identity_residual) == repr(want)
+
+
+def test_carnot_products_of_a_coincident_and_an_exterior_star():
+    for cfg, f, (astar, bstar, cstar) in _carnot_scenes()[:4]:
+        # A* on its end B: the segment B A* reads distance 0, as in
+        # `distance`, and has no C for the identity
+        segs = tg.carnot_segments(cfg, cfg.B, bstar, cstar)
+        assert segs.left[0] is None
+        assert repr(_MEASURED[f](cfg, segs)) == repr(
+            oracle_carnot_sides(cfg, f, cfg.B, bstar, cstar))
+        with pytest.raises(errors.CoincidentPoints):
+            tg.carnot_cosines(cfg, cfg.B, bstar, cstar)
+    cfg, f, (astar, bstar, cstar) = _carnot_scenes()[0]
+    assert f is math.cosh
+    out = exterior_point(random.Random(3))
+    segs = tg.carnot_segments(cfg, astar, out, cstar)
+    with pytest.raises(errors.PointOutsideModel):
+        tg.carnot_hyperbolic_sides(cfg, segs)
+    with pytest.raises(errors.PointOutsideModel):
+        oracle_carnot_sides(cfg, f, astar, out, cstar)
+
+
+def test_a_hyperbolic_carnot_forward_pair_reads_six_squared_trigs(monkeypatch):
+    calls = []
+    squared_trig = mt.squared_trig
+
+    def counting(*args):
+        calls.append(args)
+        return squared_trig(*args)
+
+    monkeypatch.setattr(mt, "squared_trig", counting)
+    for cfg, f, stars in _carnot_scenes():
+        if f is not math.cosh:
+            continue
+        calls.clear()
+        cc = tg.carnot_cosines(cfg, *stars)
+        tg.carnot_hyperbolic_sides(cfg, cc.segments)
+        assert len(calls) == 6
 
 
 def test_six_points_conic(rng):
@@ -441,15 +550,113 @@ def test_coherent_orientation_and_laws():
                 assert abs(s2 - ss_) < 1e-9 * max(1, abs(ss_))
             _, spread = tg.projective_law_of_sines(o)
             assert spread < 1e-8
-            for side in "abc":
-                for oriented in (o, o.dual):
-                    assert tg.projective_law_of_cosines(oriented, side) < 1e-8
+            assert max(tg.projective_laws_of_cosines(o).values()) < 1e-8
 
 
 def test_coherent_orientation_rejects_right_angled():
     cfg = lab_cfg("right:hyp-right", trial=2)
     with pytest.raises(errors.NoCoherentAssignment):
         tg.coherent_orientation(cfg)
+
+
+def _orient_scenes():
+    for geom, kind in (("elliptic", "generic"), ("hyperbolic", "generic"),
+                       ("hyperbolic", "quadrilateral"),
+                       ("hyperbolic", "hexagon")):
+        for trial in range(3):
+            yield geom, lab_cfg(kind, geom, trial=trial)
+
+
+def _oriented_fields(o):
+    return repr((o.D, o.E, o.F, o.G, o.H, o.I, o.magic,
+                 o.dual.D, o.dual.E, o.dual.F, o.dual.G, o.dual.H, o.dual.I))
+
+
+def test_laws_of_cosines_equal_their_per_law_form():
+    seen = set()
+    for geom, cfg in _orient_scenes():
+        o = tg.coherent_orientation(cfg)
+        for half in (o, o.dual):
+            laws = tg.projective_laws_of_cosines(half)
+            assert list(laws) == ["a", "a'", "b", "b'", "c", "c'"]
+            for side in "abc":
+                assert repr(laws[side]) == repr(
+                    oracle_projective_law_of_cosines(half, side))
+                assert repr(laws[side + "'"]) == repr(
+                    oracle_projective_law_of_cosines(half.dual, side))
+        seen.add(geom)
+    assert seen == {"hyperbolic", "elliptic"}
+
+
+def _search(monkeypatch, search, cfg, skip):
+    """The lines DD' that `search` tries, with the first `skip` pairs made
+    to fail, and its orientation (None when it finds none)."""
+    tried = []
+    pick = tg._pick_on_line
+
+    def failing(pair, line):
+        tried.append(line)
+        return None if len(tried) <= 3 * skip else pick(pair, line)
+
+    monkeypatch.setattr(tg, "_pick_on_line", failing)
+    try:
+        o = search(cfg)
+    except errors.NoCoherentAssignment:
+        o = None
+    finally:
+        monkeypatch.setattr(tg, "_pick_on_line", pick)
+    return repr(tried[::3]), o
+
+
+def test_lazy_orientation_search_tries_the_eager_order(monkeypatch):
+    for _, cfg in _orient_scenes():
+        found = 0
+        for skip in (0, 1, 2, 3, 7, 8, 9, 20, 70):
+            lazy, o = _search(monkeypatch, tg.coherent_orientation, cfg, skip)
+            eager, o_ref = _search(monkeypatch, oracle_coherent_orientation,
+                                   cfg, skip)
+            assert lazy == eager
+            assert (o is None) == (o_ref is None)
+            if o is not None:
+                found += 1
+                assert _oriented_fields(o) == _oriented_fields(o_ref)
+        # the first pair holds, and past every pair both searches give up
+        assert 1 <= found < 9
+
+
+def test_a_projective_cosines_trial_takes_twelve_cross_ratios(monkeypatch):
+    calls = []
+    cross_ratio = tg.cross_ratio
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cross_ratio(*args, **kwargs)
+
+    monkeypatch.setattr(tg, "cross_ratio", counting)
+    check = lab.THEOREMS["projective_cosines"][0]
+    for _, cfg in _orient_scenes():
+        calls.clear()
+        check.residual(cfg, lab.trial_rng(0, 0), 0.0)
+        assert len(calls) == 12
+
+
+def test_orientation_draws_one_choice_of_t_prime_when_the_first_pair_holds(
+        monkeypatch):
+    drawn = []
+    assignments = tg.midpoint_assignments
+
+    def counting(pairs, avoid=None):
+        drawn.append(0)
+        k = len(drawn) - 1
+        for item in assignments(pairs, avoid):
+            drawn[k] += 1
+            yield item
+
+    monkeypatch.setattr(tg, "midpoint_assignments", counting)
+    for _, cfg in _orient_scenes():
+        drawn.clear()
+        tg.coherent_orientation(cfg)
+        assert drawn == [1, 1]
 
 
 def test_pappus_line_of_complementary_hexagon():
