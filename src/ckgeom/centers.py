@@ -291,14 +291,15 @@ def _isosceles_flags(cfg):
     ratios (B1B2AC) = (C1C2AB) under the best labeling."""
     t = get_tol()
     phi = cfg.model.absolute
+    # each side with its traces on the absolute, met once for both vertices
+    a, b, c = ((side, cn.line_conic_meet(phi, side).points)
+               for side in (cfg.a, cfg.b, cfg.c))
     flags = []
-    for vertex, s1, s2, v1, v2 in (
-        (cfg.A, cfg.b, cfg.c, cfg.C, cfg.B),
-        (cfg.B, cfg.c, cfg.a, cfg.A, cfg.C),
-        (cfg.C, cfg.a, cfg.b, cfg.B, cfg.A),
+    for vertex, (s1, (p1, p2)), (s2, (q1, q2)), v1, v2 in (
+        (cfg.A, b, c, cfg.C, cfg.B),
+        (cfg.B, c, a, cfg.A, cfg.C),
+        (cfg.C, a, b, cfg.B, cfg.A),
     ):
-        p1, p2 = cn.line_conic_meet(phi, s1).points
-        q1, q2 = cn.line_conic_meet(phi, s2).points
         r1 = cross_ratio(p1, p2, vertex, v1, carrier=s1)
         best = math.inf
         for q in ((q1, q2), (q2, q1)):

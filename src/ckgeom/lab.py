@@ -17,6 +17,12 @@ scene once per trial and shares it among the theorems of that sampler.
 Samplers draw the scene kinds of `KINDS`, the one table of the kinds, the
 models each exists in and the attempt that draws it.
 
+The checks of `MODEL_FREE` draw a figure of their own and never read the
+model, so their two certificates are the same computation.  The trial
+driver keeps the outcome of each counter of the last such run, keyed by
+(seed, check, tol, perturb), and the other model's run replays it
+(`_trials`).  Those outcomes never take a slot of the scene store.
+
 Each check accepts a `perturb` displacement: a designated hypothesis point
 is nudged by that amount in the chart before the final residual is taken,
 which guards the whole suite against vacuous checks.
@@ -927,6 +933,11 @@ INCIDENCE_THEOREMS = (
     "magic_midpoints",
 )
 
+# The checks that draw a figure of their own and never read `geometry`: each
+# trial's outcome is the same in both models, and `_trials` computes it once.
+MODEL_FREE = ("desargues", "pascal", "chasles", "pappus_involution",
+              "eleven_point_conic", "carnot_projective")
+
 
 def theorem_ids():
     return tuple(THEOREMS.keys())
@@ -938,13 +949,26 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
     RETRY_CAP + 5 * trials rejections raise SamplingExhausted.  In the
     models of its `samplers` (`_on_scene`), a check's residual reads the
     trial's scene from `_scene`.  The run keeps one generator and re-keys
-    it to counter [0,0,0,counter] at each trial (`Philox.rekey`)."""
-    global _scene_seed
+    it to counter [0,0,0,counter] at each trial (`Philox.rekey`).
+
+    A check of `MODEL_FREE` reads no model, so its outcome at a counter, the
+    residual or a rejection, is kept (`_outcomes`) under the key (seed,
+    check, tol, perturb) of its run.  A later run with that key, the other
+    model's, replays the outcomes and calls the check only at the counters
+    past them.  Only the last key's outcomes are kept, and never in the
+    scene store."""
+    global _scene_seed, _outcomes
     fn = THEOREMS[theorem_id][0]
     sampler = getattr(fn, "samplers", {}).get(geometry)
     if seed != _scene_seed:
         _scenes.clear()
         _scene_seed = seed
+    outcomes = None
+    if theorem_id in MODEL_FREE:
+        key = (seed, fn, tol, perturb)
+        if _outcomes[0] != key:
+            _outcomes = (key, [])
+        outcomes = _outcomes[1]
     rng = trial_rng(seed, 0)
     done = 0
     counter = 0
@@ -952,19 +976,30 @@ def _trials(theorem_id, seed, trials, geometry, tol, perturb):
         if counter - done > RETRY_CAP + 5 * trials:
             raise SamplingExhausted(f"{theorem_id}: too many rejected scenes")
         counter += 1
-        try:
-            if sampler is None:
-                rng.rekey(counter - 1)
-                res = fn(rng, geometry, tol, perturb)
-            else:
-                scene = _scene((seed, sampler, counter - 1, geometry, tol),
-                               rng)
-                res = fn.residual(scene, rng, perturb)
-        except GeometryError:
-            continue
+        if outcomes is not None and counter <= len(outcomes):
+            res = outcomes[counter - 1]
+        else:
+            try:
+                if sampler is None:
+                    rng.rekey(counter - 1)
+                    res = fn(rng, geometry, tol, perturb)
+                else:
+                    scene = _scene((seed, sampler, counter - 1, geometry,
+                                    tol), rng)
+                    res = fn.residual(scene, rng, perturb)
+            except GeometryError:
+                res = None
+            if outcomes is not None:
+                outcomes.append(res)
         if res is not None:
             done += 1
             yield counter - 1, res
+
+
+# The key (seed, check, tol, perturb) of the last run of a `MODEL_FREE`
+# check, and the outcome of each counter it reached: the residual, or None
+# for a rejection.  O(trials) floats, apart from the scene store.
+_outcomes = (None, [])
 
 
 # The scenes of the trial driver, with the generator state after each draw,

@@ -280,3 +280,27 @@ def test_compute_table51_measures_once(tmp_path, capsys, monkeypatch,
     assert out["kind"] == tg.right_angled_kind(cfg)
     assert [(r["row"], r["lhs"], r["rhs"], r["residual"])
             for r in out["rows"]] == want
+
+
+def test_the_catalog_equals_a_cold_run_of_each_certificate(tmp_path, capsys):
+    # the catalog shares scenes and model-free trials between its runs; each
+    # certificate is still the one a run of its id and model alone gives
+    from ckgeom import lab
+    report = tmp_path / "report.json"
+    code = run_cli(["verify", "--theorem", "all", "--geometry", "both",
+                    "--trials", "30", "--report", str(report)])
+    data = json.loads(report.read_text())
+    certs = []
+    for tid in lab.theorem_ids():
+        for geometry in lab.THEOREMS[tid][1]:
+            lab._scenes.clear()
+            lab._outcomes = (None, [])
+            certs.append(lab.verify(tid, seed=0, trials=30,
+                                    geometry=geometry,
+                                    tol=data["tolerance"]).to_dict())
+    for cert in certs + data["certificates"]:
+        del cert["wall_time"]
+    assert data["certificates"] == certs
+    passed = all(cert["passed"] for cert in certs)
+    assert (data["seed"], data["passed"], code) == (0, passed, 1 - passed)
+    assert set(data) == {"tolerance", "seed", "certificates", "passed"}

@@ -683,6 +683,108 @@ def test_ids_share_one_build_per_scene(monkeypatch, group):
         assert per_id == [0] * (len(ids) - 1), geometry
 
 
+def _outcome(check, seed, counter, geometry, perturb):
+    """A direct call's outcome: the residual's hex, None, or the class of the
+    GeometryError the check raised."""
+    try:
+        res = check(lab.trial_rng(seed, counter), geometry, lab.get_tol(),
+                    perturb)
+    except errors.GeometryError as exc:
+        return type(exc)
+    return None if res is None else res.hex()
+
+
+@pytest.mark.parametrize("tid", lab.MODEL_FREE)
+def test_model_free_checks_read_no_model(tid):
+    # what lets the driver run each trial once for both models: the check
+    # draws its own figure, and its outcome is the same to the bit in each
+    check, models, _ = lab.THEOREMS[tid]
+    assert models == ("hyperbolic", "elliptic")
+    assert not hasattr(check, "samplers")
+    for seed in range(3):
+        for counter in range(200):
+            for perturb in (0.0, 1e-3):
+                hyp = _outcome(check, seed, counter, "hyperbolic", perturb)
+                ell = _outcome(check, seed, counter, "elliptic", perturb)
+                assert hyp == ell, (seed, counter, perturb)
+
+
+def _counting(check, calls):
+    def counted(rng, geometry, tol, perturb=0.0):
+        calls.append(geometry)
+        return check(rng, geometry, tol, perturb)
+    return counted
+
+
+@pytest.mark.parametrize("tid", lab.MODEL_FREE)
+def test_the_other_model_replays_a_model_free_run(monkeypatch, tid):
+    # the second model's run calls the check at no counter the first reached,
+    # and its certificate is the one a cold run gives
+    check, models, report_only = lab.THEOREMS[tid]
+    calls = []
+    counted = _counting(check, calls)
+    monkeypatch.setitem(lab.THEOREMS, tid, (counted, models, report_only))
+    seed, tol = 5, lab.get_tol()
+    hyp = list(lab._trials(tid, seed, 40, "hyperbolic", tol, 0.0))
+    assert calls == ["hyperbolic"] * (hyp[-1][0] + 1)
+    calls.clear()
+    ell = lab.verify(tid, seed=seed, trials=40, geometry="elliptic")
+    assert calls == []
+    # a longer run calls the check only past the counters stored
+    longer = list(lab._trials(tid, seed, 60, "elliptic", tol, 0.0))
+    assert longer[:40] == hyp
+    assert calls == ["elliptic"] * (longer[-1][0] - hyp[-1][0])
+    # another perturb is another key
+    calls.clear()
+    lab.perturbation_guard(tid, seed=seed, trials=40, geometry="elliptic")
+    assert len(calls) >= 40
+    lab._outcomes = (None, [])
+    cold = lab.verify(tid, seed=seed, trials=40, geometry="elliptic")
+    assert cert_fields(ell) == cert_fields(cold)
+    assert max(res for _, res in hyp) == cold.max_residual
+
+
+def test_a_replaced_check_reads_nothing_stored_for_another(monkeypatch):
+    # a fault installed between the two models' runs shows in the second
+    check, models, report_only = lab.THEOREMS["pascal"]
+    plain = lab.verify("pascal", seed=6, trials=30, geometry="hyperbolic")
+    calls = []
+
+    def faulty(rng, geometry, tol, perturb=0.0):
+        calls.append(geometry)
+        res = check(rng, geometry, tol, perturb)
+        return None if res is None else res + 1e-6
+
+    monkeypatch.setitem(lab.THEOREMS, "pascal", (faulty, models, report_only))
+    faulted = lab.verify("pascal", seed=6, trials=30, geometry="elliptic")
+    assert len(calls) >= 30
+    assert faulted.max_residual == plain.max_residual + 1e-6
+    assert len(faulted.failures) == 30
+    monkeypatch.undo()
+    again = lab.verify("pascal", seed=6, trials=30, geometry="elliptic")
+    assert again.max_residual == plain.max_residual and not again.failures
+
+
+def test_model_free_runs_take_no_store_slot(monkeypatch):
+    # runs longer than the store's cap leave its scenes where they were, so
+    # a generic id's second run still builds nothing
+    seed = 31
+    lab._scenes.clear()
+    lab.verify("altitudes", seed=seed, trials=20)
+    stored = list(lab._scenes)
+    for tid in lab.MODEL_FREE:
+        for geometry in ("hyperbolic", "elliptic"):
+            lab.verify(tid, seed=seed, trials=3000, geometry=geometry)
+    assert list(lab._scenes) == stored
+    # only the last run's outcomes are kept, one per counter it reached
+    key, outcomes = lab._outcomes
+    assert key[:2] == (seed, lab.THEOREMS[lab.MODEL_FREE[-1]][0])
+    assert 3000 <= len(outcomes) <= lab.RETRY_CAP + 6 * 3000
+    builds = _count_builds(monkeypatch)
+    lab.verify("medians", seed=seed, trials=20)
+    assert builds == []
+
+
 def test_oracle_cross_ratio_matches_determinant(rng):
     # hand value and random agreement between the chart oracle and the
     # determinant implementation
