@@ -347,13 +347,12 @@ def _magic(cfg):
 # ---------------------------------------------------------------------------
 
 class CentersReport:
-    __slots__ = ("barycenters", "circumcenters", "incenters", "residuals")
+    __slots__ = ("barycenters", "circumcenters", "incenters")
 
     def __init__(self):
         self.barycenters = []
         self.circumcenters = []
         self.incenters = []
-        self.residuals = {}
 
 
 def _classical_centers(cfg: PolarTriangleConfig):
@@ -361,7 +360,6 @@ def _classical_centers(cfg: PolarTriangleConfig):
     midpoint assignment, with their concurrency residuals; the incenters of
     T are the circumcenters of T'."""
     report = CentersReport()
-    report.residuals["orthocenter"] = incidence_residual(cfg.hc, cfg.H)
     d = cfg.dual
     for tri, families in (
             (cfg, ((report.barycenters, (cfg.A, cfg.B, cfg.C)),

@@ -17,6 +17,10 @@ scene once per trial and shares it among the theorems of that sampler.
 Samplers draw the scene kinds of `KINDS`, the one table of the kinds, the
 models each exists in and the attempt that draws it.
 
+A check rejects its scene by returning None or by raising a GeometryError;
+only the trial driver (`_trials`) turns either into a rejection, and only
+the draws that retry within one trial catch a GeometryError themselves.
+
 The checks of `MODEL_FREE` draw a figure of their own and never read the
 model, so their two certificates are the same computation.  The trial
 driver keeps the outcome of each counter of the last such run, keyed by
@@ -212,6 +216,18 @@ def _conditioned(pts) -> bool:
             and abs(collinearity_residual(*pts)) > _SCENE_MARGIN)
 
 
+def _triangle_of(model, pts, figure=None):
+    """The config of the triangle `pts` if it is conditioned and has no
+    right angle, and is of the generalized `figure` if given; else None."""
+    if not _conditioned(pts):
+        return None
+    cfg = ce.build_config(model, *pts)
+    if cfg.is_right_angled() or (
+            figure is not None and tg.classify_generalized(cfg) != figure):
+        return None
+    return cfg
+
+
 def _try_points(n_ext, figure=None):
     """The attempt at a triangle of n_ext exterior vertices and no right
     angle, of the generalized `figure` if given.  Interior points lie in the
@@ -219,32 +235,8 @@ def _try_points(n_ext, figure=None):
     def try_points(rng, model):
         pts = ([_interior_point(rng) for _ in range(3 - n_ext)]
                + [_exterior_point(rng) for _ in range(n_ext)])
-        if not _conditioned(pts):
-            return None
-        cfg = ce.build_config(model, *pts)
-        if cfg.is_right_angled() or (
-                figure is not None and tg.classify_generalized(cfg) != figure):
-            return None
-        return cfg
+        return _triangle_of(model, pts, figure)
     return try_points
-
-
-def _try_isosceles(rng, model):
-    ang = rng.uniform(0.0, 2.0 * math.pi)
-    e = (math.cos(ang), math.sin(ang))
-    f = (-math.sin(ang), math.cos(ang))
-    u0 = rng.uniform(-0.8, 0.8)
-    u1 = rng.uniform(-0.8, 0.8)
-    v1 = rng.uniform(0.1, 0.7)
-    if math.hypot(u1, v1) > 0.88:
-        return None
-    A = affine_point(u0 * e[0], u0 * e[1])
-    B = affine_point(u1 * e[0] + v1 * f[0], u1 * e[1] + v1 * f[1])
-    C = affine_point(u1 * e[0] - v1 * f[0], u1 * e[1] - v1 * f[1])
-    if not _conditioned([A, B, C]):
-        return None
-    cfg = ce.build_config(model, A, B, C)
-    return None if cfg.is_right_angled() else cfg
 
 
 def _try_hexagon(rng, model):
@@ -255,15 +247,8 @@ def _try_hexagon(rng, model):
     a = chord(ths[0], ths[1])
     b = chord(ths[2], ths[3])
     c = chord(ths[4], ths[5])
-    A = meet_lines(b, c)
-    B = meet_lines(c, a)
-    C = meet_lines(a, b)
-    if not _conditioned([A, B, C]):
-        return None
-    cfg = ce.build_config(model, A, B, C)
-    if cfg.is_right_angled() or tg.classify_generalized(cfg) != tg.HEXAGON:
-        return None
-    return cfg
+    return _triangle_of(model, [meet_lines(b, c), meet_lines(c, a),
+                                meet_lines(a, b)], tg.HEXAGON)
 
 
 def _try_right(figure):
@@ -317,7 +302,6 @@ KINDS = {
     "ext3": ((HYPERBOLIC,), _try_points(3)),
     "quadrilateral": ((HYPERBOLIC,), _try_points(1, tg.QUADRILATERAL_2R)),
     "hexagon": ((HYPERBOLIC,), _try_hexagon),
-    "isosceles": (_BOTH, _try_isosceles),
     "right:elliptic": ((ELLIPTIC,), _try_right(tg.ELLIPTIC_RIGHT)),
     "right:hyp-right": ((HYPERBOLIC,), _try_right(tg.HYPERBOLIC_RIGHT)),
     "right:lambert": ((HYPERBOLIC,), _try_right(tg.LAMBERT)),
@@ -458,16 +442,11 @@ def _conic_from_bounded(rng):
 
 def _chk_chasles(rng, geometry, tol, perturb=0.0):
     conic = _conic_from_bounded(rng)
-    if conic is None or conic.is_degenerate():
-        return None
     tri = [_interior_point(rng, 2.0) for _ in range(3)]
     if not _conditioned(tri):
         return None
-    try:
-        poles = [cn.pole(conic, join_points(tri[(i + 1) % 3], tri[(i + 2) % 3]))
-                 for i in range(3)]
-    except GeometryError:
-        return None
+    poles = [cn.pole(conic, join_points(tri[(i + 1) % 3], tri[(i + 2) % 3]))
+             for i in range(3)]
     poles[0] = nudge(poles[0], perturb)
     lines = [join_points(tri[i], poles[i]) for i in range(3)]
     return concurrency_residual(*lines)
@@ -475,12 +454,9 @@ def _chk_chasles(rng, geometry, tol, perturb=0.0):
 
 def _chk_pappus_involution(rng, geometry, tol, perturb=0.0):
     pts = [_interior_point(rng, 1.5) for _ in range(4)]
-    try:
-        q = Quadrangle(*pts)
-        line = join_points(_exterior_point(rng), _exterior_point(rng, (3.2, 4.5)))
-        sigma = quadrangular_involution(q, line)
-    except GeometryError:
-        return None
+    q = Quadrangle(*pts)
+    line = join_points(_exterior_point(rng), _exterior_point(rng, (3.2, 4.5)))
+    sigma = quadrangular_involution(q, line)
     # sigma is fixed by the first two pairs of opposite sides; the third
     # pair, side 03 against side 12, must be swapped too
     x3 = nudge(meet_lines(q.side(0, 3), line), perturb)
@@ -502,7 +478,8 @@ def _midpoint_quadrilateral(cfg, rng, perturb):
 
 
 def _tangent_triangle(rng, model, n_tangent):
-    """Triangle with n sides tangent to the absolute (hyperbolic only).
+    """Triangle with n sides tangent to the absolute (hyperbolic only), or
+    SamplingExhausted after 80 attempts.
 
     All three lines are anchored on the boundary circle (tangency points for
     the tangent sides, well separated chords for the rest), which keeps the
@@ -537,7 +514,7 @@ def _tangent_triangle(rng, model, n_tangent):
                 break
         else:
             return A, B, C
-    return None
+    raise SamplingExhausted("no tangent triangle after 80 attempts")
 
 
 def _chk_midpoint_quadrilateral(rng, geometry, tol, perturb=0.0):
@@ -545,16 +522,10 @@ def _chk_midpoint_quadrilateral(rng, geometry, tol, perturb=0.0):
         return _midpoint_quadrilateral(_generic(rng, geometry), rng, perturb)
     model = model_for(geometry)
     n_tangent = 1 + rng.integers(0, 3)
-    got = _tangent_triangle(rng, model, n_tangent)
-    if got is None:
-        return None
-    A, B, C = got
-    try:
-        mids_a = mt.midpoints(model, B, C)
-        mids_b = mt.midpoints(model, C, A)
-        mids_c = mt.midpoints(model, A, B)
-    except GeometryError:
-        return None
+    A, B, C = _tangent_triangle(rng, model, n_tangent)
+    mids_a = mt.midpoints(model, B, C)
+    mids_b = mt.midpoints(model, C, A)
+    mids_c = mt.midpoints(model, A, B)
     mids_a = (nudge(mids_a[0], perturb), mids_a[1])
     return ce.midpoint_quadrilateral_residual(mids_a, mids_b, mids_c)
 
@@ -664,12 +635,9 @@ def _chk_eleven_point(rng, geometry, tol, perturb=0.0):
     pts = [_interior_point(rng, 1.4) for _ in range(4)]
     if not _well_separated(pts):
         return None
-    try:
-        q = Quadrangle(*pts)
-        line = join_points(_exterior_point(rng), _exterior_point(rng, (3.2, 4.5)))
-        conic, eleven = cn.eleven_point_conic(q, line)
-    except GeometryError:
-        return None
+    q = Quadrangle(*pts)
+    line = join_points(_exterior_point(rng), _exterior_point(rng, (3.2, 4.5)))
+    conic, eleven = cn.eleven_point_conic(q, line)
     worst = max(cn.conic_residual(conic, p) for p in eleven)
     if perturb:
         worst = max(worst, cn.conic_residual(conic, nudge(eleven[2], perturb)))
@@ -734,41 +702,34 @@ def _law_cosines_sq(cfg, rng, perturb):
 
 def _chk_carnot_projective(rng, geometry, tol, perturb=0.0):
     conic = _conic_from_bounded(rng)
-    if conic is None or conic.is_degenerate():
-        return None
     tri = [_interior_point(rng, 2.2) for _ in range(3)]
     if not _conditioned(tri):
         return None
     p = _exterior_point(rng)
     q = _exterior_point(rng, (3.2, 4.4))
     transversal = join_points(p, q)
-    try:
-        res, six = tg.carnot_projective_residual(*tri, conic, transversal)
-        if perturb:
-            # move X0 off the transversal: X0, Y0, Z0 are no longer
-            # collinear.  The nudged point is whichever of P, Q lies nearer
-            # to X0, so the line pivots about the farther one and X0 moves.
-            X, Y, Z = tri
-            side_x = join_points(Y, Z)
-            x0 = meet_lines(side_x, transversal)
-            if point_gap(x0, p) <= point_gap(x0, q):
-                moved = join_points(nudge(p, perturb), q)
-            else:
-                moved = join_points(p, nudge(q, perturb))
-            res = abs(tg.carnot_product(
-                X, Y, Z,
-                meet_lines(side_x, moved),
-                meet_lines(join_points(Z, X), transversal),
-                meet_lines(join_points(X, Y), transversal),
-                *six) - 1.0)
-    except GeometryError:
-        return None
+    res, six = tg.carnot_projective_residual(*tri, conic, transversal)
+    if perturb:
+        # move X0 off the transversal: X0, Y0, Z0 are no longer
+        # collinear.  The nudged point is whichever of P, Q lies nearer
+        # to X0, so the line pivots about the farther one and X0 moves.
+        X, Y, Z = tri
+        side_x = join_points(Y, Z)
+        x0 = meet_lines(side_x, transversal)
+        if point_gap(x0, p) <= point_gap(x0, q):
+            moved = join_points(nudge(p, perturb), q)
+        else:
+            moved = join_points(p, nudge(q, perturb))
+        res = abs(tg.carnot_product(
+            X, Y, Z,
+            meet_lines(side_x, moved),
+            meet_lines(join_points(Z, X), transversal),
+            meet_lines(join_points(X, Y), transversal),
+            *six) - 1.0)
     return res
 
 
 def _carnot_hyperbolic(cfg, rng, perturb):
-    if not all(cfg.model.is_interior(v) for v in (cfg.A, cfg.B, cfg.C)):
-        return None
     hstar = _interior_point(rng, 0.8)
     astar, bstar, cstar = tg.concurrent_carnot_points(cfg, hstar)
     if not all(cfg.model.is_interior(p) for p in (astar, bstar, cstar)):
@@ -805,10 +766,7 @@ def _carnot_elliptic(cfg, rng, perturb):
         return hpoint(p[0] + s * q[0], p[1] + s * q[1], p[2] + s * q[2])
     bstar = on_side(cfg.C, cfg.A)
     cstar = on_side(cfg.A, cfg.B)
-    try:
-        fake, dstar = tg.fake_carnot_points(cfg, bstar, cstar)
-    except GeometryError:
-        return None
+    fake, dstar = tg.fake_carnot_points(cfg, bstar, cstar)
     if points_equal(fake, dstar, 1e-6):
         return None
     fake = nudge(fake, perturb)
@@ -856,16 +814,13 @@ def _chk_ray_angles(rng, geometry, tol, perturb=0.0):
     q = _interior_point(rng, 0.85)
     if point_gap(o, p) < 1e-2 or point_gap(o, q) < 1e-2:
         return None
-    try:
-        r1 = ry.ray_towards(model, o, p)
-        r2 = ry.ray_towards(model, o, nudge(q, perturb))
-        ang = ry.angle_between_rays(model, r1, r2)
-        c1 = ry.ray_cosine_opposite(model, r1, r2)
-        c2 = ry.ray_cosine_conjugate(model, r1, r2)
-        r2b = ry.Ray(r2.origin, r2.carrier, ry.other_trace(r2, model.absolute))
-        supp = ry.angle_between_rays(model, r1, r2b)
-    except GeometryError:
-        return None
+    r1 = ry.ray_towards(model, o, p)
+    r2 = ry.ray_towards(model, o, nudge(q, perturb))
+    ang = ry.angle_between_rays(model, r1, r2)
+    c1 = ry.ray_cosine_opposite(model, r1, r2)
+    c2 = ry.ray_cosine_conjugate(model, r1, r2)
+    r2b = ry.Ray(r2.origin, r2.carrier, ry.other_trace(r2, model.absolute))
+    supp = ry.angle_between_rays(model, r1, r2b)
     res = max(abs(c1 - math.cos(ang)), abs(c2 - c1),
               abs(ang + supp - math.pi))
     if perturb:
@@ -945,10 +900,11 @@ def theorem_ids():
 
 def _trials(theorem_id, seed, trials, geometry, tol, perturb):
     """(counter, residual) of each of `trials` accepted scenes.  A check that
-    returns None or raises GeometryError rejects its scene; more than
-    RETRY_CAP + 5 * trials rejections raise SamplingExhausted.  In the
-    models of its `samplers` (`_on_scene`), a check's residual reads the
-    trial's scene from `_scene`.  The run keeps one generator and re-keys
+    returns None or raises GeometryError rejects its scene, and this is the
+    one place where either becomes a rejection; more than RETRY_CAP + 5 *
+    trials rejections raise SamplingExhausted.  In the models of its
+    `samplers` (`_on_scene`), a check's residual reads the trial's scene
+    from `_scene`.  The run keeps one generator and re-keys
     it to counter [0,0,0,counter] at each trial (`Philox.rekey`).
 
     A check of `MODEL_FREE` reads no model, so its outcome at a counter, the

@@ -301,7 +301,6 @@ _REPORTS = {
 }
 _SCENE_PAIRS = (
     ("generic", "hyperbolic"), ("generic", "elliptic"),
-    ("isosceles", "hyperbolic"), ("isosceles", "elliptic"),
     ("ext1", "hyperbolic"), ("ext2", "hyperbolic"), ("ext3", "hyperbolic"),
     ("quadrilateral", "hyperbolic"), ("hexagon", "hyperbolic"),
     ("right:elliptic", "elliptic"), ("right:hyp-right", "hyperbolic"),

@@ -37,7 +37,6 @@ FIGURES = {
         tg.classify_generalized(cfg) == tg.QUADRILATERAL_2R),
     "hexagon": lambda cfg: (_exterior(cfg) == 3
                             and tg.classify_generalized(cfg) == tg.HEXAGON),
-    "isosceles": lambda cfg: any(cfg.iso_flags),
     "right:elliptic": _right(tg.ELLIPTIC_RIGHT),
     "right:hyp-right": _right(tg.HYPERBOLIC_RIGHT),
     "right:lambert": _right(tg.LAMBERT),
@@ -99,6 +98,40 @@ def test_every_sampler_draws_in_the_models_of_its_rows():
         cfg = lab.SAMPLERS[name](lab.trial_rng(0, 0), geometry)
         assert isinstance(cfg, ce.PolarTriangleConfig), name
         assert cfg.model.kind == geometry, name
+
+
+def test_every_kind_is_drawn_by_a_sampler(monkeypatch):
+    # a row of lab.KINDS that no sampler of a THEOREMS row draws is code
+    # only tests reach
+    drawn = set()
+
+    def recorder(rng, geometry, kind="generic"):
+        drawn.add(kind)
+
+    monkeypatch.setattr(lab, "random_triangle_config", recorder)
+    for name, geometry, _ in _sampler_models():
+        for counter in range(64):
+            lab.SAMPLERS[name](lab.trial_rng(0, counter), geometry)
+    assert drawn == set(lab.KINDS)
+
+
+def _catches_geometry_error(handler):
+    caught = handler.type
+    names = (caught.elts if isinstance(caught, ast.Tuple) else [caught])
+    return any(node is None or getattr(node, "id", getattr(node, "attr", None))
+               in ("GeometryError", "Exception", "BaseException")
+               for node in names)
+
+
+def test_only_the_trial_driver_and_retrying_draws_catch_geometry_errors():
+    # a check rejects its scene by returning None or raising; the driver
+    # alone turns a raise into a rejection, so it sees every raised class
+    tree = ast.parse(inspect.getsource(lab))
+    catching = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.ExceptHandler)
+                and _catches_geometry_error(node)]
+    assert sorted(catching) == ["_tangent_triangle", "_trials", "_try_right",
+                                "random_triangle_config"]
 
 
 def test_readme_lists_the_kinds_and_their_models():
@@ -413,17 +446,22 @@ def test_a_store_hit_sets_the_generator_state_once(monkeypatch):
 
 
 def test_lazy_isosceles_flags():
-    for kind in ("generic", "isosceles"):
-        for i in range(10):
-            cfg = lab.random_triangle_config(lab.trial_rng(11, i), "hyperbolic", kind)
-            with pytest.raises(AttributeError):
-                object.__getattribute__(cfg, "iso_flags")
-            flags = cfg.iso_flags
-            assert object.__getattribute__(cfg, "iso_flags") is flags
-            assert flags == ce.build_config(cfg.model, cfg.A, cfg.B,
-                                            cfg.C).iso_flags
-            if kind == "isosceles":
-                assert any(flags)
+    # ten generic scenes, then the triangle of test_centers'
+    # test_isosceles_flags, isosceles at A
+    hyp = lab.model_for("hyperbolic")
+    scenes = [lab.random_triangle_config(lab.trial_rng(11, i), "hyperbolic")
+              for i in range(10)]
+    scenes.append(ce.build_config(hyp, affine_point(0.6, 0),
+                                  affine_point(-0.2, 0.4),
+                                  affine_point(-0.2, -0.4)))
+    for cfg in scenes:
+        with pytest.raises(AttributeError):
+            object.__getattribute__(cfg, "iso_flags")
+        flags = cfg.iso_flags
+        assert object.__getattribute__(cfg, "iso_flags") is flags
+        assert flags == ce.build_config(cfg.model, cfg.A, cfg.B,
+                                        cfg.C).iso_flags
+    assert scenes[-1].iso_flags == (True, False, False)
 
 
 def _count_builds(monkeypatch):
