@@ -21,6 +21,16 @@ it early or late gives the same floats.  Two contracts:
   and `nine_point()`) may raise `GeometryError`.  A raise leaves the slot
   unset, so the next read raises again.
 
+The eager build is one pass with the tests, raises and floats of the kernel
+functions it restates.  It forms M.X once per vertex, for its test against
+the absolute (`point_on_conic`) and its polar; adj(M).l once per side, for
+its pole and the conjugacy test of `lines_conjugate`; and the squared norm
+of each of the six vertices once, for the coincidence tests of
+`points_equal`.  It runs those on every pair but (A, B) and (B, C), which
+the joins c and a test on the same operands.  In order: collinearity, the
+vertices on the absolute, the joins, the polar vertices on the absolute,
+the 13 pairs, then the conjugate side pairs.
+
 The polar triangle T' is read, never rebuilt: `cfg.dual` reads and writes
 the slots of the config through the swap A<->A', a<->a', A_b<->B_a,
 A_c<->C_a, B_c<->C_b, mids_a<->mids_a', D<->D', D_a<->D_a' (and cyclically)
@@ -44,6 +54,7 @@ from . import metric as mt
 from .errors import GeneralPositionViolation, GeometryError
 from .projective import (
     HLine,
+    HPoint,
     Quadrangle,
     collinearity_residual,
     cross_ratio,
@@ -51,11 +62,20 @@ from .projective import (
     incidence_residual,
     join_points,
     meet_lines,
+    normalized,
     pascal_points,
     point_gap,
     points_equal,
 )
 from .tolerance import get_tol
+
+
+# The coincidence tests of the build, in its order: every pair of the six
+# vertices A, B, C, A', B', C' but (A, B) and (B, C), which the joins c and a
+# test on the same operands.
+_VERTEX_NAMES = ("A", "B", "C", "A'", "B'", "C'")
+_PAIR_TESTS = tuple((i, j) for i in range(6) for j in range(i + 1, 6)
+                    if (i, j) not in ((0, 1), (1, 2)))
 
 
 class PolarTriangleConfig:
@@ -91,35 +111,57 @@ class PolarTriangleConfig:
 
     def _check_and_derive(self):
         t = get_tol()
-        model = self.model
-        phi = model.absolute
+        on = 1e3 * t
+        phi = self.model.absolute
         A, B, C = self.A, self.B, self.C
         if collinearity_residual(A, B, C) <= t:
             raise GeneralPositionViolation("vertices are collinear")
+        ms = []
         for name, v in (("A", A), ("B", B), ("C", C)):
-            if cn.point_on_conic(model.absolute, v):
+            m = phi.apply(v)
+            if abs(v[0] * m[0] + v[1] * m[1] + v[2] * m[2]) <= on:
                 raise GeneralPositionViolation(f"vertex {name} lies on the absolute")
-        self.a = join_points(B, C)
-        self.b = join_points(C, A)
-        self.c = join_points(A, B)
-        self.ap = cn.polar(phi, A)
-        self.bp = cn.polar(phi, B)
-        self.cp = cn.polar(phi, C)
-        self.Ap = cn.pole(phi, self.a)
-        self.Bp = cn.pole(phi, self.b)
-        self.Cp = cn.pole(phi, self.c)
-        for name, v in (("A'", self.Ap), ("B'", self.Bp), ("C'", self.Cp)):
-            if cn.point_on_conic(model.absolute, v):
+            ms.append(m)
+        self.a = a = join_points(B, C)
+        self.b = b = join_points(C, A)
+        self.c = c = join_points(A, B)
+        # the absolute is nondegenerate (`ModelGeometry`): polars and poles
+        # need no test of it
+        self.ap, self.bp, self.cp = (normalized(HLine, *m) for m in ms)
+        (r0, r1, r2) = phi.adjugate()
+        vs = [(r0[0] * l[0] + r0[1] * l[1] + r0[2] * l[2],
+               r1[0] * l[0] + r1[1] * l[1] + r1[2] * l[2],
+               r2[0] * l[0] + r2[1] * l[1] + r2[2] * l[2]) for l in (a, b, c)]
+        self.Ap, self.Bp, self.Cp = poles = [normalized(HPoint, *v) for v in vs]
+        for name, v in zip(("A'", "B'", "C'"), poles):
+            m = phi.apply(v)
+            if abs(v[0] * m[0] + v[1] * m[1] + v[2] * m[2]) <= on:
                 raise GeneralPositionViolation(
                     f"polar vertex {name} on the absolute (tangent side)")
-        verts = (("A", A), ("B", B), ("C", C),
-                 ("A'", self.Ap), ("B'", self.Bp), ("C'", self.Cp))
-        for i in range(6):
-            for j in range(i + 1, 6):
-                if points_equal(verts[i][1], verts[j][1], t):
-                    raise GeneralPositionViolation(
-                        f"vertices {verts[i][0]} and {verts[j][0]} coincide")
-        self.conjugate_side_pairs = self._conjugate_sides()
+        # `points_equal` on each pair of _PAIR_TESTS, from squared norms
+        # formed once per vertex
+        verts = (A, B, C, *poles)
+        norms = []
+        for v0, v1, v2 in verts:
+            p, q, r = abs(v0), abs(v1), abs(v2)
+            norms.append(p * p + q * q + r * r)
+        tt = t * t
+        for i, j in _PAIR_TESTS:
+            a0, a1, a2 = verts[i]
+            b0, b1, b2 = verts[j]
+            x = abs(a1 * b2 - a2 * b1)
+            y = abs(a2 * b0 - a0 * b2)
+            z = abs(a0 * b1 - a1 * b0)
+            if x * x + y * y + z * z <= tt * norms[i] * norms[j]:
+                raise GeneralPositionViolation(
+                    f"vertices {_VERTEX_NAMES[i]} and {_VERTEX_NAMES[j]} coincide")
+        # `lines_conjugate` of b, c; c, a; a, b on the raw poles of b, c, a
+        pairs = []
+        for pair, v, l in (("bc", vs[1], c), ("ca", vs[2], a), ("ab", vs[0], b)):
+            scale = max(abs(v[0]), abs(v[1]), abs(v[2]))
+            if abs(v[0] * l[0] + v[1] * l[1] + v[2] * l[2]) <= on * max(scale, 1e-300):
+                pairs.append(pair)
+        self.conjugate_side_pairs = tuple(pairs)
 
     def __getattr__(self, name):
         # called only for an unset slot: derive its group, then read it
@@ -129,17 +171,6 @@ class PolarTriangleConfig:
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         derive(self)
         return object.__getattribute__(self, name)
-
-    def _conjugate_sides(self):
-        phi = self.model.absolute
-        pairs = []
-        if cn.lines_conjugate(phi, self.b, self.c):
-            pairs.append("bc")
-        if cn.lines_conjugate(phi, self.c, self.a):
-            pairs.append("ca")
-        if cn.lines_conjugate(phi, self.a, self.b):
-            pairs.append("ab")
-        return tuple(pairs)
 
     def is_right_angled(self) -> bool:
         return len(self.conjugate_side_pairs) > 0
@@ -358,17 +389,25 @@ class CentersReport:
 def _classical_centers(cfg: PolarTriangleConfig):
     """Barycenters, circumcenters and incenters for every consistent
     midpoint assignment, with their concurrency residuals; the incenters of
-    T are the circumcenters of T'."""
+    T are the circumcenters of T'.  Each join of a vertex with a midpoint is
+    formed once per family, on the first assignment that reads it."""
     report = CentersReport()
     d = cfg.dual
     for tri, families in (
             (cfg, ((report.barycenters, (cfg.A, cfg.B, cfg.C)),
                    (report.circumcenters, (cfg.Ap, cfg.Bp, cfg.Cp)))),
             (d, ((report.incenters, (d.Ap, d.Bp, d.Cp)),))):
+        joins = {}
         for bits, mids in midpoint_assignments(
                 (tri.mids_a, tri.mids_b, tri.mids_c)):
-            for out, verts in families:
-                la, lb, lc = (join_points(v, m) for v, m in zip(verts, mids))
+            for f, (out, verts) in enumerate(families):
+                lines = []
+                for k, (v, m) in enumerate(zip(verts, mids)):
+                    key = f, k, bits[k]
+                    if key not in joins:
+                        joins[key] = join_points(v, m)
+                    lines.append(joins[key])
+                la, lb, lc = lines
                 p = meet_lines(la, lb)
                 out.append((bits, p, incidence_residual(lc, p)))
     cfg._classical = report

@@ -210,8 +210,9 @@ _SCENE_MARGIN = 0.01
 
 
 def _conditioned(pts) -> bool:
-    # every scene kind ends with this test: the nominal guard floor is
-    # MIN_SEPARATION; the sweep tolerances assume this stronger one
+    # every scene kind ends with this test (`_try_right` on the gaps and
+    # margin it formed): the nominal guard floor is MIN_SEPARATION; the
+    # sweep tolerances assume this stronger one
     return (_well_separated(pts, _SCENE_SEPARATION)
             and abs(collinearity_residual(*pts)) > _SCENE_MARGIN)
 
@@ -254,12 +255,18 @@ def _try_hexagon(rng, model):
 def _try_right(figure):
     """The attempt at the right-angled `figure` of `trig.right_angled_kind`,
     right angle canonically at A: C is placed on the line joining A with the
-    pole of AB, at a parameter scanned for the figure."""
+    pole of AB, at a parameter scanned for the figure.  Each step tests the
+    side of the absolute C lies on, its gaps and margin, then (pentagon) the
+    side BC, each a pure predicate and a necessary condition of
+    `right_angled_kind`; `join_points(B, C)` follows the gap tests, since it
+    raises where they move on.  The final `_conditioned` test reads the
+    gaps and margin already formed."""
     def try_right(rng, model):
         A = _interior_point(rng)
         B = (_exterior_point(rng) if figure == tg.PENTAGON
              else _interior_point(rng))
-        if point_gap(A, B) < MIN_SEPARATION:
+        gap_ab = point_gap(A, B)
+        if gap_ab < MIN_SEPARATION:
             return None
         side_c = join_points(A, B)
         pc = cn.pole(model.absolute, side_c)
@@ -271,24 +278,27 @@ def _try_right(figure):
                            A[2] + t * pc[2])
             except ValueError:
                 continue
-            if not _well_separated([A, B, C]) or not _triangle_margin(A, B, C):
-                continue
-            # cheap position pre-checks before paying for a full config
-            # build; each is a necessary condition of right_angled_kind
             if figure == tg.HYPERBOLIC_RIGHT and not model.is_interior(C):
                 continue
             if figure == tg.LAMBERT and model.is_interior(C) == bi:
                 continue
+            if figure == tg.PENTAGON and model.is_interior(C):
+                continue
+            gap = min(gap_ab, point_gap(A, C), point_gap(B, C))
+            margin = abs(collinearity_residual(A, B, C))
+            if gap < MIN_SEPARATION or not margin > MIN_SEPARATION:
+                continue
             if figure == tg.PENTAGON and (
-                    model.is_interior(C)
-                    or model.line_status(join_points(B, C)) != cn.SECANT):
+                    model.line_status(join_points(B, C)) != cn.SECANT):
                 continue
             try:
                 cfg = ce.build_config(model, A, B, C)
             except GeometryError:
                 continue
             if tg.right_angled_kind(cfg) == figure:
-                return cfg if _conditioned([A, B, C]) else None
+                conditioned = (gap >= _SCENE_SEPARATION
+                               and margin > _SCENE_MARGIN)
+                return cfg if conditioned else None
         return None
     return try_right
 

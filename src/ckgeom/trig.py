@@ -199,12 +199,6 @@ _SIDES = {
 _SEGMENTS = ("a", "b", "c", "b'", "c'")
 
 
-def squared_ratios(cfg: PolarTriangleConfig):
-    """C/S/T triples for the five segments a, b, c, b', c' of a right-angled
-    configuration (b' = C'A', c' = A'B')."""
-    return {side: _cst(cfg, *_SIDES[side](cfg)) for side in _SEGMENTS}
-
-
 # T1..T6 as (lhs, rhs) over the C/S/T of the segments a, b, c, b', c': read
 # squared from cross ratios, unsquared through root families (table_5_1).
 _IDENTITIES = {
@@ -218,10 +212,16 @@ _IDENTITIES = {
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
 
+# the three segments each identity reads, in the order of _SEGMENTS
+_READS = {"T1": ("a", "b", "c"), "T2": ("a", "c", "c'"),
+          "T3": ("c", "b'", "c'"), "T4": ("a", "c", "b'"),
+          "T5": ("a", "b'", "c'"), "T6": ("b", "c", "c'")}
+
 
 def squared_identity(name: str, cfg: PolarTriangleConfig) -> float:
-    """Residual of one of the six identities of a right-angled configuration."""
-    r = squared_ratios(cfg)
+    """Residual of one of the six identities of a right-angled configuration,
+    from the C/S/T of only the three segments it reads."""
+    r = {side: _cst(cfg, *_SIDES[side](cfg)) for side in _READS[name]}
     C = {k: v[0] for k, v in r.items()}
     S = {k: v[1] for k, v in r.items()}
     T = {k: v[2] for k, v in r.items()}

@@ -13,6 +13,7 @@ from ckgeom import trig as tg
 from ckgeom.errors import (
     ChartDegenerate,
     EndpointOnConic,
+    GeneralPositionViolation,
     NoCoherentAssignment,
 )
 from ckgeom.projective import (
@@ -20,6 +21,7 @@ from ckgeom.projective import (
     cross_ratio,
     join_points,
     meet_lines,
+    points_equal,
     triple_eq,
 )
 from ckgeom.tolerance import get_tol
@@ -30,6 +32,40 @@ def numpy_philox(seed, counter):
     the oracle of `ckgeom.philox.Philox`."""
     return np.random.Generator(np.random.Philox(
         key=seed, counter=np.array([0, 0, 0, counter], dtype=np.uint64)))
+
+
+def oracle_build(model, A, B, C):
+    """The eager slots of `centers.PolarTriangleConfig(model, A, B, C)` by
+    name, formed through the kernel functions one test at a time: each M.X
+    twice (`point_on_conic`, `polar`), each adj(M).l twice (`pole`,
+    `lines_conjugate`) and all 15 pair tests.  Raises where and as that
+    build does."""
+    t = get_tol()
+    phi = model.absolute
+    if collinearity_residual(A, B, C) <= t:
+        raise GeneralPositionViolation("vertices are collinear")
+    for name, v in (("A", A), ("B", B), ("C", C)):
+        if cn.point_on_conic(phi, v):
+            raise GeneralPositionViolation(f"vertex {name} lies on the absolute")
+    s = {"model": model, "A": A, "B": B, "C": C}
+    s["a"], s["b"], s["c"] = join_points(B, C), join_points(C, A), join_points(A, B)
+    s["ap"], s["bp"], s["cp"] = (cn.polar(phi, v) for v in (A, B, C))
+    s["Ap"], s["Bp"], s["Cp"] = (cn.pole(phi, s[x]) for x in "abc")
+    for name in ("A'", "B'", "C'"):
+        if cn.point_on_conic(phi, s[name[0] + "p"]):
+            raise GeneralPositionViolation(
+                f"polar vertex {name} on the absolute (tangent side)")
+    verts = (("A", A), ("B", B), ("C", C),
+             ("A'", s["Ap"]), ("B'", s["Bp"]), ("C'", s["Cp"]))
+    for i in range(6):
+        for j in range(i + 1, 6):
+            if points_equal(verts[i][1], verts[j][1], t):
+                raise GeneralPositionViolation(
+                    f"vertices {verts[i][0]} and {verts[j][0]} coincide")
+    s["conjugate_side_pairs"] = tuple(
+        x + y for x, y in ("bc", "ca", "ab")
+        if cn.lines_conjugate(phi, s[x], s[y]))
+    return s
 
 
 def oracle_cross_ratio(a, b, c, d):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from ckgeom.projective import (
 )
 from ckgeom.tolerance import get_tol
 from conftest import ambient_tol, interior_point
+from oracles import oracle_build
 
 
 def random_cfg(model, rng, radius=0.85):
@@ -135,6 +137,43 @@ def test_classical_centers(hyp, ell, rng):
         assert max(b[2] for b in rep.barycenters) < 1e-9
         assert max(o[2] for o in rep.circumcenters) < 1e-9
         assert max(i[2] for i in rep.incenters) < 1e-9
+
+
+def test_classical_centers_join_each_vertex_and_midpoint_once(monkeypatch):
+    # one join per vertex-midpoint pair of each family, and the report of
+    # joining afresh for every assignment, bit for bit
+    from ckgeom import lab
+    joins = []
+    join = ce.join_points
+
+    def counting(p, q):
+        joins.append((p, q))
+        return join(p, q)
+
+    for geometry in ("hyperbolic", "elliptic"):
+        for i in range(10):
+            cfg = lab.random_triangle_config(lab.trial_rng(5, i), geometry)
+            d = cfg.dual
+            tris = ((cfg, ((cfg.A, cfg.B, cfg.C), (cfg.Ap, cfg.Bp, cfg.Cp))),
+                    (d, ((d.Ap, d.Bp, d.Cp),)))
+            want, keys = [], set()
+            for tri, families in tris:
+                for bits, mids in ce.midpoint_assignments(
+                        (tri.mids_a, tri.mids_b, tri.mids_c)):
+                    for verts in families:
+                        la, lb, lc = (join(v, m) for v, m in zip(verts, mids))
+                        p = meet_lines(la, lb)
+                        want.append((bits, p, pj.incidence_residual(lc, p)))
+                        keys |= {(tri is d, verts[k], bits[k]) for k in range(3)}
+            joins.clear()
+            monkeypatch.setattr(ce, "join_points", counting)
+            rep = cfg.classical()
+            monkeypatch.undo()
+            assert len(joins) == len(keys) == 18
+            # `want` interleaves barycenters and circumcenters, then incenters
+            n = len(rep.barycenters)
+            assert repr((rep.barycenters, rep.circumcenters, rep.incenters)) \
+                == repr((want[0:2 * n:2], want[1:2 * n:2], want[2 * n:]))
 
 
 def test_side_bisectors_are_dual_angle_bisectors(hyp, rng):
@@ -484,3 +523,203 @@ def test_dual_view_is_the_config_of_the_polar_triangle(geometry, kind):
         for name in set(ce._SWAP) - {"model"}:
             assert _gap(getattr(polar, name), getattr(d, name)) <= 1e-12, (
                 n, name)
+
+
+# -- the one-pass build against the build through the kernel functions ------
+
+def _outcome(build, model, pts):
+    """repr of every eager slot a build fills, or the class and message of
+    the error it raises."""
+    try:
+        slots = build(model, *pts)
+    except errors.GeometryError as exc:
+        return type(exc), str(exc)
+    return tuple(repr(slots[name]) for name in _EAGER)
+
+
+def _one_pass(model, *pts):
+    cfg = ce.build_config(model, *pts)
+    return {name: getattr(cfg, name) for name in _EAGER}
+
+
+def _placed(pts, k, p):
+    """pts with p at index k."""
+    return tuple(p if i == k else q for i, q in enumerate(pts))
+
+
+def _rotations(pts):
+    """The three labellings of a triangle that keep its orientation, with
+    its first point at A, then B, then C."""
+    a, b, c = pts
+    return ((a, b, c), (c, a, b), (b, c, a))
+
+
+def _raise_sites(hyp, ell):
+    """(model, vertices, the start of the message the build raises, or the
+    conjugate side pairs it reads) for each site of the build."""
+    t = get_tol()
+    base = (affine_point(0.3, 0.1), affine_point(-0.2, 0.4),
+            affine_point(0.1, -0.5))
+    names = ("A", "B", "C")
+    cases = [(hyp, (affine_point(0, 0), affine_point(0.3, 0),
+                    affine_point(0.7, 0)), "vertices are collinear")]
+    # each vertex on the absolute: a point of the unit circle, and a point
+    # of the imaginary conic x^2 + y^2 + z^2 = 0
+    for model, on in ((hyp, affine_point(0.6, 0.8)), (ell, hpoint(1, 1j, 0))):
+        cases += [(model, _placed(base, k, on),
+                   f"vertex {names[k]} lies on the absolute")
+                  for k in range(3)]
+    # each side tangent to the absolute: its pole, the polar vertex of the
+    # same name, lies on it.  Two points of the tangent at (0.6, 0.8), and
+    # two of the isotropic line x + iy = 0, with a point off the line
+    for model, p, q, r in (
+            (hyp, affine_point(0.2, 1.1), affine_point(1.0, 0.5),
+             affine_point(-0.2, -0.3)),
+            (ell, hpoint(-1j, 1, 1), hpoint(-2j, 2, 1), hpoint(0.3, 0.2, 1))):
+        for name, pts in zip(("A'", "B'", "C'"), ((r, p, q), (q, r, p),
+                                                  (p, q, r))):
+            cases.append((model, pts, f"polar vertex {name} on the absolute"))
+    # each join of two points within the coincidence tolerance, the third
+    # point placed so the triangle is not collinear: |det| is about 1.8 t
+    w = (1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)
+    d = 0.5 * math.sqrt(3) * t
+    p, q = hpoint(1, 1, 1), hpoint(1 + d * w[0], 1 + d * w[1], 1)
+    far = hpoint(-0.5, -0.5, 1)
+    for pts in ((far, p, q), (q, far, p), (p, q, far)):
+        cases.append((hyp, pts, "join of coincident points"))
+    # (A, C): the test of `points_equal(A, C)` passes where the join
+    # b = (C, A) of the same two points is not taken as coincident, at the
+    # rounding of the threshold (found by a scan of the last coordinate)
+    cases.append((hyp, (hpoint(1.0, 0.6 + 7e-13,
+                               float.fromhex("0x1.408f57712324cp-30")),
+                        hpoint(-0.6, 1, 0), hpoint(1.0, 0.6, 0.0)),
+                  "vertices A and C coincide"))
+    # (A, A'), (B, B'), (C, C'): a vertex at the pole of its opposite side
+    for model in (hyp, ell):
+        for k, name in enumerate(names):
+            u, v = (q for i, q in enumerate(base) if i != k)
+            pole = cn.pole(model.absolute, join_points(v, u) if k == 1
+                           else join_points(u, v))
+            cases.append((model, _placed(base, k, pole),
+                          f"vertices {name} and {name}' coincide"))
+    # (A', B'), (A', C'), (B', C'): two sides within the tolerance of each
+    # other, though the vertices are not collinear: a close pair of points
+    # and a far one on the line y = 0, the far one lifted off it.  The pair
+    # of polar vertices away from the far vertex coincides.
+    near, close = hpoint(1, 0, 1), hpoint(1, 0, 0.9)
+    lifted = hpoint(1, 20 * t, -1)
+    for pts, pair in (((near, close, lifted), "A' and B'"),
+                      ((near, lifted, close), "A' and C'"),
+                      ((lifted, near, close), "B' and C'")):
+        cases.append((ell, pts, f"vertices {pair} coincide"))
+    # A vertex is conjugate to the poles of the two sides through it, so A
+    # and B' (and each such pair) coincide only on a vertex within about
+    # 9 t of the absolute, which the test at 1e3 t rejects first: those six
+    # pair tests are never reached.
+    # two sites at once: the first in the build's order raises
+    cases += [
+        (hyp, (affine_point(0.6, 0.8), affine_point(0.3, 0.4),
+               affine_point(0, 0)), "vertices are collinear"),
+        (hyp, (affine_point(0.6, 0.8), affine_point(-0.8, 0.6),
+               affine_point(0.1, -0.2)), "vertex A lies on the absolute"),
+        (hyp, (affine_point(-0.4, 1), affine_point(1, -0.5),
+               affine_point(1, 1)), "polar vertex A' on the absolute"),
+    ]
+    cases += [(model, (hpoint(1, 0, 0), hpoint(0, 1, 0), hpoint(0, 0, 1)),
+               "vertices A and A' coincide") for model in (hyp, ell)]
+    # each conjugate side pair: a right angle at A, B and C
+    right = (affine_point(0, 0), affine_point(0.5, 0), affine_point(0, 0.5))
+    for model in (hyp, ell):
+        for pts, pairs in zip(_rotations(right), (("bc",), ("ca",), ("ab",))):
+            cases.append((model, pts, pairs))
+    return cases
+
+
+def _conjugacy_threshold(model, A, B, w):
+    """The two adjacent positions of C = A + P/2 + s w, P the pole of
+    c = AB, between which sides b and c stop being conjugate under
+    `oracle_build`, by bisection of s in [0, 1/2]."""
+    P = cn.pole(model.absolute, join_points(A, B))
+
+    def triangle(s):
+        return A, B, hpoint(*(a + 0.5 * p + s * x
+                              for a, p, x in zip(A, P, w)))
+
+    lo, hi = 0.0, 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return triangle(lo), triangle(hi)
+        if "bc" in oracle_build(model, *triangle(mid))["conjugate_side_pairs"]:
+            lo = mid
+        else:
+            hi = mid
+
+
+# an absolute whose dual rows are not signed units, so that a raw pole
+# adj(M).l is not already normalized: its conjugacy test rounds apart from
+# the same test on the normalized pole
+_SKEWED = mt.ModelGeometry(cn.Conic.from_matrix(
+    ((1.0, 0.3, 0.1), (0.3, 0.8, -0.2), (0.1, -0.2, -0.7))))
+
+
+def test_one_pass_build_raises_as_the_kernel_functions_do(hyp, ell):
+    # every raise site of the build is reached, and the one-pass build
+    # raises there with the class and message of the build through the
+    # kernel functions, or fills the same eager slots bit for bit
+    with ambient_tol(1e-9):
+        for model, pts, expected in _raise_sites(hyp, ell):
+            want = _outcome(oracle_build, model, pts)
+            if isinstance(expected, str):
+                assert want[1].startswith(expected), (expected, want)
+            else:
+                assert want[-1] == repr(expected), want
+            assert _outcome(_one_pass, model, pts) == want, expected
+        # the last conjugate and the first non-conjugate triangle on a path
+        # through a right angle at A; on the skewed absolute, the tests of
+        # the raw and of the normalized pole part on about a fifth of them
+        rng = random.Random(36)
+        for model in (hyp, ell) + (_SKEWED,) * 20:
+            A, B = (affine_point(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+                    for _ in range(2))
+            w = (rng.uniform(-1, 1), rng.uniform(-1, 1), 0.0)
+            inside, outside = _conjugacy_threshold(model, A, B, w)
+            for pts, pairs in ((inside, ("bc",)), (outside, ())):
+                want = _outcome(oracle_build, model, pts)
+                assert want[-1] == repr(pairs)
+                assert _outcome(_one_pass, model, pts) == want
+
+
+def test_one_pass_build_equals_the_kernel_functions_on_drawn_scenes(
+        monkeypatch):
+    # every triangle a draw of each kind builds, accepted or not; for each
+    # drawn scene, its polar triangle, the triangle with C moved to the pole
+    # of AB (C and C' swap) and the one with C moved onto AB (collinear);
+    # each in all six labellings, at two tolerances
+    from ckgeom import lab
+    built = []
+    build = ce.build_config
+
+    def recording(model, *pts):
+        built.append((model, pts))
+        return build(model, *pts)
+
+    monkeypatch.setattr(ce, "build_config", recording)
+    for kind, geometry in _SCENE_PAIRS:
+        for i in range(12):
+            cfg = lab.random_triangle_config(lab.trial_rng(2027, i), geometry,
+                                             kind)
+            built += [(cfg.model, (cfg.Ap, cfg.Bp, cfg.Cp)),
+                      (cfg.model, (cfg.A, cfg.B, cfg.Cp)),
+                      (cfg.model, (cfg.A, cfg.B, hpoint(
+                          *(x + y for x, y in zip(cfg.A, cfg.B)))))]
+    monkeypatch.undo()
+    raised = 0
+    for tol in (1e-9, 1e-6):
+        with ambient_tol(tol):
+            for model, pts in built:
+                for labels in itertools.permutations(pts):
+                    want = _outcome(oracle_build, model, labels)
+                    raised += isinstance(want[0], type)
+                    assert _outcome(_one_pass, model, labels) == want
+    assert raised

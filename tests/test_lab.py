@@ -229,6 +229,42 @@ def test_every_trial_matches_the_recorded_digest():
     assert h.hexdigest() == TRIALS_DIGEST
 
 
+# The draw itself, apart from any check: sha256 of (kind, model, counter,
+# entry, generator state after the draw) for every (kind, model) row of
+# KINDS at seed 0 and counters 0-199, where the entry is the float.hex of
+# each coordinate of every eager slot and the conjugate side pairs, or the
+# class of the error the draw raised.  A change that means to keep every
+# draw leaves this digest as it is.
+SCENES_DIGEST = (
+    "ef75ec99776b32c9a69e4da831215e8002b2b74a306e06d986e1488cdb0c8791")
+
+_EAGER = ("A", "B", "C", "a", "b", "c", "ap", "bp", "cp", "Ap", "Bp", "Cp")
+
+
+def test_every_draw_matches_the_recorded_digest():
+    h = hashlib.sha256()
+    n = 0
+    with ambient_tol(1e-9):
+        for kind, (models, _) in lab.KINDS.items():
+            for model in models:
+                for counter in range(200):
+                    rng = lab.trial_rng(0, counter)
+                    try:
+                        cfg = lab.random_triangle_config(rng, model, kind)
+                    except errors.GeometryError as exc:
+                        entry = type(exc).__name__
+                    else:
+                        entry = (tuple(x.hex() for name in _EAGER
+                                       for z in getattr(cfg, name)
+                                       for x in (z.real, z.imag)),
+                                 cfg.conjugate_side_pairs)
+                    h.update(repr((kind, model, counter, entry,
+                                   rng.state)).encode())
+                    n += 1
+    assert n == 11 * 200
+    assert h.hexdigest() == SCENES_DIGEST
+
+
 def test_law_cosines_sq_elliptic_repro_passes():
     # this run reached 2.6e-8 while S was read as 1 - C; the closed form of
     # `metric.squared_trig` closes it to about 6e-14

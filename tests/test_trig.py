@@ -143,6 +143,40 @@ def test_right_angled_identities(kind):
             assert res < 1e-8, (kind, row, lhs, rhs)
 
 
+def _squared_ratios(cfg):
+    """C/S/T triples of the five segments a, b, c, b', c' of a right-angled
+    configuration (b' = C'A', c' = A'B')."""
+    return {side: mt.squared_trig(cfg.model, *tg._SIDES[side](cfg))
+            for side in tg._SEGMENTS}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_identity_reads_only_its_three_segments(kind, monkeypatch):
+    # squared_identity forms the C/S/T of the three segments its identity
+    # reads, once each, and equals the identity over all five segments bit
+    # for bit
+    geometry = "elliptic" if kind == "right:elliptic" else "hyperbolic"
+    formed = []
+    cst = tg._cst
+
+    def counting(cfg, p, q):
+        formed.append((p, q))
+        return cst(cfg, p, q)
+
+    for trial in range(20):
+        cfg = lab_cfg(kind, geometry, seed=61, trial=trial)
+        r = _squared_ratios(cfg)
+        C, S, T = ({k: v[i] for k, v in r.items()} for i in range(3))
+        segments = {tg._SIDES[side](cfg): side for side in r}
+        for name in tg.IDENTITY_NAMES:
+            formed.clear()
+            monkeypatch.setattr(tg, "_cst", counting)
+            got = tg.squared_identity(name, cfg)
+            monkeypatch.undo()
+            assert [segments[pq] for pq in formed] == list(tg._READS[name])
+            assert got.hex() == tg._rel(*tg._IDENTITIES[name](C, S, T)).hex()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_table_rows_are_roots_of_squared_identities(kind):
     # each unsquared row, squared, is its identity on the cross-ratio C/S/T:
@@ -153,7 +187,7 @@ def test_table_rows_are_roots_of_squared_identities(kind):
         rows = tg.table_5_1(cfg)
         if tg.right_angled_kind(cfg) == tg.LAMBERT and cfg.model.is_interior(cfg.B):
             cfg = tg._swap_bc(cfg)  # the labels right_angled_magnitudes uses
-        r = tg.squared_ratios(cfg)
+        r = _squared_ratios(cfg)
         C = {k: v[0] for k, v in r.items()}
         S = {k: v[1] for k, v in r.items()}
         T = {k: v[2] for k, v in r.items()}
@@ -208,7 +242,7 @@ def test_right_angled_hand_values():
     cfg = ce.build_config(model, affine_point(0, 0), affine_point(0.5, 0),
                           affine_point(0, 0.5))
     assert cfg.conjugate_side_pairs == ("bc",)
-    r = tg.squared_ratios(cfg)
+    r = _squared_ratios(cfg)
     assert abs(r["b"][0] - 4.0 / 3.0) < 1e-12
     assert abs(r["c"][0] - 4.0 / 3.0) < 1e-12
     assert abs(r["a"][0] - 16.0 / 9.0) < 1e-12
@@ -219,7 +253,7 @@ def test_right_angled_hand_values():
 def test_t456_derivable_from_t123():
     # T4..T6 follow algebraically from T1..T3; spot-check the derived forms
     cfg = lab_cfg("right:hyp-right", trial=3)
-    r = tg.squared_ratios(cfg)
+    r = _squared_ratios(cfg)
     C = {k: v[0] for k, v in r.items()}
     S = {k: v[1] for k, v in r.items()}
     T = {k: v[2] for k, v in r.items()}
