@@ -26,10 +26,23 @@ functions it restates.  It forms M.X once per vertex, for its test against
 the absolute (`point_on_conic`) and its polar; adj(M).l once per side, for
 its pole and the conjugacy test of `lines_conjugate`; and the squared norm
 of each of the six vertices once, for the coincidence tests of
-`points_equal`.  It runs those on every pair but (A, B) and (B, C), which
-the joins c and a test on the same operands.  In order: collinearity, the
-vertices on the absolute, the joins, the polar vertices on the absolute,
-the 13 pairs, then the conjugate side pairs.
+`points_equal`.  In order: collinearity, the vertices on the absolute, the
+joins, the polar vertices on the absolute, 7 pairs, then the conjugate side
+pairs.  Of the 15 pairs of the six vertices, the joins c and a test (A, B)
+and (B, C) on the same operands, and six can never raise first: (A, B'),
+(A, C'), (B, A'), (B, C'), (C, A'), (C, B').  A vertex is conjugate to the
+pole of each side through it: A^T.M.adj(M).(C x A) = det M . A.(C x A) = 0.
+So if B' lies within tol of A, that is A = mu B' + d with |d| <= tol |A|,
+then |Q(A)| = |A^T.M.d| <= ||M|| |A|^2 tol <= 9 tol, as a normalized point
+has |A|^2 <= 3 and a normalized conic ||M|| <= 3, and the vertex test at
+1e3 tol has raised already.  The rounding of B' adds a few ulps to that
+bound; tests pin the argument on drawn scenes and on near-coincidences.
+
+The isosceles flags read a closed form, not the traces of the sides: with
+the bilinear form B of the absolute and Q(X) = B(X, X), the segment XY has
+C(X, Y) = B(X,Y)^2 / (Q(X)Q(Y)) (`metric.squared_trig`), and the triangle
+is isosceles at A when the sides through A have equal C, that is
+B(A,C)^2 Q(B) = B(A,B)^2 Q(C) (`_isosceles_flags`).
 
 The polar triangle T' is read, never rebuilt: `cfg.dual` reads and writes
 the slots of the config through the swap A<->A', a<->a', A_b<->B_a,
@@ -46,7 +59,7 @@ the tolerance it was drawn under.
 
 from __future__ import annotations
 
-import math
+import cmath
 from operator import attrgetter
 
 from . import conics as cn
@@ -57,8 +70,8 @@ from .projective import (
     HPoint,
     Quadrangle,
     collinearity_residual,
-    cross_ratio,
     cross_ratio_points,
+    dot,
     incidence_residual,
     join_points,
     meet_lines,
@@ -70,12 +83,12 @@ from .projective import (
 from .tolerance import get_tol
 
 
-# The coincidence tests of the build, in its order: every pair of the six
-# vertices A, B, C, A', B', C' but (A, B) and (B, C), which the joins c and a
-# test on the same operands.
+# The coincidence tests of the build, in its order, on the six vertices
+# A, B, C, A', B', C': (A, C), each vertex with its own polar vertex, and the
+# polar vertices pairwise.  The joins c and a test (A, B) and (B, C); a
+# vertex never meets the pole of a side through it first (module docstring).
 _VERTEX_NAMES = ("A", "B", "C", "A'", "B'", "C'")
-_PAIR_TESTS = tuple((i, j) for i in range(6) for j in range(i + 1, 6)
-                    if (i, j) not in ((0, 1), (1, 2)))
+_PAIR_TESTS = ((0, 2), (0, 3), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5))
 
 
 class PolarTriangleConfig:
@@ -318,25 +331,39 @@ def _midpoint_choice(cfg):
 
 
 def _isosceles_flags(cfg):
-    """Isosceles test at each vertex: equality of the two conic cross
-    ratios (B1B2AC) = (C1C2AB) under the best labeling."""
+    """Isosceles test at each vertex: at A, C(A, C) = C(A, B), compared as
+    |B(A,C)^2 Q(B) - B(A,B)^2 Q(C)| <= tol |Q(A)Q(B)Q(C)| k(C), C = C(A, C).
+
+    The threshold restates the test on the cross ratios r = (U V A C) of
+    the sides with their traces U, V on the absolute, |r_b - r_c| <= tol
+    under the labelling of the traces that makes it least.  C = (1+r)^2/(4r)
+    (r and 1/r are the two labellings), so to first order the cross-ratio
+    gap is |C_b - C_c| / |dC/dr|, and the least one is read at the root with
+    |r| <= 1.  With w = 2C - 1 and s = sqrt(w^2 - 1), the roots are w +- s,
+    r - 1/r = +-2s, and |dC/dr| = |r - 1/r| / (4|r|) = k(C) = |s| rho / 2
+    with rho = max|w +- s|.  The two tests part by the second-order term,
+    of relative size tol rho^2 / |s|, and by rounding: they agree wherever
+    the cross-ratio gap is not within a factor of 2 of tol, off the right
+    (C = 0) and vanishing (C = 1) segments, which the build and the scene
+    guards keep away from.
+    """
     t = get_tol()
     phi = cfg.model.absolute
-    # each side with its traces on the absolute, met once for both vertices
-    a, b, c = ((side, cn.line_conic_meet(phi, side).points)
-               for side in (cfg.a, cfg.b, cfg.c))
+    A, B, C = cfg.A, cfg.B, cfg.C
+    mA, mB, mC = phi.apply(A), phi.apply(B), phi.apply(C)
+    qa, qb, qc = dot(A, mA), dot(B, mB), dot(C, mC)
+    bab, bbc, bca = dot(mA, B), dot(mB, C), dot(mC, A)
+    d = qa * qb * qc
     flags = []
-    for vertex, (s1, (p1, p2)), (s2, (q1, q2)), v1, v2 in (
-        (cfg.A, b, c, cfg.C, cfg.B),
-        (cfg.B, c, a, cfg.A, cfg.C),
-        (cfg.C, a, b, cfg.B, cfg.A),
-    ):
-        r1 = cross_ratio(p1, p2, vertex, v1, carrier=s1)
-        best = math.inf
-        for q in ((q1, q2), (q2, q1)):
-            r2 = cross_ratio(q[0], q[1], vertex, v2, carrier=s2)
-            best = min(best, abs(r1 - r2), abs(1.0 / r1 - r2))
-        flags.append(best <= t)
+    # at each vertex, B of each side through it times Q of the far end of
+    # the other side: C of each side times d
+    for b1, q1, b2, q2 in ((bca, qb, bab, qc), (bab, qc, bbc, qa),
+                           (bbc, qa, bca, qb)):
+        x = b1 * b1 * q1
+        w = 2.0 * x / d - 1.0
+        s = cmath.sqrt(w * w - 1.0)
+        k = abs(s) * max(abs(w + s), abs(w - s)) / 2.0
+        flags.append(abs(x - b2 * b2 * q2) <= t * abs(d) * k)
     cfg.iso_flags = tuple(flags)
 
 

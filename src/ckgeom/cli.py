@@ -3,6 +3,8 @@ scene files, and SVG figures.
 
 Exit codes: 0 success, 1 certification failure, 2 usage/input error.
 The GEOM_TOL environment variable overrides the default tolerance.
+`verify` reads no scene file and draws no figure, so the scene and figure
+modules are imported by the commands that read them, not at start-up.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from . import lab
 from . import metric as mt
 from . import trig as tg
 from .errors import GeometryError, UnknownTheorem
-from .figures import draw_figure
 from .projective import join_points
-from .sceneio import SceneError, builtin_scene, load_scene
 from .tolerance import checked_tol, get_tol
 
 
@@ -82,6 +82,7 @@ def cmd_verify(args) -> int:
 
 def _scene_from_args(args):
     """The scene named by --scene, or None after a one-line scene error."""
+    from .sceneio import SceneError, builtin_scene, load_scene
     try:
         if args.scene and args.scene.startswith("builtin:"):
             return builtin_scene(args.scene.split(":", 1)[1])
@@ -94,6 +95,7 @@ def _scene_from_args(args):
 
 
 def cmd_compute(args) -> int:
+    from .sceneio import SceneError
     scene = _scene_from_args(args)
     if scene is None:
         return 2
@@ -156,6 +158,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    from .figures import draw_figure
     scene = _scene_from_args(args)
     if scene is None:
         return 2

@@ -829,7 +829,7 @@ def _chk_ray_angles(rng, geometry, tol, perturb=0.0):
     ang = ry.angle_between_rays(model, r1, r2)
     c1 = ry.ray_cosine_opposite(model, r1, r2)
     c2 = ry.ray_cosine_conjugate(model, r1, r2)
-    r2b = ry.Ray(r2.origin, r2.carrier, ry.other_trace(r2, model.absolute))
+    r2b = ry.Ray(r2.origin, r2.carrier, r2.opposite, r2.endpoint)
     supp = ry.angle_between_rays(model, r1, r2b)
     res = max(abs(c1 - math.cos(ang)), abs(c2 - c1),
               abs(ang + supp - math.pi))

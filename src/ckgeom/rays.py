@@ -5,6 +5,13 @@ the absolute.  The angle between two rays with common origin is read off the
 cross ratio, over the absolute, of the tangency contact points from P and
 the two ray endpoints; unlike the Laguerre line-angle this distinguishes an
 angle from its supplement.
+
+A ray carries both traces of its carrier, met once by `ray_towards`: its
+endpoint and the endpoint of the opposite ray.  It also keeps the contact
+points of the tangents from its origin once `angle_between_rays` forms
+them, so one trial meets each line with the absolute once.  A ray belongs
+to the model it was drawn in, and is read under the tolerance it was drawn
+under.
 """
 
 from __future__ import annotations
@@ -27,12 +34,20 @@ from .projective import (
 
 
 class Ray:
-    __slots__ = ("origin", "carrier", "endpoint")
+    """The ray from `origin` along `carrier` that ends at `endpoint`;
+    `opposite` is the carrier's other trace, the endpoint of the opposite
+    ray, and `contacts` the tangent contact points from the origin, or None
+    until `angle_between_rays` forms them."""
 
-    def __init__(self, origin: HPoint, carrier: HLine, endpoint: HPoint):
+    __slots__ = ("origin", "carrier", "endpoint", "opposite", "contacts")
+
+    def __init__(self, origin: HPoint, carrier: HLine, endpoint: HPoint,
+                 opposite: HPoint):
         self.origin = origin
         self.carrier = carrier
         self.endpoint = endpoint
+        self.opposite = opposite
+        self.contacts = None
 
     def __repr__(self):
         return f"Ray(origin={self.origin}, endpoint={self.endpoint})"
@@ -52,23 +67,16 @@ def ray_towards(model, origin: HPoint, target: HPoint) -> Ray:
     ox, oy, oz = real_triple(origin)
     tx, ty, tz = real_triple(target)
     dx, dy = tx / tz - ox / oz, ty / tz - oy / oz
-    best = None
+    score = []
     for w in (u, v):
         wx, wy, wz = real_triple(w)
         if abs(wz) < 1e-9 * max(abs(wx), abs(wy)):
-            score = 0.0  # trace at chart infinity: decided by the other one
+            score.append(0.0)  # trace at chart infinity: decided by the other
         else:
-            score = (wx / wz - ox / oz) * dx + (wy / wz - oy / oz) * dy
-        if best is None or score > best[0]:
-            best = (score, w)
-    return Ray(origin, line, best[1])
-
-
-def other_trace(ray: Ray, conic) -> HPoint:
-    """The trace of the ray's carrier on the conic that is not its endpoint:
-    the endpoint of the opposite ray."""
-    u, v = cn.line_conic_meet(conic, ray.carrier).points
-    return v if triple_eq(u, ray.endpoint, 1e-6) else u
+            score.append((wx / wz - ox / oz) * dx + (wy / wz - oy / oz) * dy)
+    if score[1] > score[0]:
+        return Ray(origin, line, v, u)
+    return Ray(origin, line, u, v)
 
 
 def angle_between_rays(model, r1: Ray, r2: Ray) -> float:
@@ -84,8 +92,10 @@ def angle_between_rays(model, r1: Ray, r2: Ray) -> float:
         raise DifferentOrigins("rays must share their origin")
     if triple_eq(r1.endpoint, r2.endpoint, 1e-6):
         return 0.0
-    pol = cn.polar(conic, r1.origin)
-    u, v = cn.line_conic_meet(conic, pol).points
+    if r1.contacts is None:
+        pol = cn.polar(conic, r1.origin)
+        r1.contacts = cn.line_conic_meet(conic, pol).points
+    u, v = r1.contacts
     val = cn.cross_ratio_on_conic(conic, u, v, r1.endpoint, r2.endpoint)
     return abs(cmath.phase(val))
 
@@ -93,10 +103,8 @@ def angle_between_rays(model, r1: Ray, r2: Ray) -> float:
 def ray_cosine_opposite(model, r1: Ray, r2: Ray) -> complex:
     """cos of the ray angle via 2 (A1 B1 B2 A2)_Phi - 1, using the opposite
     ray endpoints A2, B2."""
-    conic = model.absolute
-    a2 = other_trace(r1, conic)
-    b2 = other_trace(r2, conic)
-    val = cn.cross_ratio_on_conic(conic, r1.endpoint, r2.endpoint, b2, a2)
+    val = cn.cross_ratio_on_conic(model.absolute, r1.endpoint, r2.endpoint,
+                                  r2.opposite, r1.opposite)
     return 2.0 * val - 1.0
 
 
@@ -106,8 +114,7 @@ def ray_cosine_conjugate(model, r1: Ray, r2: Ray) -> complex:
     lines A1 B2, B1 A2, A1'B1', A2'B2' are concurrent."""
     conic = model.absolute
     p = r1.origin
-    a2 = other_trace(r1, conic)
-    b2 = other_trace(r2, conic)
+    a2, b2 = r1.opposite, r2.opposite
     ap = cn.conjugate_line(conic, r1.carrier, p)
     bp = cn.conjugate_line(conic, r2.carrier, p)
     a_pr = cn.line_conic_meet(conic, ap).points

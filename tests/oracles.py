@@ -68,6 +68,38 @@ def oracle_build(model, A, B, C):
     return s
 
 
+def oracle_other_trace(ray, conic):
+    """The trace of the ray's carrier on the conic that is not its endpoint,
+    met again: the reference of `ckgeom.rays.Ray.opposite`, which keeps the
+    trace that `ray_towards` met."""
+    u, v = cn.line_conic_meet(conic, ray.carrier).points
+    return v if triple_eq(u, ray.endpoint, 1e-6) else u
+
+
+def oracle_isosceles_gaps(cfg):
+    """At each vertex, the least gap between the cross ratios (U V X Y) of
+    its two sides XY with their traces U, V on the absolute, over the
+    labellings of the traces: the reference of the closed-form isosceles
+    flags of `ckgeom.centers`, which flag a vertex where its gap is at most
+    tol.  Three `line_conic_meet` calls and nine cross ratios."""
+    phi = cfg.model.absolute
+    a, b, c = ((side, cn.line_conic_meet(phi, side).points)
+               for side in (cfg.a, cfg.b, cfg.c))
+    gaps = []
+    for vertex, (s1, (p1, p2)), (s2, (q1, q2)), v1, v2 in (
+        (cfg.A, b, c, cfg.C, cfg.B),
+        (cfg.B, c, a, cfg.A, cfg.C),
+        (cfg.C, a, b, cfg.B, cfg.A),
+    ):
+        r1 = cross_ratio(p1, p2, vertex, v1, carrier=s1)
+        best = math.inf
+        for q in ((q1, q2), (q2, q1)):
+            r2 = cross_ratio(q[0], q[1], vertex, v2, carrier=s2)
+            best = min(best, abs(r1 - r2), abs(1.0 / r1 - r2))
+        gaps.append(best)
+    return tuple(gaps)
+
+
 def oracle_cross_ratio(a, b, c, d):
     """Affine-chart evaluation of the cross ratio, an oracle against the
     bracket form of `ckgeom.projective.cross_ratio`.

@@ -343,8 +343,8 @@ def test_criterion_8_ray_angles():
             ang = ry.angle_between_rays(hyp, r1, r2)
             c1 = ry.ray_cosine_opposite(hyp, r1, r2)
             c2 = ry.ray_cosine_conjugate(hyp, r1, r2)
-            other = ry.other_trace(r2, hyp.absolute)
-            supp = ry.angle_between_rays(hyp, r1, ry.Ray(o, r2.carrier, other))
+            r2b = ry.Ray(o, r2.carrier, r2.opposite, r2.endpoint)
+            supp = ry.angle_between_rays(hyp, r1, r2b)
         except errors.GeometryError:
             continue
         done += 1

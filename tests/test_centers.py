@@ -18,7 +18,7 @@ from ckgeom.projective import (
 )
 from ckgeom.tolerance import get_tol
 from conftest import ambient_tol, interior_point
-from oracles import oracle_build
+from oracles import oracle_build, oracle_isosceles_gaps
 
 
 def random_cfg(model, rng, radius=0.85):
@@ -723,3 +723,142 @@ def test_one_pass_build_equals_the_kernel_functions_on_drawn_scenes(
                     raised += isinstance(want[0], type)
                     assert _outcome(_one_pass, model, labels) == want
     assert raised
+
+
+# -- the pair tests the build leaves out ---------------------------------------
+
+# each vertex with the pole of a side through it, and that side's other end:
+# (vertex, polar vertex, other end) as indices into A, B, C, A', B', C'
+_UNTESTED_PAIRS = ((0, 4, 2), (0, 5, 1), (1, 3, 2), (1, 5, 0), (2, 3, 1),
+                   (2, 4, 0))
+
+
+def _unit_gap(x, y):
+    """|x x y| / (|x| |y|): the quantity `points_equal` compares with tol."""
+    return pj.point_gap(x, y) / math.sqrt(
+        sum(abs(c) ** 2 for c in x) * sum(abs(c) ** 2 for c in y))
+
+
+def _conjugacy(model, x, y):
+    """|x^T.M.y| and |Q(x)| on the normalized absolute."""
+    phi = model.absolute
+    return abs(pj.dot(x, phi.apply(y))), abs(phi.value(x))
+
+
+def test_a_vertex_meets_the_pole_of_a_side_through_it_only_on_the_absolute(
+        hyp, ell):
+    # The build runs 7 of the 15 pair tests.  A vertex X is conjugate to the
+    # pole P of each side through it, so X within tol of P puts |Q(X)| within
+    # ||M|| |X|^2 tol <= 9 tol, and the vertex test at 1e3 tol raises first.
+    from ckgeom import lab
+    # on drawn scenes of every kind, X^T.M.P is rounding and the bound holds
+    with ambient_tol(1e-9):
+        for kind, (models, _) in lab.KINDS.items():
+            for geometry in models:
+                for counter in range(40):
+                    cfg = lab.random_triangle_config(
+                        lab.trial_rng(0, counter), geometry, kind)
+                    verts = (cfg.A, cfg.B, cfg.C, cfg.Ap, cfg.Bp, cfg.Cp)
+                    for i, j, _ in _UNTESTED_PAIRS:
+                        x, p = verts[i], verts[j]
+                        xmp, q = _conjugacy(cfg.model, x, p)
+                        assert xmp <= 1e-14, (kind, counter, i, j)
+                        norm = sum(abs(c) ** 2 for c in x)
+                        assert q <= 3 * norm * _unit_gap(x, p) + 1e-14
+    # near-coincidences: X within a few tol of a point X0 of the absolute
+    # and the side's other end on the tangent at X0, so that the pole of
+    # that side lies within 10 tol of X, on a real and an imaginary absolute
+    # and on a skewed one; each raises at a vertex test
+    rng = random.Random(37)
+    reached = 0
+    for tol in (1e-9, 1e-6):
+        with ambient_tol(tol):
+            for model in (hyp, ell, _SKEWED):
+                for _ in range(20):
+                    line = pj.hline(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                                    rng.uniform(-0.3, 0.3))
+                    x0 = cn.line_conic_meet(model.absolute, line).points[0]
+                    tangent = cn.polar(model.absolute, x0)
+                    other = meet_lines(tangent, pj.hline(
+                        rng.uniform(-1, 1), rng.uniform(-1, 1), 1))
+                    third = affine_point(rng.uniform(-0.5, 0.5),
+                                         rng.uniform(-0.5, 0.5))
+                    for i, j, k in _UNTESTED_PAIRS:
+                        shift = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                                 for _ in range(3)]
+                        size = 3 * tol * rng.random() / math.sqrt(
+                            sum(abs(c) ** 2 for c in shift))
+                        x = hpoint(*(a + size * s for a, s in zip(x0, shift)))
+                        pts = [third] * 3
+                        pts[i], pts[k] = x, other
+                        side = join_points(x, other)
+                        p = cn.pole(model.absolute, side)
+                        if _unit_gap(x, p) > 10 * tol:
+                            continue
+                        reached += 1
+                        assert _conjugacy(model, x, p)[0] <= 1e-14
+                        want = _outcome(oracle_build, model, pts)
+                        assert want[0] is errors.GeneralPositionViolation
+                        assert want[1].startswith(("vertex", "polar vertex"))
+                        assert _outcome(_one_pass, model, pts) == want
+    assert reached >= 200
+
+
+# -- the isosceles flags against the cross ratios of the traces ---------------
+
+def test_isosceles_flags_equal_the_cross_ratio_flags_on_drawn_scenes():
+    from ckgeom import lab
+    for tol in (1e-9, 1e-8):
+        with ambient_tol(tol):
+            for seed in range(3):
+                for geometry in ("hyperbolic", "elliptic"):
+                    for counter in range(2000):
+                        cfg = lab.random_triangle_config(
+                            lab.trial_rng(seed, counter), geometry)
+                        want = tuple(g <= tol
+                                     for g in oracle_isosceles_gaps(cfg))
+                        assert cfg.iso_flags == want, (seed, counter)
+
+
+def _pushed_off_isosceles(model, rng):
+    """A triangle isosceles at A, turned about the center of the chart, with
+    C then pushed 1e-12 to 1e-3 off in a random direction."""
+    r = 0.85 if model.kind == mt.HYPERBOLIC else 3.0
+    while True:
+        x, u, v = rng.uniform(-r, r), rng.uniform(-r, r), rng.uniform(0.05, r)
+        turn = rng.uniform(0, 2 * math.pi)
+        c, s = math.cos(turn), math.sin(turn)
+        pts = [(c * px - s * py, s * px + c * py)
+               for px, py in ((x, 0), (u, v), (u, -v))]
+        if model.kind == mt.ELLIPTIC or all(
+                px * px + py * py < 0.9 for px, py in pts):
+            break
+    push, way = 10 ** rng.uniform(-12, -3), rng.uniform(0, 2 * math.pi)
+    cx, cy = pts[2]
+    pts[2] = (cx + push * math.cos(way), cy + push * math.sin(way))
+    return [affine_point(*p) for p in pts]
+
+
+def test_isosceles_flags_part_from_the_cross_ratio_test_only_near_tol(hyp, ell):
+    # the closed form restates the cross-ratio test to first order: the two
+    # flags agree unless the cross-ratio gap is within a factor of 2 of tol
+    rng = random.Random(38)
+    flagged = {True: 0, False: 0}
+    near = 0
+    for model in (hyp, ell):
+        for _ in range(300):
+            pts = _pushed_off_isosceles(model, rng)
+            for tol in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+                with ambient_tol(tol):
+                    try:
+                        cfg = ce.build_config(model, *pts)
+                        gaps = oracle_isosceles_gaps(cfg)
+                    except errors.GeometryError:
+                        continue
+                    for flag, gap in zip(cfg.iso_flags, gaps):
+                        if tol / 2 <= gap <= 2 * tol:
+                            near += 1
+                            continue
+                        assert flag == (gap <= tol), (tol, gap)
+                        flagged[flag] += 1
+    assert min(flagged.values()) >= 300 and near < 0.05 * sum(flagged.values())

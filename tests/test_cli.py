@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,3 +308,19 @@ def test_the_catalog_equals_a_cold_run_of_each_certificate(tmp_path, capsys):
     passed = all(cert["passed"] for cert in certs)
     assert (data["seed"], data["passed"], code) == (0, passed, 1 - passed)
     assert set(data) == {"tolerance", "seed", "certificates", "passed"}
+
+
+def test_verify_leaves_the_scene_and_figure_modules_unloaded():
+    # `verify` reads no scene and draws no figure: a cold process that runs
+    # it never imports sceneio, figures or svgfig
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from ckgeom import cli\n"
+            "rc = cli.main(['verify', '--theorem', 'medians', '--trials', '3',"
+            " '--geometry', 'hyperbolic'])\n"
+            "print(rc, sorted(m for m in sys.modules if m in ("
+            "'ckgeom.sceneio', 'ckgeom.figures', 'ckgeom.svgfig')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.splitlines()[-1] == "0 []"

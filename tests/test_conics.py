@@ -338,11 +338,9 @@ def _ray_quadruples(hyp, rng, n):
             r1 = ry.ray_towards(hyp, o, p)
             r2 = ry.ray_towards(hyp, o, q)
             u, v = cn.line_conic_meet(absolute, cn.polar(absolute, o)).points
-            a2 = ry.other_trace(r1, absolute)
-            b2 = ry.other_trace(r2, absolute)
         except errors.GeometryError:
             continue
-        a1, b1 = r1.endpoint, r2.endpoint
+        a1, b1, a2, b2 = r1.endpoint, r2.endpoint, r1.opposite, r2.opposite
         out.append((((u, v, a1, b1), (u, v, a1, b2)), (a1, b1, b2, a2)))
     return out
 

@@ -13,16 +13,17 @@ from ckgeom.projective import (
     incidence_residual,
     points_equal,
 )
-from conftest import interior_point
+from conftest import ambient_tol, interior_point
+from oracles import oracle_other_trace
 
 
 def test_rays_from_the_center(hyp):
     # the two rays into which the center divides the x-axis end at (-1, 0)
-    # and (1, 0): `ray_towards` picks the target's end, `other_trace` the other
+    # and (1, 0): `ray_towards` takes the target's end, and keeps the other
     p = affine_point(0, 0)
     left = ry.ray_towards(hyp, p, affine_point(-0.5, 0))
     assert points_equal(left.endpoint, affine_point(-1, 0))
-    assert points_equal(ry.other_trace(left, hyp.absolute), affine_point(1, 0))
+    assert points_equal(left.opposite, affine_point(1, 0))
     right = ry.ray_towards(hyp, p, affine_point(0.5, 0))
     assert points_equal(right.endpoint, affine_point(1, 0))
 
@@ -31,9 +32,8 @@ def test_ray_endpoints_lie_on_the_absolute(hyp, rng):
     for _ in range(10):
         p = interior_point(rng, 0.7)
         r = ry.ray_towards(hyp, p, interior_point(rng))
-        opposite = ry.other_trace(r, hyp.absolute)
-        assert not points_equal(r.endpoint, opposite)
-        for end in (r.endpoint, opposite):
+        assert not points_equal(r.endpoint, r.opposite)
+        for end in (r.endpoint, r.opposite):
             assert cn.conic_residual(hyp.absolute, end) < 1e-10
             assert incidence_residual(r.carrier, end) < 1e-10
 
@@ -73,8 +73,7 @@ def test_supplement_relation(hyp, rng):
         q = interior_point(rng, 0.8)
         r1 = ry.ray_towards(hyp, o, p)
         r2 = ry.ray_towards(hyp, o, q)
-        other = ry.other_trace(r2, hyp.absolute)
-        r2b = ry.Ray(r2.origin, r2.carrier, other)
+        r2b = ry.Ray(r2.origin, r2.carrier, r2.opposite, r2.endpoint)
         a1 = ry.angle_between_rays(hyp, r1, r2)
         a2 = ry.angle_between_rays(hyp, r1, r2b)
         assert abs(a1 + a2 - math.pi) < 1e-10
@@ -147,10 +146,8 @@ def test_ray_angle_cross_ratios_rescaling_invariant(hyp, rng):
             r1 = ry.ray_towards(hyp, o, interior_point(rng, 0.8))
             r2 = ry.ray_towards(hyp, o, interior_point(rng, 0.8))
             u, v = cn.line_conic_meet(absolute, cn.polar(absolute, o)).points
-            a2 = ry.other_trace(r1, absolute)
-            b2 = ry.other_trace(r2, absolute)
             quads = ((u, v, r1.endpoint, r2.endpoint),
-                     (r1.endpoint, r2.endpoint, b2, a2))
+                     (r1.endpoint, r2.endpoint, r2.opposite, r1.opposite))
             values = [cn.cross_ratio_on_conic(absolute, *q)
                       for q in quads]
         except errors.GeometryError:
@@ -164,3 +161,63 @@ def test_ray_angle_cross_ratios_rescaling_invariant(hyp, rng):
             assert abs(got - val) < 1e-9 * max(1.0, abs(val))
         checked += 1
     assert checked >= 15
+
+
+def _drawn_rays(seed, counters):
+    """(o, r1, r2) of each `ray_angles` trial of `counters` that passes its
+    gap guard: the two rays from o that the check draws."""
+    from ckgeom import lab
+    hyp = mt.hyperbolic_model()
+    for counter in counters:
+        rng = lab.trial_rng(seed, counter)
+        o = lab._interior_point(rng, 0.7)
+        p = lab._interior_point(rng, 0.85)
+        q = lab._interior_point(rng, 0.85)
+        if lab.point_gap(o, p) < 1e-2 or lab.point_gap(o, q) < 1e-2:
+            continue
+        yield o, ry.ray_towards(hyp, o, p), ry.ray_towards(hyp, o, q)
+
+
+def test_a_ray_keeps_the_traces_the_oracle_meets_again(hyp):
+    # the opposite trace that `ray_towards` keeps, and the contact points
+    # that `angle_between_rays` keeps, are the points met again, bit for bit
+    absolute = hyp.absolute
+    n = 0
+    with ambient_tol(1e-9):
+        for o, r1, r2 in _drawn_rays(0, range(500)):
+            for r in (r1, r2):
+                assert repr(r.opposite) == repr(oracle_other_trace(r, absolute))
+            assert r1.contacts is None
+            ry.angle_between_rays(hyp, r1, r2)
+            met = cn.line_conic_meet(absolute, cn.polar(absolute, o)).points
+            assert repr(r1.contacts) == repr(met)
+            n += 1
+    assert n > 450
+
+
+@pytest.mark.parametrize("perturb, calls", [(0.0, 5), (1e-3, 7)])
+def test_a_ray_angles_trial_meets_each_line_with_the_absolute_once(
+        monkeypatch, perturb, calls):
+    # the two carriers, the polar of the origin and the two conjugate lines
+    # (5); a guard trial adds the two carriers of `vertex_angle` (7)
+    from ckgeom import lab
+    counted = []
+    meet = cn.line_conic_meet
+
+    def counting(conic, line):
+        counted.append(line)
+        return meet(conic, line)
+
+    monkeypatch.setattr(cn, "line_conic_meet", counting)
+    trials = 0
+    with ambient_tol(1e-9):
+        for counter in range(200):
+            del counted[:]
+            res = lab._chk_ray_angles(lab.trial_rng(0, counter), "hyperbolic",
+                                      1e-9, perturb)
+            if res is None:
+                assert counted == []
+                continue
+            assert len(counted) == calls
+            trials += 1
+    assert trials > 180

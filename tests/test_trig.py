@@ -778,3 +778,27 @@ def test_carnot_cosines_lemma(hyp, rng):
         cxz = mt.squared_trig(hyp, X, Z)[0]
         cyz = mt.squared_trig(hyp, Y, Z)[0]
         assert abs(lhs - cxz / cyz) < 1e-9 * max(1.0, abs(lhs))
+
+
+def test_pair_gap_takes_one_square_root_of_the_four_point_gaps():
+    # sqrt is correctly rounded, so monotone: the root of the min-max of the
+    # squared gaps is the min-max of the four `point_gap`s under float.hex,
+    # ties and equal pairs included
+    rng = random.Random(39)
+    n = 0
+    for counter in range(60):
+        geometry = ("hyperbolic", "elliptic")[counter % 2]
+        cfg = lab.random_triangle_config(lab.trial_rng(5, counter), geometry)
+        for pair in (cfg.mids_a, cfg.mids_b, cfg.mids_c):
+            for scale in (0.0, 1e-15, 1e-9, 1e-3, 1.0):
+                moved = [pj.hpoint(*(z + scale * complex(rng.gauss(0, 1),
+                                                         rng.gauss(0, 1))
+                                     for z in p)) for p in pair]
+                if rng.random() < 0.5:
+                    moved.reverse()
+                (a, b), (c, d) = pair, moved
+                want = min(max(pj.point_gap(a, c), pj.point_gap(b, d)),
+                           max(pj.point_gap(a, d), pj.point_gap(b, c)))
+                assert tg.pair_gap(pair, moved).hex() == want.hex()
+                n += 1
+    assert n == 900
