@@ -50,6 +50,7 @@ from .projective import (
     Quadrangle,
     collinearity_residual,
     concurrency_residual,
+    dot,
     hpoint,
     incidence_residual,
     join_points,
@@ -252,15 +253,79 @@ def _try_hexagon(rng, model):
                                 meet_lines(a, b)], tg.HEXAGON)
 
 
+# Room for rounding in `_c_window`: its quantities are read on normalized
+# triples at |t| <= 4, where one evaluation rounds by about 1e-14.
+_WINDOW_ROUNDING = 1e-12
+
+
+def _c_window(figure, model, A, B, pc):
+    """(lo, hi): the right-angled attempt of `figure` forms C = A + t pc only
+    where lo <= t^2 <= hi; at any other t its own tests move on.
+
+    Q and B are the form of the absolute.  A is interior and a pentagon's B
+    exterior, as the attempt draws them, so pc, the pole of a line through
+    A, is exterior.  pc is conjugate to A and to B, so on C' = A + t pc,
+    Q(C') = Q(A) + t^2 Q(pc) = Q(pc)(t^2 - t_in^2) with t_in^2 =
+    -Q(A)/Q(pc), and B(B, C') = B(A, B).  By the Lagrange identity of
+    `metric.squared_trig`, Q*(B x C') = Q(B) Q(C') - B(A, B)^2 = Q(B)
+    Q(pc)(t^2 - t_sec^2) with t_sec^2 = (B(A, B)^2 - Q(B) Q(A)) / (Q(B)
+    Q(pc)).
+
+    Each bound has a relative band d about t^2, wide enough to cover the
+    band of the step's test and rounding, so that the test is decided on
+    either side of it.  The side test reads Q(C) = Q(C')/c^2 against 1e3
+    tol, with |c| <= 1 + |t| since A and pc are normalized.  At t^2 =
+    t_in^2 (1 +- d), |Q(C')| = |Q(A)| d.  So with d = (1e3 tol + r)(1 +
+    t_in)^2 / |Q(A)|, C is interior below the band; above it Q(C) has the
+    sign of Q(pc), and C is not interior.  BC's status reads Q*(B x C')/m^2
+    against 250 tol, with |m| <= 2(1 + |t|).  At t^2 = t_sec^2 (1 +- d),
+    |Q*(B x C')| = (B(A, B)^2 - Q(B) Q(A)) d.  So with d = (250 tol + r)
+    4(1 + t_sec)^2 / (B(A, B)^2 - Q(B) Q(A)), BC is secant below the band
+    and not secant above it.  r = _WINDOW_ROUNDING covers the rounding of
+    C', of the two conjugacies and of each evaluation.
+
+    A t is skipped only beyond a band, on the side where the step moves on:
+    above t_in for a right triangle, where C must be interior; below t_in
+    for a pentagon, where C must not be; above t_sec for a pentagon, where
+    BC must be secant.  The window is every t for an elliptic right
+    triangle, whose C has no side to test, and for a Lambert quadrilateral:
+    its first C is nearly always on the side it needs, so its window would
+    cost more than the C it saves."""
+    if figure != tg.HYPERBOLIC_RIGHT and figure != tg.PENTAGON:
+        return 0.0, math.inf
+    phi = model.absolute
+    qa, qp = phi.value(A).real, phi.value(pc).real
+    tol = get_tol()
+    t2 = -qa / qp
+    d_in = ((1e3 * tol + _WINDOW_ROUNDING) * (1.0 + math.sqrt(t2)) ** 2
+            / abs(qa))
+    if figure == tg.HYPERBOLIC_RIGHT:
+        return 0.0, t2 * (1.0 + d_in)
+    qb, ab = phi.value(B).real, dot(A, phi.apply(B)).real
+    num = ab * ab - qb * qa
+    s2 = num / (qb * qp)
+    d_sec = ((250 * tol + _WINDOW_ROUNDING) * 4.0 * (1.0 + math.sqrt(s2)) ** 2
+             / num)
+    return t2 * (1.0 - d_in), s2 * (1.0 + d_sec)
+
+
 def _try_right(figure):
     """The attempt at the right-angled `figure` of `trig.right_angled_kind`,
-    right angle canonically at A: C is placed on the line joining A with the
-    pole of AB, at a parameter scanned for the figure.  Each step tests the
-    side of the absolute C lies on, its gaps and margin, then (pentagon) the
-    side BC, each a pure predicate and a necessary condition of
-    `right_angled_kind`; `join_points(B, C)` follows the gap tests, since it
-    raises where they move on.  The final `_conditioned` test reads the
-    gaps and margin already formed."""
+    right angle canonically at A: C = A + t pc is placed on the line joining
+    A with pc, the pole of AB, at a parameter t scanned for the figure.
+
+    C is interior exactly where t^2 < t_in^2 = -Q(A)/Q(pc), and BC is secant
+    exactly where t^2 < t_sec^2 = (B(A, B)^2 - Q(B) Q(A)) / (Q(B) Q(pc)).
+    `_c_window` forms both once per attempt, each widened by a relative
+    band d that covers the test's own band and rounding: d = (1e3 tol +
+    1e-12)(1 + t_in)^2 / |Q(A)| about t_in^2, d = (250 tol + 1e-12) 4(1 +
+    t_sec)^2 / (B(A, B)^2 - Q(B) Q(A)) about t_sec^2.  Every step draws t,
+    but forms C only inside the window; outside it the step would move on.
+    Inside it, each step tests the side of the absolute C lies on, its gaps
+    and margin, then (pentagon) the side BC, each a pure predicate and a
+    necessary condition of `right_angled_kind`; `join_points(B, C)` follows
+    the gap tests, since it raises where they move on.  The final
+    `_conditioned` test reads the gaps and margin already formed."""
     def try_right(rng, model):
         A = _interior_point(rng)
         B = (_exterior_point(rng) if figure == tg.PENTAGON
@@ -270,9 +335,13 @@ def _try_right(figure):
             return None
         side_c = join_points(A, B)
         pc = cn.pole(model.absolute, side_c)
-        bi = model.is_interior(B)
+        # only a Lambert quadrilateral reads the side of B
+        bi = model.is_interior(B) if figure == tg.LAMBERT else None
+        lo, hi = _c_window(figure, model, A, B, pc)
         for _ in range(40):
             t = rng.uniform(-4.0, 4.0)
+            if not lo <= t * t <= hi:
+                continue
             try:
                 C = hpoint(A[0] + t * pc[0], A[1] + t * pc[1],
                            A[2] + t * pc[2])

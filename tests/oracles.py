@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 
+from ckgeom import centers as ce
 from ckgeom import conics as cn
+from ckgeom import lab
 from ckgeom import metric as mt
 from ckgeom import rays as ry
 from ckgeom import trig as tg
@@ -14,13 +16,16 @@ from ckgeom.errors import (
     ChartDegenerate,
     EndpointOnConic,
     GeneralPositionViolation,
+    GeometryError,
     NoCoherentAssignment,
 )
 from ckgeom.projective import (
     collinearity_residual,
     cross_ratio,
+    hpoint,
     join_points,
     meet_lines,
+    point_gap,
     points_equal,
     triple_eq,
 )
@@ -66,6 +71,75 @@ def oracle_build(model, A, B, C):
         x + y for x, y in ("bc", "ca", "ab")
         if cn.lines_conjugate(phi, s[x], s[y]))
     return s
+
+
+def oracle_try_right(figure):
+    """The right-angled attempt of `ckgeom.lab` that forms C at every drawn
+    t and runs every test there: the reference of the attempt that forms C
+    only inside its closed-form window (`lab._c_window`)."""
+    def try_right(rng, model):
+        A = lab._interior_point(rng)
+        B = (lab._exterior_point(rng) if figure == tg.PENTAGON
+             else lab._interior_point(rng))
+        gap_ab = point_gap(A, B)
+        if gap_ab < lab.MIN_SEPARATION:
+            return None
+        side_c = join_points(A, B)
+        pc = cn.pole(model.absolute, side_c)
+        bi = model.is_interior(B)
+        for _ in range(40):
+            t = rng.uniform(-4.0, 4.0)
+            try:
+                C = hpoint(A[0] + t * pc[0], A[1] + t * pc[1],
+                           A[2] + t * pc[2])
+            except ValueError:
+                continue
+            if figure == tg.HYPERBOLIC_RIGHT and not model.is_interior(C):
+                continue
+            if figure == tg.LAMBERT and model.is_interior(C) == bi:
+                continue
+            if figure == tg.PENTAGON and model.is_interior(C):
+                continue
+            gap = min(gap_ab, point_gap(A, C), point_gap(B, C))
+            margin = abs(collinearity_residual(A, B, C))
+            if gap < lab.MIN_SEPARATION or not margin > lab.MIN_SEPARATION:
+                continue
+            if figure == tg.PENTAGON and (
+                    model.line_status(join_points(B, C)) != cn.SECANT):
+                continue
+            try:
+                cfg = ce.build_config(model, A, B, C)
+            except GeometryError:
+                continue
+            if tg.right_angled_kind(cfg) == figure:
+                conditioned = (gap >= lab._SCENE_SEPARATION
+                               and margin > lab._SCENE_MARGIN)
+                return cfg if conditioned else None
+        return None
+    return try_right
+
+
+def oracle_right_moves_on(figure, model, A, B, pc, t):
+    """Whether a step of `oracle_try_right` at parameter t moves on before
+    it builds: C not formed, on the wrong side of the absolute, too close or
+    too flat, or (pentagon) BC not secant."""
+    try:
+        C = hpoint(A[0] + t * pc[0], A[1] + t * pc[1], A[2] + t * pc[2])
+    except ValueError:
+        return True
+    ci = model.is_interior(C)
+    if figure == tg.HYPERBOLIC_RIGHT and not ci:
+        return True
+    if figure == tg.LAMBERT and ci == model.is_interior(B):
+        return True
+    if figure == tg.PENTAGON and ci:
+        return True
+    gap = min(point_gap(A, B), point_gap(A, C), point_gap(B, C))
+    if gap < lab.MIN_SEPARATION or not (
+            abs(collinearity_residual(A, B, C)) > lab.MIN_SEPARATION):
+        return True
+    return figure == tg.PENTAGON and (
+        model.line_status(join_points(B, C)) != cn.SECANT)
 
 
 def oracle_other_trace(ray, conic):
